@@ -24,15 +24,18 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .crossnorm import (
     gamma_bell_diagonal_closed,
     gamma_isotropic_closed,
+    gamma_pure,
     gamma_werner_closed,
+    robustness_pure_exact,
 )
-from .criteria import full_report
+from .criteria import VIOLATION_GUARD, full_report, report_stack
 from .realign import (
     operator_schmidt,
     tau_bell_diagonal_closed,
@@ -45,18 +48,103 @@ from .states import (
     DensityOperator,
     InvariantViolation,
     PureState,
-    bell_diagonal_state,
-    isotropic_state,
-    qubit_family,
-    qutrit_family,
+    _local_dim,
+    _parameters,
+    bell_diagonal_stack,
+    isotropic_stack,
+    qubit_family_stack,
+    qutrit_family_stack,
     random_density,
     schmidt_decompose,
-    werner_state,
+    validate_stack,
+    werner_stack,
 )
 
 CSV_HEADER = "param,tau_numeric,tau_closed,gamma_closed,ppt_floor,reduction_floor,verdict"
 
-SWEEP_FAMILIES = ("werner", "isotropic", "bell", "qubit", "qutrit")
+# Sweeps evaluate their grid this many points at a time: one validation and
+# one report per block.  Larger blocks stop paying off well before 32 points
+# at d <= 4, while the stacks' memory grows with the block, so blocks of
+# large matrices shrink to keep one stack within SWEEP_BLOCK_BYTES.
+SWEEP_BLOCK = 32
+SWEEP_BLOCK_BYTES = 2**22
+# Grids with more points are refused before any point is generated.
+MAX_SWEEP_POINTS = 10**6
+
+
+def _bell_weights(t: float) -> tuple[float, float, float, float]:
+    """Bell spectrum of a sweep: weight ``t`` on the first vector, the rest equal."""
+    rest = (1.0 - t) / 3.0
+    return (t, rest, rest, rest)
+
+
+class Family(NamedTuple):
+    """A closed-form state family as ``gen`` and ``sweep`` use it.
+
+    ``build(d, params)`` returns the unvalidated ``(k, n, n)`` stack for a
+    sequence of family parameters; ``tau(d, param)`` and ``gamma(d, param)``
+    are the closed forms of one member.  A sweep runs over a scalar in
+    ``domain`` (named ``noun`` in errors), mapped to a family parameter by
+    ``point``.  ``dim`` fixes the local dimension; ``None`` means ``--d``
+    is required.  ``arity`` is the number of values ``gen --param`` takes.
+    """
+
+    build: Callable
+    tau: Callable
+    gamma: Callable | None
+    domain: tuple[float, float]
+    noun: str
+    dim: int | None = None
+    point: Callable = lambda t: t
+    arity: int = 1
+
+
+# Entries look their functions up by name at call time, so a function
+# replaced on its module (a test double, a timing wrapper) is the one called.
+FAMILIES = {
+    "werner": Family(
+        build=lambda d, f: werner_stack(d, f),
+        tau=lambda d, f: tau_werner_closed(d, f),
+        gamma=lambda d, f: gamma_werner_closed(d, f),
+        domain=(-1.0, 1.0),
+        noun="flip expectation",
+    ),
+    "isotropic": Family(
+        build=lambda d, F: isotropic_stack(d, F),
+        tau=lambda d, F: tau_isotropic_closed(d, F),
+        gamma=lambda d, F: gamma_isotropic_closed(d, F),
+        domain=(0.0, 1.0),
+        noun="fidelity",
+    ),
+    "bell": Family(
+        build=lambda d, lams: bell_diagonal_stack(lams),
+        tau=lambda d, lam: tau_bell_diagonal_closed(lam),
+        gamma=lambda d, lam: gamma_bell_diagonal_closed(lam),
+        domain=(0.0, 1.0),
+        noun="bell sweep weight",
+        dim=2,
+        point=_bell_weights,
+        arity=4,
+    ),
+    "qubit": Family(
+        build=lambda d, p: qubit_family_stack(p),
+        tau=lambda d, p: tau_qubit_family_closed(p),
+        gamma=None,
+        domain=(0.0, 1.0),
+        noun="mixing weight",
+        dim=2,
+    ),
+    "qutrit": Family(
+        build=lambda d, alpha: qutrit_family_stack(alpha),
+        tau=lambda d, alpha: tau_qutrit_family_closed(alpha),
+        gamma=None,
+        domain=(2.0, 5.0),
+        noun="parameter",
+        dim=3,
+    ),
+}
+
+SWEEP_FAMILIES = tuple(FAMILIES)
 GEN_FAMILIES = SWEEP_FAMILIES + ("random",)
 
 
@@ -80,11 +168,16 @@ def _parse_range(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"range must look like 'start:stop:step', got {text!r}")
     start, stop, step = (float(p) for p in parts)
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ValueError(f"range bounds and step must be finite, got {text!r}")
     if step <= 0:
         raise ValueError("range step must be positive")
     if stop < start:
         raise ValueError("range stop must not precede start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step + 1e-9
+    if not steps < MAX_SWEEP_POINTS:
+        raise ValueError(f"range {text!r} has more than {MAX_SWEEP_POINTS} points")
+    count = int(math.floor(steps)) + 1
     return [start + k * step for k in range(count)]
 
 
@@ -92,7 +185,19 @@ def _complex_pair(entry) -> complex:
     if not isinstance(entry, (list, tuple)) or len(entry) != 2:
         raise ValueError(f"complex entries must be [re, im] pairs, got {entry!r}")
     re, im = entry
-    return complex(float(re), float(im))
+    try:
+        return complex(float(re), float(im))
+    except OverflowError:
+        raise ValueError(f"complex entry {entry!r} overflows a float") from None
+
+
+def _dim_entry(value) -> int:
+    """A ``dims`` entry of a state file: an integral number."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"dims entries must be integers, got {value!r}")
 
 
 def load_state_file(path, dims_override=None, *, tol_psd=1e-10, tol_herm=1e-10):
@@ -115,7 +220,7 @@ def load_state_file(path, dims_override=None, *, tol_psd=1e-10, tol_herm=1e-10):
         raw_dims = data.get("dims")
         if not isinstance(raw_dims, (list, tuple)) or len(raw_dims) != 2:
             raise ValueError(f"{path}: dims must be a pair [d_a, d_b]")
-        dims = (int(raw_dims[0]), int(raw_dims[1]))
+        dims = (_dim_entry(raw_dims[0]), _dim_entry(raw_dims[1]))
     payload = data.get("matrix")
     if payload is None:
         raise ValueError(f"{path}: missing 'matrix'")
@@ -151,46 +256,16 @@ def write_state_file(path, state) -> None:
     Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
 
 
-def _family_point(family: str, d: int | None, value):
-    """Build (state, tau_closed, gamma_closed) for one family parameter."""
-    if family == "werner":
+def _family_dim(name: str, d: int | None) -> int:
+    """Local dimension of family ``name`` given the ``--d`` option."""
+    fixed = FAMILIES[name].dim
+    if fixed is None:
         if d is None:
-            raise ValueError("family 'werner' needs --d")
-        return (
-            werner_state(d, value),
-            tau_werner_closed(d, value),
-            gamma_werner_closed(d, value),
-        )
-    if family == "isotropic":
-        if d is None:
-            raise ValueError("family 'isotropic' needs --d")
-        return (
-            isotropic_state(d, value),
-            tau_isotropic_closed(d, value),
-            gamma_isotropic_closed(d, value),
-        )
-    if family == "bell":
-        if np.ndim(value) == 0:
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"bell sweep weight must lie in [0, 1], got {value}")
-            rest = (1.0 - value) / 3.0
-            lam = (value, rest, rest, rest)
-        else:
-            lam = value
-        return (
-            bell_diagonal_state(lam),
-            tau_bell_diagonal_closed(lam),
-            gamma_bell_diagonal_closed(lam),
-        )
-    if family == "qubit":
-        if d not in (None, 2):
-            raise ValueError("family 'qubit' is fixed at local dimension 2")
-        return qubit_family(value), tau_qubit_family_closed(value), None
-    if family == "qutrit":
-        if d not in (None, 3):
-            raise ValueError("family 'qutrit' is fixed at local dimension 3")
-        return qutrit_family(value), tau_qutrit_family_closed(value), None
-    raise ValueError(f"unknown family {family!r}")
+            raise ValueError(f"family {name!r} needs --d")
+        return _local_dim(d)
+    if d not in (None, fixed):
+        raise ValueError(f"family {name!r} is fixed at local dimension {fixed}")
+    return fixed
 
 
 def cmd_check(args) -> int:
@@ -217,10 +292,9 @@ def cmd_schmidt(args) -> int:
     if kind != "pure":
         raise ValueError("schmidt needs a pure-state file")
     coefficients = schmidt_decompose(state).coefficients
-    gamma = float(np.sum(np.sqrt(coefficients))) ** 2
     print("schmidt_coefficients = " + " ".join(_fmt(p) for p in coefficients))
-    print(f"gamma = {_fmt(gamma)}")
-    print(f"robustness = {_fmt(gamma - 1.0)}")
+    print(f"gamma = {_fmt(gamma_pure(state).value)}")
+    print(f"robustness = {_fmt(robustness_pure_exact(state))}")
     return 0
 
 
@@ -232,7 +306,7 @@ def cmd_oschmidt(args) -> int:
         raise ValueError("oschmidt needs a density-state file")
     decomposition = operator_schmidt(state)
     tau = float(np.sum(decomposition.coefficients))
-    verdict = "violated" if tau > 1.0 + 1e-9 else "satisfied"
+    verdict = "violated" if tau > 1.0 + VIOLATION_GUARD else "satisfied"
     print(
         "operator_schmidt_coefficients = "
         + " ".join(_fmt(c) for c in decomposition.coefficients)
@@ -251,17 +325,16 @@ def cmd_gen(args) -> int:
         dim_a, dim_b = args.dims
         state = random_density(dim_a, dim_b, rank=args.rank, seed=args.seed)
     else:
+        family = FAMILIES[args.family]
         if args.param is None:
             raise ValueError(f"family {args.family!r} needs --param")
         values = [float(p) for p in args.param.split(",")]
-        if args.family == "bell":
-            if len(values) != 4:
-                raise ValueError("family 'bell' needs four comma-separated weights")
-            state, _, _ = _family_point("bell", args.d, values)
-        else:
-            if len(values) != 1:
-                raise ValueError(f"family {args.family!r} needs a single parameter")
-            state, _, _ = _family_point(args.family, args.d, values[0])
+        if len(values) != family.arity:
+            wanted = "a single parameter" if family.arity == 1 else "four comma-separated weights"
+            raise ValueError(f"family {args.family!r} needs {wanted}")
+        d = _family_dim(args.family, args.d)
+        param = values if family.arity > 1 else values[0]
+        state = DensityOperator(family.build(d, [param])[0], d, d)
     write_state_file(args.out, state)
     print(f"wrote {args.out}")
     return 0
@@ -270,24 +343,43 @@ def cmd_gen(args) -> int:
 def cmd_sweep(args) -> int:
     if args.out is None:
         raise ValueError("sweep needs --out")
+    family = FAMILIES[args.family]
     grid = _parse_range(args.range)
+    d = _family_dim(args.family, args.d)
+    # The first value outside the domain fails here, before any state is built.
+    _parameters(grid, *family.domain, family.noun)
+    size = max(1, min(SWEEP_BLOCK, SWEEP_BLOCK_BYTES // (16 * d**4)))
     lines = [CSV_HEADER]
-    for value in grid:
-        state, tau_closed, gamma = _family_point(args.family, args.d, value)
-        report = full_report(state, gamma=gamma)
-        lines.append(
-            ",".join(
-                [
-                    _fmt(value),
-                    _fmt(report.tau),
-                    _fmt(tau_closed),
-                    "" if gamma is None else _fmt(gamma.value),
-                    _fmt(report.ppt_floor),
-                    _fmt(report.reduction_floor),
-                    report.verdict,
-                ]
+    for first in range(0, len(grid), size):
+        block = grid[first : first + size]
+        params = [family.point(value) for value in block]
+        taus = [family.tau(d, param) for param in params]
+        gammas = [None] * len(params) if family.gamma is None else [
+            family.gamma(d, param) for param in params
+        ]
+        report = report_stack(validate_stack(family.build(d, params), d, d), gammas)
+        for value, tau, tau_closed, gamma, ppt_floor, reduction_floor, verdict in zip(
+            block,
+            report.tau.tolist(),
+            taus,
+            gammas,
+            report.ppt_floor.tolist(),
+            report.reduction_floor.tolist(),
+            report.verdict.tolist(),
+        ):
+            lines.append(
+                ",".join(
+                    [
+                        _fmt(value),
+                        _fmt(tau),
+                        _fmt(tau_closed),
+                        "" if gamma is None else _fmt(gamma.value),
+                        _fmt(ppt_floor),
+                        _fmt(reduction_floor),
+                        verdict,
+                    ]
+                )
             )
-        )
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
     return 0

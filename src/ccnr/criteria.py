@@ -3,6 +3,11 @@
 All three numeric criteria are necessary conditions: a violation certifies
 entanglement, while satisfaction alone certifies nothing.  Separability is
 only certified through a closed-form cross norm equal to 1.
+
+Every criterion accepts a :class:`~ccnr.states.DensityOperator` or a
+:class:`~ccnr.states.DensityStack`; :func:`report_stack` evaluates a whole
+stack with one decomposition call per criterion, and :func:`full_report` is
+that report on a stack of one.
 """
 
 from __future__ import annotations
@@ -12,16 +17,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crossnorm import GammaValue
-from .linalg import kron
 from .realign import ccnr_tau
-from .states import DensityOperator, partial_trace_a, partial_trace_b
+from .states import (
+    DensityOperator,
+    DensityStack,
+    _bipartite_tensor,
+    _per_state,
+    partial_trace_a,
+    partial_trace_b,
+)
 
 __all__ = [
     "VIOLATION_GUARD",
     "CriteriaReport",
+    "StackReport",
     "partial_transpose_b",
     "ppt_min_eigenvalue",
     "reduction_min_eigenvalue",
+    "report_stack",
     "full_report",
 ]
 
@@ -60,39 +73,111 @@ class CriteriaReport:
         }
 
 
-def partial_transpose_b(matrix, dim_a: int, dim_b: int) -> np.ndarray:
-    """Transpose on the B factor: ``PT[(i,k),(j,l)] = M[(i,l),(j,k)]``."""
-    m = np.asarray(matrix, dtype=complex)
-    n = dim_a * dim_b
-    if m.shape != (n, n):
-        raise ValueError(
-            f"matrix shape {m.shape} does not match bipartition ({dim_a}, {dim_b})"
+class StackReport:
+    """Criteria of every state in a stack, as arrays indexed like the stack.
+
+    Built from the three criteria and one optional closed-form cross norm
+    per state; ``report[i]`` is the :class:`CriteriaReport` of state ``i``.
+    """
+
+    def __init__(self, tau, ppt_floor, reduction_floor, gammas):
+        self.tau = tau
+        self.ppt_floor = ppt_floor
+        self.reduction_floor = reduction_floor
+        self.gammas = tuple(gammas)
+        gamma = np.array([np.nan if g is None else g.value for g in self.gammas], dtype=float)
+        self.tau_violated, self.ppt_violated, self.reduction_violated, self.verdict = _verdicts(
+            tau, ppt_floor, reduction_floor, gamma
         )
-    return (
-        m.reshape(dim_a, dim_b, dim_a, dim_b)
-        .transpose(0, 3, 2, 1)
-        .reshape(n, n)
-    )
+
+    def __len__(self) -> int:
+        return len(self.tau)
+
+    def __getitem__(self, i: int) -> CriteriaReport:
+        gamma = self.gammas[i]
+        return CriteriaReport(
+            tau=float(self.tau[i]),
+            tau_violated=bool(self.tau_violated[i]),
+            ppt_floor=float(self.ppt_floor[i]),
+            ppt_violated=bool(self.ppt_violated[i]),
+            reduction_floor=float(self.reduction_floor[i]),
+            reduction_violated=bool(self.reduction_violated[i]),
+            gamma_closed=None if gamma is None else gamma.value,
+            gamma_family=None if gamma is None else gamma.family,
+            verdict=str(self.verdict[i]),
+        )
 
 
-def ppt_min_eigenvalue(rho: DensityOperator) -> float:
+def partial_transpose_b(matrix, dim_a: int, dim_b: int) -> np.ndarray:
+    """Transpose on the B factor: ``PT[(i,k),(j,l)] = M[(i,l),(j,k)]``.
+
+    A ``(..., n, n)`` stack is transposed matrix by matrix.
+    """
+    four = _bipartite_tensor(matrix, dim_a, dim_b)
+    return np.swapaxes(four, -3, -1).reshape(four.shape[:-4] + 2 * (dim_a * dim_b,))
+
+
+def ppt_min_eigenvalue(rho: DensityOperator | DensityStack) -> float:
     """Minimum eigenvalue of the partial transpose; negative means entangled."""
     pt = partial_transpose_b(rho.matrix, rho.dim_a, rho.dim_b)
-    return float(np.linalg.eigvalsh(pt)[0])
+    return _per_state(np.linalg.eigvalsh(pt)[..., 0])
 
 
-def reduction_min_eigenvalue(rho: DensityOperator) -> float:
+def reduction_min_eigenvalue(rho: DensityOperator | DensityStack) -> float:
     """Minimum eigenvalue over both reduction operators.
 
     Tests ``rho_A (x) I - rho`` and ``I (x) rho_B - rho``; a negative value
     certifies entanglement (and distillability).
     """
+    four = _bipartite_tensor(rho.matrix, rho.dim_a, rho.dim_b)
     eye_a = np.eye(rho.dim_a, dtype=complex)
     eye_b = np.eye(rho.dim_b, dtype=complex)
-    first = kron(partial_trace_b(rho), eye_b) - rho.matrix
-    second = kron(eye_a, partial_trace_a(rho)) - rho.matrix
-    return float(
-        min(np.linalg.eigvalsh(first)[0], np.linalg.eigvalsh(second)[0])
+    # Kronecker products written on the (i, k, j, l) view of each matrix.
+    first = partial_trace_b(rho)[..., :, None, :, None] * eye_b[:, None, :] - four
+    second = eye_a[:, None, :, None] * partial_trace_a(rho)[..., None, :, None, :] - four
+    shape = rho.matrix.shape
+    return _per_state(
+        np.minimum(
+            np.linalg.eigvalsh(first.reshape(shape))[..., 0],
+            np.linalg.eigvalsh(second.reshape(shape))[..., 0],
+        )
+    )
+
+
+def _verdicts(tau, ppt_floor, reduction_floor, gamma):
+    """The verdict rule, elementwise.
+
+    ``gamma`` holds each state's closed-form cross norm, NaN where none is
+    known.  Returns the three violation flags and the verdict.
+    """
+    tau_violated = tau > 1.0 + VIOLATION_GUARD
+    ppt_violated = ppt_floor < -VIOLATION_GUARD
+    reduction_violated = reduction_floor < -VIOLATION_GUARD
+    entangled = tau_violated | ppt_violated | reduction_violated | (gamma > 1.0 + VIOLATION_GUARD)
+    separable = np.abs(gamma - 1.0) <= _GAMMA_EQUALITY_TOL
+    verdict = np.where(
+        entangled,
+        "entangled_certified",
+        np.where(separable, "separable_certified", "undecided"),
+    )
+    return tau_violated, ppt_violated, reduction_violated, verdict
+
+
+def report_stack(rhos: DensityStack, gammas=None) -> StackReport:
+    """Evaluate every criterion on a ``(k, n, n)`` stack and aggregate verdicts.
+
+    ``gammas``, if given, holds one optional closed-form cross norm
+    (:class:`~ccnr.crossnorm.GammaValue` or ``None``) per state; see
+    :func:`full_report`.
+    """
+    if rhos.matrix.ndim != 3:
+        raise ValueError(f"need a (k, n, n) stack, got shape {rhos.matrix.shape}")
+    count = len(rhos.matrix)
+    gammas = (None,) * count if gammas is None else tuple(gammas)
+    if len(gammas) != count:
+        raise ValueError(f"need one gamma per state, got {len(gammas)} for {count} states")
+    return StackReport(
+        ccnr_tau(rhos), ppt_min_eigenvalue(rhos), reduction_min_eigenvalue(rhos), gammas
     )
 
 
@@ -103,30 +188,5 @@ def full_report(rho: DensityOperator, gamma: GammaValue | None = None) -> Criter
     family; when given, it can certify separability (value 1) or
     entanglement (value above 1).
     """
-    tau = ccnr_tau(rho)
-    ppt_floor = ppt_min_eigenvalue(rho)
-    reduction_floor = reduction_min_eigenvalue(rho)
-
-    tau_violated = tau > 1.0 + VIOLATION_GUARD
-    ppt_violated = ppt_floor < -VIOLATION_GUARD
-    reduction_violated = reduction_floor < -VIOLATION_GUARD
-    gamma_entangled = gamma is not None and gamma.value > 1.0 + VIOLATION_GUARD
-
-    if tau_violated or ppt_violated or reduction_violated or gamma_entangled:
-        verdict = "entangled_certified"
-    elif gamma is not None and abs(gamma.value - 1.0) <= _GAMMA_EQUALITY_TOL:
-        verdict = "separable_certified"
-    else:
-        verdict = "undecided"
-
-    return CriteriaReport(
-        tau=tau,
-        tau_violated=tau_violated,
-        ppt_floor=ppt_floor,
-        ppt_violated=ppt_violated,
-        reduction_floor=reduction_floor,
-        reduction_violated=reduction_violated,
-        gamma_closed=None if gamma is None else gamma.value,
-        gamma_family=None if gamma is None else gamma.family,
-        verdict=verdict,
-    )
+    one = DensityStack(rho.matrix[None], rho.dim_a, rho.dim_b)
+    return report_stack(one, [gamma])[0]

@@ -25,11 +25,11 @@ __all__ = [
 HERMITICITY_TOL = 1e-10
 
 
-def _as_matrix(a) -> np.ndarray:
+def _as_matrix(a, *, stack: bool = False) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
+    if a.ndim != 2 and not (stack and a.ndim > 2):
         raise ValueError(f"expected a 2-d matrix, got ndim={a.ndim}")
-    if a.shape[0] < 1 or a.shape[1] < 1:
+    if a.shape[-2] < 1 or a.shape[-1] < 1:
         raise ValueError(f"matrix dimensions must be positive, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
@@ -81,13 +81,16 @@ def hermitian_eigensystem(h) -> tuple[np.ndarray, np.ndarray]:
 
 
 def singular_values(a) -> np.ndarray:
-    """Singular values of ``a``, descending, of length ``min(rows, cols)``."""
-    return np.linalg.svd(_as_matrix(a), compute_uv=False)
+    """Singular values of ``a``, descending, of length ``min(rows, cols)``.
+
+    A ``(..., rows, cols)`` stack gives one row of singular values per matrix.
+    """
+    return np.linalg.svd(_as_matrix(a, stack=True), compute_uv=False)
 
 
 def trace_norm(a) -> float:
     """Schatten-1 norm: the sum of the singular values."""
-    return float(np.sum(singular_values(a)))
+    return float(np.sum(singular_values(_as_matrix(a))))
 
 
 def hs_norm(a) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import singular_values
-from .states import DensityOperator, bell_spectrum
+from .states import DensityOperator, _bipartite_tensor, _per_state, bell_spectrum
 
 __all__ = [
     "RealignedMatrix",
@@ -67,19 +67,10 @@ def realign_matrix(matrix, dim_a: int, dim_b: int) -> np.ndarray:
 
     This is the diagnostic entry point: it accepts arbitrary square inputs of
     the right shape, e.g. rank-one operators ``|psi><omega|`` that are not
-    states.
+    states.  A ``(..., d_a d_b, d_a d_b)`` stack realigns matrix by matrix.
     """
-    m = np.asarray(matrix, dtype=complex)
-    n = dim_a * dim_b
-    if m.shape != (n, n):
-        raise ValueError(
-            f"matrix shape {m.shape} does not match bipartition ({dim_a}, {dim_b})"
-        )
-    return (
-        m.reshape(dim_a, dim_b, dim_a, dim_b)
-        .transpose(0, 2, 1, 3)
-        .reshape(dim_a * dim_a, dim_b * dim_b)
-    )
+    four = _bipartite_tensor(matrix, dim_a, dim_b)
+    return np.swapaxes(four, -3, -2).reshape(four.shape[:-4] + (dim_a * dim_a, dim_b * dim_b))
 
 
 def realign(rho: DensityOperator) -> RealignedMatrix:
@@ -103,10 +94,12 @@ def operator_schmidt(rho: DensityOperator) -> OperatorSchmidt:
 
 
 def ccnr_tau(rho: DensityOperator) -> float:
-    """Realignment trace norm ``tau``; values above 1 certify entanglement."""
-    return float(
-        np.sum(singular_values(realign_matrix(rho.matrix, rho.dim_a, rho.dim_b)))
-    )
+    """Realignment trace norm ``tau``; values above 1 certify entanglement.
+
+    For a :class:`~ccnr.states.DensityStack`, an array with one ``tau`` per state.
+    """
+    realigned = realign_matrix(rho.matrix, rho.dim_a, rho.dim_b)
+    return _per_state(np.sum(singular_values(realigned), axis=-1))
 
 
 def _check_dim(d: int) -> None:

@@ -8,12 +8,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import index
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "InvariantViolation",
     "DensityOperator",
+    "DensityStack",
+    "validate_stack",
     "PureState",
     "SchmidtForm",
     "bell_spectrum",
@@ -21,11 +25,16 @@ __all__ = [
     "fhat_operator",
     "max_entangled",
     "werner_state",
+    "werner_stack",
     "isotropic_state",
+    "isotropic_stack",
     "bell_basis",
     "bell_diagonal_state",
+    "bell_diagonal_stack",
     "qubit_family",
+    "qubit_family_stack",
     "qutrit_family",
+    "qutrit_family_stack",
     "pure_from_schmidt",
     "schmidt_decompose",
     "twirl_uu",
@@ -66,14 +75,119 @@ def _infer_dims(n: int, dim_a, dim_b) -> tuple[int, int]:
                 f"cannot infer a bipartition of total dimension {n}; pass dim_a, dim_b"
             )
         return root, root
-    if dim_a is None:
-        dim_a = n // int(dim_b)
-    if dim_b is None:
-        dim_b = n // int(dim_a)
-    dim_a, dim_b = int(dim_a), int(dim_b)
+    given_a = None if dim_a is None else int(dim_a)
+    given_b = None if dim_b is None else int(dim_b)
+    if (given_a is not None and given_a < 1) or (given_b is not None and given_b < 1):
+        raise ValueError(f"dims ({dim_a}, {dim_b}) must be positive")
+    dim_a = n // given_b if given_a is None else given_a
+    dim_b = n // dim_a if given_b is None else given_b
     if dim_a < 1 or dim_b < 1 or dim_a * dim_b != n:
         raise ValueError(f"dims ({dim_a}, {dim_b}) do not factor total dimension {n}")
     return dim_a, dim_b
+
+
+def _local_dim(d) -> int:
+    """A local dimension of a symmetric family: an integer of at least 2."""
+    try:
+        d = index(d)
+    except TypeError:
+        raise ValueError(f"local dimension must be an integer, got {d!r}") from None
+    if d < 2:
+        raise ValueError("local dimension must be at least 2")
+    return d
+
+
+def _parameters(values, lo: float, hi: float, name: str) -> np.ndarray:
+    """Family parameters as a 1-d float array, each inside ``[lo, hi]``."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"{name} values must form a 1-d sequence, got shape {values.shape}")
+    outside = np.flatnonzero(~((values >= lo) & (values <= hi)))
+    if outside.size:
+        raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], got {values[outside[0]]}")
+    return values
+
+
+def _bipartite_tensor(matrix, dim_a: int, dim_b: int) -> np.ndarray:
+    """View a ``(..., d_a d_b, d_a d_b)`` stack as ``(..., d_a, d_b, d_a, d_b)``.
+
+    Axes ``-4, -3`` index the row's A and B factors, ``-2, -1`` the column's.
+    """
+    m = np.asarray(matrix, dtype=complex)
+    n = dim_a * dim_b
+    if m.ndim < 2 or m.shape[-2:] != (n, n):
+        raise ValueError(
+            f"matrix shape {m.shape} does not match bipartition ({dim_a}, {dim_b})"
+        )
+    return m.reshape(m.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
+
+
+def _per_state(values):
+    """A Python float for a single state, the array itself for a stack."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def _check_invariant(invariant: str, residual: np.ndarray, failed: np.ndarray) -> None:
+    """Raise for the first state of a stack whose invariant ``failed``."""
+    first = np.flatnonzero(failed)
+    if first.size:
+        raise InvariantViolation(invariant, np.ravel(residual)[first[0]])
+
+
+class DensityStack(NamedTuple):
+    """Density operators on ``C^{d_a} (x) C^{d_b}``, validated together.
+
+    ``matrix`` has shape ``(..., d_a d_b, d_a d_b)`` and is read-only.
+    :func:`validate_stack` builds one; constructing it directly skips the
+    checks.  The criteria accept it wherever they accept a
+    :class:`DensityOperator` and return one value per state.
+    """
+
+    matrix: np.ndarray
+    dim_a: int
+    dim_b: int
+
+
+def validate_stack(
+    matrices,
+    dim_a: int | None = None,
+    dim_b: int | None = None,
+    *,
+    tol_herm: float = HERM_TOL,
+    tol_psd: float = PSD_TOL,
+) -> DensityStack:
+    """Check and normalise a ``(..., n, n)`` stack of density matrices.
+
+    Every matrix must be Hermitian, unit-trace and positive semidefinite,
+    each within tolerance.  Accepted matrices are symmetrized and
+    trace-renormalized.  The first matrix failing an invariant raises
+    :class:`InvariantViolation` with its residual; invariants are checked in
+    that order over the whole stack.
+    """
+    m = np.asarray(matrices, dtype=complex)
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"density matrix must be square, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("density matrix entries must be finite")
+    dim_a, dim_b = _infer_dims(m.shape[-1], dim_a, dim_b)
+
+    square = (-2, -1)
+    adjoint = np.swapaxes(m.conj(), -2, -1)
+    herm_residual = np.max(np.abs(m - adjoint), axis=square)
+    bound = tol_herm * (1.0 + np.max(np.abs(m), axis=square))
+    _check_invariant("hermiticity", herm_residual, herm_residual > bound)
+    m = (m + adjoint) / 2.0
+
+    trace = np.real(np.trace(m, axis1=-2, axis2=-1))
+    deviation = np.abs(trace - 1.0)
+    _check_invariant("unit_trace", deviation, deviation > TRACE_TOL)
+    m = m / trace[..., None, None]
+
+    min_eig = np.linalg.eigvalsh(m)[..., 0]
+    _check_invariant("positive_semidefinite", min_eig, min_eig < -tol_psd)
+
+    m.setflags(write=False)
+    return DensityStack(m, dim_a, dim_b)
 
 
 class DensityOperator:
@@ -98,28 +212,10 @@ class DensityOperator:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("density matrix entries must be finite")
-        dim_a, dim_b = _infer_dims(m.shape[0], dim_a, dim_b)
-
-        herm_residual = float(np.max(np.abs(m - m.conj().T)))
-        if herm_residual > tol_herm * (1.0 + float(np.max(np.abs(m)))):
-            raise InvariantViolation("hermiticity", herm_residual)
-        m = (m + m.conj().T) / 2.0
-
-        trace = float(np.real(np.trace(m)))
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise InvariantViolation("unit_trace", abs(trace - 1.0))
-        m = m / trace
-
-        min_eig = float(np.linalg.eigvalsh(m)[0])
-        if min_eig < -tol_psd:
-            raise InvariantViolation("positive_semidefinite", min_eig)
-
-        m.setflags(write=False)
-        object.__setattr__(self, "dim_a", dim_a)
-        object.__setattr__(self, "dim_b", dim_b)
-        object.__setattr__(self, "matrix", m)
+        state = validate_stack(m, dim_a, dim_b, tol_herm=tol_herm, tol_psd=tol_psd)
+        object.__setattr__(self, "dim_a", state.dim_a)
+        object.__setattr__(self, "dim_b", state.dim_b)
+        object.__setattr__(self, "matrix", state.matrix)
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityOperator is immutable")
@@ -186,23 +282,30 @@ class SchmidtForm:
     right_basis: np.ndarray
 
 
+def _bell_spectra(lams) -> np.ndarray:
+    """Validate Bell-diagonal spectra, one per row of a ``(k, 4)`` array."""
+    lams = np.asarray(lams, dtype=float)
+    if lams.ndim != 2 or lams.shape[1] != 4:
+        raise ValueError(f"spectrum needs exactly four weights, got {lams.shape[-1]}")
+    low = lams.min(axis=1)
+    negative = low < -1e-12
+    if negative.any():
+        raise ValueError(f"weights must be nonnegative, got min {low[negative.argmax()]}")
+    total = lams.sum(axis=1)
+    unnormalized = np.abs(total - 1.0) > 1e-12
+    if unnormalized.any():
+        raise ValueError(f"weights must sum to 1, got {total[unnormalized.argmax()]}")
+    return lams.clip(0.0, None) / total[:, None]
+
+
 def bell_spectrum(lam) -> np.ndarray:
     """Validate a Bell-diagonal spectrum: four nonnegative weights summing to 1."""
-    lam = np.asarray(lam, dtype=float).ravel()
-    if lam.shape != (4,):
-        raise ValueError(f"spectrum needs exactly four weights, got {lam.shape[0]}")
-    if float(np.min(lam)) < -1e-12:
-        raise ValueError(f"weights must be nonnegative, got min {np.min(lam)}")
-    total = float(np.sum(lam))
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"weights must sum to 1, got {total}")
-    return np.clip(lam, 0.0, None) / total
+    return _bell_spectra(np.asarray(lam, dtype=float).reshape(1, -1))[0]
 
 
 def flip_operator(d: int) -> np.ndarray:
     """Swap operator on ``C^d (x) C^d``: maps ``|i (x) j>`` to ``|j (x) i>``."""
-    if d < 2:
-        raise ValueError("local dimension must be at least 2")
+    d = _local_dim(d)
     f = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
         for j in range(d):
@@ -212,8 +315,7 @@ def flip_operator(d: int) -> np.ndarray:
 
 def max_entangled(d: int) -> PureState:
     """Maximally entangled vector ``sum_i |i (x) i> / sqrt(d)``."""
-    if d < 2:
-        raise ValueError("local dimension must be at least 2")
+    d = _local_dim(d)
     amps = np.zeros(d * d, dtype=complex)
     amps[:: d + 1] = 1.0 / math.sqrt(d)
     return PureState(amps, d, d)
@@ -225,40 +327,49 @@ def fhat_operator(d: int) -> np.ndarray:
     Coincides with the partial transpose of the swap operator on one factor
     and with ``d`` times the maximally entangled projector.
     """
-    if d < 2:
-        raise ValueError("local dimension must be at least 2")
+    d = _local_dim(d)
     m = np.zeros((d * d, d * d), dtype=complex)
     diag = np.arange(d) * (d + 1)
     m[np.ix_(diag, diag)] = 1.0
     return m
 
 
-def werner_state(d: int, f: float) -> DensityOperator:
-    """Werner state with flip expectation ``f``.
+# The ``*_stack`` builders take a 1-d sequence of parameters (spectra for
+# the Bell-diagonal family) and return the unvalidated matrices as one
+# ``(k, n, n)`` array; pass it to ``validate_stack``.  The scalar
+# constructors are the builders applied to one parameter.
+
+
+def werner_stack(d: int, f) -> np.ndarray:
+    """Werner matrices for each flip expectation in ``f``.
 
     Built as ``((d - f) I + (d f - 1) F) / (d^3 - d)`` so that
     ``tr(rho F) = f`` for the swap operator ``F``.
     """
-    if d < 2:
-        raise ValueError("local dimension must be at least 2")
-    if not -1.0 <= f <= 1.0:
-        raise ValueError(f"flip expectation must lie in [-1, 1], got {f}")
-    m = ((d - f) * np.eye(d * d, dtype=complex) + (d * f - 1.0) * flip_operator(d)) / (
-        d**3 - d
-    )
-    return DensityOperator(m, d, d)
+    d = _local_dim(d)
+    f = _parameters(f, -1.0, 1.0, "flip expectation")[:, None, None]
+    return (
+        (d - f) * np.eye(d * d, dtype=complex) + (d * f - 1.0) * flip_operator(d)
+    ) / (d**3 - d)
+
+
+def werner_state(d: int, f: float) -> DensityOperator:
+    """Werner state with flip expectation ``f`` (see :func:`werner_stack`)."""
+    return DensityOperator(werner_stack(d, [f])[0], d, d)
+
+
+def isotropic_stack(d: int, F) -> np.ndarray:
+    """Isotropic matrices for each maximally entangled fidelity in ``F``."""
+    d = _local_dim(d)
+    F = _parameters(F, 0.0, 1.0, "fidelity")[:, None, None]
+    psi = max_entangled(d).amplitudes
+    proj = np.outer(psi, psi.conj())
+    return (1.0 - F) / (d * d - 1.0) * (np.eye(d * d, dtype=complex) - proj) + F * proj
 
 
 def isotropic_state(d: int, F: float) -> DensityOperator:
     """Isotropic state with maximally entangled fidelity ``F``."""
-    if d < 2:
-        raise ValueError("local dimension must be at least 2")
-    if not 0.0 <= F <= 1.0:
-        raise ValueError(f"fidelity must lie in [0, 1], got {F}")
-    psi = max_entangled(d).amplitudes
-    proj = np.outer(psi, psi.conj())
-    m = (1.0 - F) / (d * d - 1.0) * (np.eye(d * d, dtype=complex) - proj) + F * proj
-    return DensityOperator(m, d, d)
+    return DensityOperator(isotropic_stack(d, [F])[0], d, d)
 
 
 def bell_basis() -> tuple[PureState, PureState, PureState, PureState]:
@@ -277,38 +388,45 @@ def bell_basis() -> tuple[PureState, PureState, PureState, PureState]:
     return tuple(PureState(v, 2, 2) for v in vectors)
 
 
+def bell_diagonal_stack(lams) -> np.ndarray:
+    """Two-qubit matrices diagonal in the Bell basis, one per row of ``(k, 4)`` weights."""
+    lams = _bell_spectra(lams)
+    m = np.zeros((lams.shape[0], 4, 4), dtype=complex)
+    for weight, psi in zip(lams.T, bell_basis()):
+        m += weight[:, None, None] * np.outer(psi.amplitudes, psi.amplitudes.conj())
+    return m
+
+
 def bell_diagonal_state(lam) -> DensityOperator:
     """Two-qubit state diagonal in the Bell basis with weights ``lam``."""
-    lam = bell_spectrum(lam)
-    m = np.zeros((4, 4), dtype=complex)
-    for weight, psi in zip(lam, bell_basis()):
-        m += weight * np.outer(psi.amplitudes, psi.amplitudes.conj())
-    return DensityOperator(m, 2, 2)
+    return DensityOperator(bell_diagonal_stack(np.reshape(lam, (1, -1)))[0], 2, 2)
 
 
-def qubit_family(p: float) -> DensityOperator:
-    """Two-qubit mixture ``p |00><00| + (1 - p) |Phi><Phi|``.
+def qubit_family_stack(p) -> np.ndarray:
+    """Two-qubit mixtures ``p |00><00| + (1 - p) |Phi><Phi|`` for each ``p``.
 
     ``|Phi> = (|01> + |10>) / sqrt(2)``; entangled for every ``p < 1``.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixing weight must lie in [0, 1], got {p}")
+    p = _parameters(p, 0.0, 1.0, "mixing weight")[:, None, None]
     s = 1.0 / math.sqrt(2.0)
     e00 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     phi = np.array([0.0, s, s, 0.0], dtype=complex)
-    m = p * np.outer(e00, e00.conj()) + (1.0 - p) * np.outer(phi, phi.conj())
-    return DensityOperator(m, 2, 2)
+    return p * np.outer(e00, e00.conj()) + (1.0 - p) * np.outer(phi, phi.conj())
 
 
-def qutrit_family(alpha: float) -> DensityOperator:
+def qubit_family(p: float) -> DensityOperator:
+    """Two-qubit mixture of ``|00>`` with a Bell state (see :func:`qubit_family_stack`)."""
+    return DensityOperator(qubit_family_stack([p])[0], 2, 2)
+
+
+def qutrit_family_stack(alpha) -> np.ndarray:
     """Two-qutrit family interpolating separable, bound and free entanglement.
 
     ``rho = (2/7) P+ + (alpha/7) sigma_plus + ((5 - alpha)/7) sigma_minus``
     with ``sigma_plus`` the uniform mixture of ``|01>, |12>, |20>`` and
     ``sigma_minus`` of ``|10>, |21>, |02>``; defined for ``2 <= alpha <= 5``.
     """
-    if not 2.0 <= alpha <= 5.0:
-        raise ValueError(f"parameter must lie in [2, 5], got {alpha}")
+    alpha = _parameters(alpha, 2.0, 5.0, "parameter")[:, None, None]
     psi = max_entangled(3).amplitudes
     proj = np.outer(psi, psi.conj())
     sigma_plus = np.zeros((9, 9), dtype=complex)
@@ -316,8 +434,16 @@ def qutrit_family(alpha: float) -> DensityOperator:
     for a, b in ((0, 1), (1, 2), (2, 0)):
         sigma_plus[a * 3 + b, a * 3 + b] = 1.0 / 3.0
         sigma_minus[b * 3 + a, b * 3 + a] = 1.0 / 3.0
-    m = (2.0 / 7.0) * proj + (alpha / 7.0) * sigma_plus + ((5.0 - alpha) / 7.0) * sigma_minus
-    return DensityOperator(m, 3, 3)
+    return (
+        (2.0 / 7.0) * proj
+        + (alpha / 7.0) * sigma_plus
+        + ((5.0 - alpha) / 7.0) * sigma_minus
+    )
+
+
+def qutrit_family(alpha: float) -> DensityOperator:
+    """Two-qutrit family member (see :func:`qutrit_family_stack`)."""
+    return DensityOperator(qutrit_family_stack([alpha])[0], 3, 3)
 
 
 def pure_from_schmidt(p, dim_a: int, dim_b: int) -> PureState:
@@ -383,15 +509,13 @@ def twirl_uubar(sigma: DensityOperator) -> DensityOperator:
 
 
 def partial_trace_a(rho: DensityOperator) -> np.ndarray:
-    """Trace out the A factor, returning the ``d_b x d_b`` marginal."""
-    four = rho.matrix.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
-    return np.trace(four, axis1=0, axis2=2)
+    """Trace out the A factor, returning the ``d_b x d_b`` marginal (one per state of a stack)."""
+    return np.trace(_bipartite_tensor(rho.matrix, rho.dim_a, rho.dim_b), axis1=-4, axis2=-2)
 
 
 def partial_trace_b(rho: DensityOperator) -> np.ndarray:
-    """Trace out the B factor, returning the ``d_a x d_a`` marginal."""
-    four = rho.matrix.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
-    return np.trace(four, axis1=1, axis2=3)
+    """Trace out the B factor, returning the ``d_a x d_a`` marginal (one per state of a stack)."""
+    return np.trace(_bipartite_tensor(rho.matrix, rho.dim_a, rho.dim_b), axis1=-3, axis2=-1)
 
 
 def random_pure(dim_a: int, dim_b: int, seed=None) -> PureState:

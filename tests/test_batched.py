@@ -1,0 +1,131 @@
+"""The batched core against the one-state API it replaces.
+
+Stack builders, ``validate_stack`` and ``report_stack`` must reproduce the
+scalar constructors and ``full_report`` exactly, member by member, and a
+blocked sweep must write the same rows as a point-by-point rebuild.
+"""
+
+import numpy as np
+import pytest
+
+from ccnr import cli
+from ccnr.cli import CSV_HEADER, main
+from ccnr.criteria import full_report, report_stack
+from ccnr.crossnorm import (
+    gamma_bell_diagonal_closed,
+    gamma_isotropic_closed,
+    gamma_werner_closed,
+)
+from ccnr.realign import (
+    tau_bell_diagonal_closed,
+    tau_isotropic_closed,
+    tau_qubit_family_closed,
+    tau_qutrit_family_closed,
+    tau_werner_closed,
+)
+from ccnr.states import (
+    DensityOperator,
+    InvariantViolation,
+    bell_diagonal_stack,
+    bell_diagonal_state,
+    isotropic_stack,
+    isotropic_state,
+    qubit_family,
+    qubit_family_stack,
+    qutrit_family,
+    qutrit_family_stack,
+    random_density,
+    validate_stack,
+    werner_stack,
+    werner_state,
+)
+
+
+def _bell(t):
+    rest = (1.0 - t) / 3.0
+    return (t, rest, rest, rest)
+
+
+# name -> (sweep CLI arguments, local dimension, stack builder, scalar
+# constructor, closed tau, closed gamma or None), all over a sweep value.
+FAMILIES = {
+    "werner": (["--d", "3"], 3, lambda v: werner_stack(3, v), lambda v: werner_state(3, v),
+               lambda v: tau_werner_closed(3, v), lambda v: gamma_werner_closed(3, v)),
+    "isotropic": (["--d", "4"], 4, lambda v: isotropic_stack(4, v), lambda v: isotropic_state(4, v),
+                  lambda v: tau_isotropic_closed(4, v), lambda v: gamma_isotropic_closed(4, v)),
+    "bell": ([], 2, lambda v: bell_diagonal_stack([_bell(t) for t in v]),
+             lambda v: bell_diagonal_state(_bell(v)), lambda v: tau_bell_diagonal_closed(_bell(v)),
+             lambda v: gamma_bell_diagonal_closed(_bell(v))),
+    "qubit": ([], 2, qubit_family_stack, qubit_family, tau_qubit_family_closed, None),
+    "qutrit": ([], 3, qutrit_family_stack, qutrit_family, tau_qutrit_family_closed, None),
+}
+DOMAINS = {"werner": (-1.0, 1.0), "isotropic": (0.0, 1.0), "bell": (0.0, 1.0),
+           "qubit": (0.0, 1.0), "qutrit": (2.0, 5.0)}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_stack_builder_matches_scalar_constructor(name):
+    _, d, build, scalar, _, _ = FAMILIES[name]
+    lo, hi = DOMAINS[name]
+    grid = np.linspace(lo, hi, 23).tolist()
+    stack = validate_stack(build(grid), d, d)
+    assert stack.matrix.shape == (len(grid), d * d, d * d)
+    for value, matrix in zip(grid, stack.matrix):
+        assert np.array_equal(matrix, scalar(value).matrix)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_report_stack_matches_full_report_exactly(dims):
+    states = [random_density(*dims, rank=rank, seed=seed)
+              for seed in range(12) for rank in (None, 1)]
+    batch = report_stack(validate_stack(np.stack([s.matrix for s in states]), *dims))
+    assert len(batch) == len(states)
+    for i, state in enumerate(states):
+        one = full_report(DensityOperator(state.matrix, *dims))
+        assert batch.tau[i] == one.tau
+        assert batch.ppt_floor[i] == one.ppt_floor
+        assert batch.reduction_floor[i] == one.reduction_floor
+        assert batch.verdict[i] == one.verdict
+        assert batch[i] == one
+
+
+def test_validate_stack_names_the_first_failing_state():
+    good = np.eye(4) / 4
+    skew = good.copy()
+    skew[0, 1] = 0.1
+    with pytest.raises(InvariantViolation) as excinfo:
+        validate_stack(np.stack([good, skew, 2 * good]))
+    assert excinfo.value.invariant == "hermiticity"
+    assert excinfo.value.residual == pytest.approx(0.1)
+    with pytest.raises(InvariantViolation) as excinfo:
+        validate_stack(np.stack([good, 2 * good]))
+    assert excinfo.value.invariant == "unit_trace"
+    assert excinfo.value.residual == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_blocked_sweep_matches_point_by_point_rebuild(tmp_path, name):
+    args, _, _, scalar, tau, gamma = FAMILIES[name]
+    lo, hi = DOMAINS[name]
+    count = 2 * cli.SWEEP_BLOCK + 5  # two full blocks and a partial one
+    step = (hi - lo) / (count - 1)
+    out_file = tmp_path / f"{name}.csv"
+    assert main(["sweep", name, *args, f"--range={lo}:{hi}:{step!r}",
+                 "--out", str(out_file)]) == 0
+    rows = out_file.read_text(encoding="utf-8").split("\n")
+    grid = cli._parse_range(f"{lo}:{hi}:{step!r}")
+    assert len(grid) == count
+    expected = [CSV_HEADER]
+    for value in grid:
+        closed = None if gamma is None else gamma(value)
+        report = full_report(scalar(value), gamma=closed)
+        expected.append(",".join([
+            cli._fmt(value),
+            cli._fmt(report.tau),
+            cli._fmt(tau(value)),
+            "" if closed is None else cli._fmt(closed.value),
+            cli._fmt(report.ppt_floor),
+            cli._fmt(report.reduction_floor),
+            report.verdict,
+        ]))
+    assert rows == expected + [""]

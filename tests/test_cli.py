@@ -272,3 +272,92 @@ def test_state_file_serializer_round_trip(tmp_path):
     kind, loaded = load_state_file(path)
     assert kind == "pure"
     np.testing.assert_array_equal(loaded.amplitudes, psi.amplitudes)
+
+
+def test_sweep_overflowing_range_exits_2(tmp_path, capsys):
+    out_file = tmp_path / "x.csv"
+    assert main(["sweep", "werner", "--d", "3", "--range=0:inf:1",
+                 "--out", str(out_file)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
+def test_state_file_with_overflowing_integer_exits_2(tmp_path, capsys):
+    state_file = tmp_path / "huge.json"
+    entries = [["1" + "0" * 400 if i == j == 0 else "0", "0"] for i in range(4) for j in range(4)]
+    rows = [entries[4 * i: 4 * i + 4] for i in range(4)]
+    text = "[" + ",".join("[" + ",".join(f"[{re}, {im}]" for re, im in row) + "]" for row in rows) + "]"
+    state_file.write_text('{"kind": "density", "dims": [2, 2], "matrix": ' + text + "}",
+                          encoding="utf-8")
+    assert main(["check", str(state_file)]) == 2
+    assert "overflows" in capsys.readouterr().err
+
+
+def test_sweep_grid_cap_refuses_without_allocating(tmp_path):
+    # A child process with a 1 GiB address-space limit: materialising the
+    # 10**12-point grid would end in MemoryError (exit 1), not exit 2.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ccnr
+
+    out_file = tmp_path / "x.csv"
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from ccnr.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    argv = ["sweep", "werner", "--d", "3", "--range=0:1:1e-12", "--out", str(out_file)]
+    env = {**os.environ, "PYTHONPATH": str(Path(ccnr.__file__).resolve().parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert "more than 1000000 points" in done.stderr
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("dims", [[2.9, 2], [2, "2"], [True, 4], [2, float("inf")]])
+def test_state_file_rejects_non_integral_dims(tmp_path, capsys, dims):
+    state_file = tmp_path / "dims.json"
+    payload = {
+        "kind": "density",
+        "dims": dims,
+        "matrix": [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)],
+    }
+    state_file.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["check", str(state_file)]) == 2
+    assert "dims" in capsys.readouterr().err
+
+
+def test_state_file_accepts_integral_float_dims(tmp_path, capsys):
+    state_file = tmp_path / "dims.json"
+    payload = {
+        "kind": "density",
+        "dims": [2.0, 2],
+        "matrix": [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)],
+    }
+    state_file.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["check", str(state_file), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "undecided"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["werner", "--d", "3", "--range=0:2:0.5"], "flip expectation must lie in [-1, 1], got 1.5"),
+    (["isotropic", "--d", "3", "--range=-0.5:1:0.5"], "fidelity must lie in [0, 1], got -0.5"),
+    (["bell", "--range=0:1.5:0.5"], "bell sweep weight must lie in [0, 1], got 1.5"),
+    (["qubit", "--range=0.5:1.5:0.25"], "mixing weight must lie in [0, 1], got 1.25"),
+    (["qutrit", "--range=1:3:1"], "parameter must lie in [2, 5], got 1.0"),
+    (["werner", "--range=0:1:0.5"], "family 'werner' needs --d"),
+    (["werner", "--d", "1", "--range=0:1:0.5"], "local dimension must be at least 2"),
+    (["qutrit", "--d", "2", "--range=2:5:1"], "family 'qutrit' is fixed at local dimension 3"),
+    (["bell", "--d", "3", "--range=0:1:0.5"], "family 'bell' is fixed at local dimension 2"),
+])
+def test_sweep_rejects_the_first_bad_value_before_writing(tmp_path, capsys, argv, message):
+    out_file = tmp_path / "x.csv"
+    assert main(["sweep", *argv, "--out", str(out_file)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_file.exists()

@@ -484,3 +484,18 @@ def test_random_density_deterministic_and_valid():
 def test_random_density_rejects_bad_rank():
     with pytest.raises(ValueError):
         random_density(2, 2, rank=5, seed=0)
+
+
+def test_density_operator_rejects_nonpositive_dims_with_value_error():
+    with pytest.raises(ValueError, match="positive"):
+        DensityOperator(np.eye(4) / 4, dim_b=0)
+    with pytest.raises(ValueError, match="positive"):
+        DensityOperator(np.eye(4) / 4, dim_a=-2)
+
+
+@pytest.mark.parametrize("build", [werner_state, isotropic_state])
+def test_family_constructors_reject_non_integer_dimension(build):
+    with pytest.raises(ValueError, match="integer"):
+        build(3.5, 0.1)
+    with pytest.raises(ValueError, match="at least 2"):
+        build(1, 0.1)

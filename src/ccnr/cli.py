@@ -70,6 +70,9 @@ SWEEP_BLOCK = 32
 SWEEP_BLOCK_BYTES = 2**22
 # Grids with more points are refused before any point is generated.
 MAX_SWEEP_POINTS = 10**6
+# States whose matrices have more rows than this (d_a * d_b, or d * d for a
+# family) are refused before any array exists.
+MAX_MATRIX_SIDE = 1024
 
 
 def _bell_weights(t: float) -> tuple[float, float, float, float]:
@@ -156,10 +159,12 @@ def _fmt(x: float) -> str:
 def _parse_dims(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise ValueError(f"dims must look like 'A,B', got {text!r}")
+        raise argparse.ArgumentTypeError(f"dims must look like 'A,B', got {text!r}")
     dim_a, dim_b = (int(p) for p in parts)
     if dim_a < 1 or dim_b < 1:
-        raise ValueError("dims must be positive")
+        raise argparse.ArgumentTypeError("dims must be positive")
+    if dim_a * dim_b > MAX_MATRIX_SIDE:
+        raise argparse.ArgumentTypeError(f"{text} gives more than {MAX_MATRIX_SIDE} rows")
     return dim_a, dim_b
 
 
@@ -181,16 +186,6 @@ def _parse_range(text: str) -> list[float]:
     return [start + k * step for k in range(count)]
 
 
-def _complex_pair(entry) -> complex:
-    if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-        raise ValueError(f"complex entries must be [re, im] pairs, got {entry!r}")
-    re, im = entry
-    try:
-        return complex(float(re), float(im))
-    except OverflowError:
-        raise ValueError(f"complex entry {entry!r} overflows a float") from None
-
-
 def _dim_entry(value) -> int:
     """A ``dims`` entry of a state file: an integral number."""
     if isinstance(value, int) and not isinstance(value, bool):
@@ -208,7 +203,7 @@ def load_state_file(path, dims_override=None, *, tol_psd=1e-10, tol_herm=1e-10):
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
@@ -224,36 +219,45 @@ def load_state_file(path, dims_override=None, *, tol_psd=1e-10, tol_herm=1e-10):
     payload = data.get("matrix")
     if payload is None:
         raise ValueError(f"{path}: missing 'matrix'")
+    try:
+        pairs = np.array(payload)
+    except ValueError:  # ragged nesting, refused with the wrong shapes below
+        pairs = np.array(None)
+    if pairs.dtype == object and all(isinstance(x, (int, float)) for x in pairs.flat):
+        try:  # integers past 64 bits stay Python objects until converted
+            pairs = pairs.astype(float)
+        except OverflowError:
+            raise ValueError(f"{path}: a matrix entry overflows a float") from None
+    form, depth = ("rows", 3) if kind == "density" else ("a list", 2)
+    if pairs.dtype.kind not in "biuf" or pairs.ndim != depth or pairs.shape[-1] != 2:
+        raise ValueError(f"{path}: a {kind} matrix must be {form} of [re, im] number pairs")
+    # In C order, each pair of float64 holds the bytes of one complex entry.
+    values = np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
     if kind == "density":
-        matrix = np.array(
-            [[_complex_pair(entry) for entry in row] for row in payload], dtype=complex
-        )
-        return kind, DensityOperator(
-            matrix, dims[0], dims[1], tol_psd=tol_psd, tol_herm=tol_herm
-        )
-    amps = np.array([_complex_pair(entry) for entry in payload], dtype=complex)
-    return kind, PureState(amps, dims[0], dims[1])
+        return kind, DensityOperator(values, *dims, tol_psd=tol_psd, tol_herm=tol_herm)
+    return kind, PureState(values, *dims)
+
+
+def _json_layout(shape: tuple[int, ...], depth: int = 1) -> str:
+    """``json.dumps(a.tolist(), indent=1)`` for ``a`` of ``shape``, a ``%r`` per number:
+    json writes a finite float as ``%r`` does, but its indenting encoder is pure Python."""
+    pad = "\n" + " " * (depth + 1)
+    item = "%r" if len(shape) == 1 else _json_layout(shape[1:], depth + 1)
+    return "[" + pad + ("," + pad).join([item] * shape[0]) + "\n" + " " * depth + "]"
 
 
 def write_state_file(path, state) -> None:
-    """Serialize a DensityOperator or PureState to a JSON state file."""
+    """Serialize a DensityOperator or PureState as ``json.dumps(payload, indent=1)`` would."""
     if isinstance(state, DensityOperator):
-        payload = {
-            "kind": "density",
-            "dims": [state.dim_a, state.dim_b],
-            "matrix": [
-                [[float(z.real), float(z.imag)] for z in row] for row in state.matrix
-            ],
-        }
+        kind, values = "density", state.matrix
     elif isinstance(state, PureState):
-        payload = {
-            "kind": "pure",
-            "dims": [state.dim_a, state.dim_b],
-            "matrix": [[float(z.real), float(z.imag)] for z in state.amplitudes],
-        }
+        kind, values = "pure", state.amplitudes
     else:
         raise ValueError(f"cannot serialize {type(state).__name__}")
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+    pairs = np.stack([values.real, values.imag], -1)
+    matrix = _json_layout(pairs.shape) % tuple(pairs.ravel().tolist())
+    head = f'{{\n "kind": "{kind}",\n "dims": [\n  {state.dim_a},\n  {state.dim_b}\n ],\n'
+    Path(path).write_text(f'{head} "matrix": {matrix}\n}}\n', encoding="utf-8")
 
 
 def _family_dim(name: str, d: int | None) -> int:
@@ -262,7 +266,10 @@ def _family_dim(name: str, d: int | None) -> int:
     if fixed is None:
         if d is None:
             raise ValueError(f"family {name!r} needs --d")
-        return _local_dim(d)
+        d = _local_dim(d)
+        if d * d > MAX_MATRIX_SIDE:
+            raise ValueError(f"--d {d} gives more than {MAX_MATRIX_SIDE} rows")
+        return d
     if d not in (None, fixed):
         raise ValueError(f"family {name!r} is fixed at local dimension {fixed}")
     return fixed

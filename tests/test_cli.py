@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccnr.cli import CSV_HEADER, load_state_file, main, write_state_file
 from ccnr.states import max_entangled, qubit_family
@@ -293,9 +295,10 @@ def test_state_file_with_overflowing_integer_exits_2(tmp_path, capsys):
     assert "overflows" in capsys.readouterr().err
 
 
-def test_sweep_grid_cap_refuses_without_allocating(tmp_path):
-    # A child process with a 1 GiB address-space limit: materialising the
-    # 10**12-point grid would end in MemoryError (exit 1), not exit 2.
+def _run_under_1_gib(*argvs):
+    """Run ``main`` on each argv in a child process with a 1 GiB address-space
+    limit, printing one exit code per line.  A refused input that got as far
+    as allocating would end in MemoryError (exit 1) there, not exit 2."""
     import os
     import subprocess
     import sys
@@ -303,19 +306,23 @@ def test_sweep_grid_cap_refuses_without_allocating(tmp_path):
 
     import ccnr
 
-    out_file = tmp_path / "x.csv"
     script = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
         "from ccnr.cli import main\n"
-        "sys.exit(main(sys.argv[1:]))\n"
+        "for argv in sys.argv[1:]:\n"
+        "    print(main(argv.split()))\n"
     )
-    argv = ["sweep", "werner", "--d", "3", "--range=0:1:1e-12", "--out", str(out_file)]
     env = {**os.environ, "PYTHONPATH": str(Path(ccnr.__file__).resolve().parents[1]),
            "OPENBLAS_NUM_THREADS": "1"}
-    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+    return subprocess.run([sys.executable, "-c", script, *argvs], capture_output=True,
                           text=True, env=env, timeout=60)
-    assert done.returncode == 2, done.stderr
+
+
+def test_sweep_grid_cap_refuses_without_allocating(tmp_path):
+    out_file = tmp_path / "x.csv"
+    done = _run_under_1_gib(f"sweep werner --d 3 --range=0:1:1e-12 --out {out_file}")
+    assert done.stdout.split() == ["2"], done.stderr
     assert "more than 1000000 points" in done.stderr
     assert not out_file.exists()
 
@@ -361,3 +368,171 @@ def test_sweep_rejects_the_first_bad_value_before_writing(tmp_path, capsys, argv
     assert main(["sweep", *argv, "--out", str(out_file)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out_file.exists()
+
+
+def _reference_text(state):
+    """The state-file text as ``json.dumps`` lays it out, built entry by entry."""
+    if hasattr(state, "amplitudes"):
+        kind, matrix = "pure", [[float(z.real), float(z.imag)] for z in state.amplitudes]
+    else:
+        kind = "density"
+        matrix = [[[float(z.real), float(z.imag)] for z in row] for row in state.matrix]
+    payload = {"kind": kind, "dims": [state.dim_a, state.dim_b], "matrix": matrix}
+    return json.dumps(payload, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (1, 4), (2, 3), (3, 3), (6, 24)])
+@pytest.mark.parametrize("kind", ["density", "pure"])
+def test_state_file_text_is_json_dumps_indent_1(tmp_path, dims, kind):
+    from ccnr.states import random_density, random_pure
+
+    state = random_density(*dims, seed=3) if kind == "density" else random_pure(*dims, seed=3)
+    path = tmp_path / "state.json"
+    write_state_file(path, state)
+    assert path.read_bytes() == _reference_text(state).encode("utf-8")
+
+
+def test_state_file_text_keeps_signed_zeros_subnormals_and_extreme_exponents(tmp_path):
+    from ccnr.states import DensityOperator, PureState
+
+    m = np.diag([0.5, 0.5, 1e-300, 0.0]).astype(complex)
+    m[0, 1], m[1, 0] = complex(-0.0, 1e-300), complex(-0.0, -1e-300)
+    m[0, 2] = m[2, 0] = 5e-324
+    m[2, 3] = m[3, 2] = 1e-310
+    states = [
+        DensityOperator(m, 2, 2),
+        PureState([1.0, complex(-0.0, -0.0), 5e-324, -1e-300 + 1e-300j], 2, 2),
+    ]
+    for state in states:
+        path = tmp_path / "state.json"
+        write_state_file(path, state)
+        text = path.read_text(encoding="utf-8")
+        assert text == _reference_text(state)
+        for token in ("-0.0", "5e-324", "e-300"):
+            assert token in text
+    # Exponents near +300 never occur in a valid state; the layout alone takes them.
+    from ccnr.cli import _json_layout
+
+    values = np.array([[1e300, -1.7976931348623157e308], [-2.5e-308, 1e-5], [123.0, -0.0]])
+    assert _json_layout(values.shape) % tuple(values.ravel().tolist()) == json.dumps(
+        values.tolist(), indent=1
+    ).replace("\n", "\n ")
+
+
+_ONE = [[[1.0, 0.0]]]  # the 1x1 density matrix of dims [1, 1]
+
+
+@pytest.mark.parametrize("kind, matrix", [
+    pytest.param("density", [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0]]], id="ragged-rows"),
+    pytest.param("density", [[0.5, 0.0], [0.0, 0.0]], id="too-shallow"),
+    pytest.param("density", [_ONE], id="too-deep"),
+    pytest.param("pure", [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]], id="pure-as-density"),
+    pytest.param("density", [[["1.0", "0.0"]]], id="strings"),
+    pytest.param("density", [[[1.0, "0.0"]]], id="one-string"),
+    pytest.param("density", [[[1.0, None]]], id="null"),
+    pytest.param("density", [[[1.0, {}]]], id="object"),
+    pytest.param("density", [[[1.0]]], id="re-only"),
+    pytest.param("density", [[[1.0, 0.0, 0.0]]], id="three-numbers"),
+    pytest.param("density", 1.0, id="scalar"),
+])
+def test_check_rejects_malformed_matrix_payloads(tmp_path, capsys, kind, matrix):
+    dims = [1, len(matrix) if isinstance(matrix, list) else 1]
+    state_file = tmp_path / "bad.json"
+    state_file.write_text(json.dumps({"kind": kind, "dims": dims, "matrix": matrix}),
+                          encoding="utf-8")
+    assert main(["check", str(state_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "[re, im] number pairs" in err
+
+
+def test_check_accepts_a_one_by_one_density_file(tmp_path):
+    state_file = tmp_path / "one.json"
+    state_file.write_text(json.dumps({"kind": "density", "dims": [1, 1], "matrix": _ONE}),
+                          encoding="utf-8")
+    assert main(["check", str(state_file), "--json"]) == 0
+
+
+def test_check_deeply_nested_json_exits_2(tmp_path, capsys):
+    state_file = tmp_path / "deep.json"
+    state_file.write_text('{"kind": "density", "matrix": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                          encoding="utf-8")
+    assert main(["check", str(state_file)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_matrix_side_cap_bounds_dims_and_local_dimension():
+    import argparse
+
+    from ccnr.cli import MAX_MATRIX_SIDE, _family_dim, _parse_dims
+
+    assert MAX_MATRIX_SIDE >= 144  # every dimension the demos and the benchmark use
+    assert _parse_dims(f"1,{MAX_MATRIX_SIDE}") == (1, MAX_MATRIX_SIDE)
+    with pytest.raises(argparse.ArgumentTypeError, match="more than"):
+        _parse_dims(f"2,{MAX_MATRIX_SIDE}")
+    side = math.isqrt(MAX_MATRIX_SIDE)
+    assert _family_dim("werner", side) == side
+    with pytest.raises(ValueError, match="more than"):
+        _family_dim("werner", side + 1)
+
+
+def test_matrix_side_cap_refuses_without_allocating(tmp_path):
+    done = _run_under_1_gib(
+        f"gen random --dims 200,200 --out {tmp_path / 'a.json'}",
+        f"gen isotropic --d 1000 --param 0.5 --out {tmp_path / 'b.json'}",
+        f"sweep werner --d 1000 --range=0:0:1 --out {tmp_path / 'c.csv'}",
+    )
+    assert done.stdout.split() == ["2", "2", "2"], done.stderr
+    assert done.stderr.count("more than 1024 rows") == 3
+    assert "Traceback" not in done.stderr
+    assert not list(tmp_path.iterdir())
+
+
+_NUMBERS = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.sampled_from([0.0, 0.25, 1.0, 1e308, 5e-324, math.inf, math.nan, 2**70, 10**400]),
+)
+_ENTRIES = st.one_of(
+    _NUMBERS,
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+    st.dictionaries(st.text(max_size=1), st.integers(), max_size=1),
+)
+
+
+@st.composite
+def _state_payloads(draw):
+    """A valid state file of side n <= 4 with at most one field mutated."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["density", "pure"]))
+    if kind == "density":  # the maximally mixed state
+        matrix = [[[1.0 / n if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)]
+        pairs = [pair for row in matrix for pair in row]
+    else:  # a basis vector
+        matrix = pairs = [[1.0 if i == 0 else 0.0, 0.0] for i in range(n)]
+    payload = {"kind": kind, "dims": [1, n], "matrix": matrix}
+    field = draw(st.sampled_from(["none", "kind", "dims", "numbers", "pairs", "matrix", "drop"]))
+    if field == "kind":
+        payload["kind"] = draw(st.one_of(st.sampled_from(["density", "pure"]), _ENTRIES))
+    elif field == "dims":
+        payload["dims"] = draw(st.lists(st.one_of(st.integers(-2, 5), _ENTRIES), max_size=3))
+    elif field == "numbers":
+        entry = st.one_of(_ENTRIES, st.lists(_NUMBERS, max_size=2))
+        for _ in range(draw(st.integers(1, 3))):
+            draw(st.sampled_from(pairs))[draw(st.integers(0, 1))] = draw(entry)
+    elif field == "pairs":
+        for _ in range(draw(st.integers(1, 3))):
+            draw(st.sampled_from(pairs))[:] = draw(st.lists(_ENTRIES, max_size=3))
+    elif field == "matrix":
+        payload["matrix"] = draw(st.one_of(_ENTRIES, st.lists(st.lists(_ENTRIES, max_size=3))))
+    elif field == "drop":
+        del payload[draw(st.sampled_from(sorted(payload)))]
+    return payload
+
+
+@settings(max_examples=120, deadline=None)
+@given(payload=_state_payloads())
+def test_check_ends_in_a_verdict_or_an_input_error_on_any_state_file(tmp_path_factory, payload):
+    state_file = tmp_path_factory.mktemp("fuzz") / "state.json"
+    state_file.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["check", str(state_file)]) in {0, 2, 3}

@@ -29,6 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .crossnorm import (
+    GammaValue,
     gamma_bell_diagonal_closed,
     gamma_isotropic_closed,
     gamma_pure,
@@ -75,21 +76,22 @@ MAX_SWEEP_POINTS = 10**6
 MAX_MATRIX_SIDE = 1024
 
 
-def _bell_weights(t: float) -> tuple[float, float, float, float]:
-    """Bell spectrum of a sweep: weight ``t`` on the first vector, the rest equal."""
+def _bell_weights(t: np.ndarray) -> np.ndarray:
+    """Sweep spectra, a row per ``t``: weight ``t`` on the first Bell vector, the rest equal."""
     rest = (1.0 - t) / 3.0
-    return (t, rest, rest, rest)
+    return np.stack([t, rest, rest, rest], axis=-1)
 
 
 class Family(NamedTuple):
     """A closed-form state family as ``gen`` and ``sweep`` use it.
 
     ``build(d, params)`` returns the unvalidated ``(k, n, n)`` stack for a
-    sequence of family parameters; ``tau(d, param)`` and ``gamma(d, param)``
-    are the closed forms of one member.  A sweep runs over a scalar in
-    ``domain`` (named ``noun`` in errors), mapped to a family parameter by
-    ``point``.  ``dim`` fixes the local dimension; ``None`` means ``--d``
-    is required.  ``arity`` is the number of values ``gen --param`` takes.
+    sequence of family parameters; ``tau(d, params)`` and ``gamma(d, params)``
+    are the closed forms, one value per member.  A sweep runs over a grid of
+    scalars in ``domain`` (named ``noun`` in errors), mapped to family
+    parameters by ``point``.  ``dim`` fixes the local dimension; ``None``
+    means ``--d`` is required.  ``arity`` is the number of values
+    ``gen --param`` takes.
     """
 
     build: Callable
@@ -201,8 +203,9 @@ def load_state_file(path, dims_override=None, *, tol_psd=1e-10, tol_herm=1e-10):
     Malformed content raises ``ValueError``; a well-formed matrix that fails
     a state invariant raises :class:`InvariantViolation`.
     """
+    text = Path(path).read_text(encoding="utf-8")
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
@@ -229,7 +232,12 @@ def load_state_file(path, dims_override=None, *, tol_psd=1e-10, tol_herm=1e-10):
         except OverflowError:
             raise ValueError(f"{path}: a matrix entry overflows a float") from None
     form, depth = ("rows", 3) if kind == "density" else ("a list", 2)
-    if pairs.dtype.kind not in "biuf" or pairs.ndim != depth or pairs.shape[-1] != 2:
+    # The array reads JSON true/false among numbers as 1/0.  Only a text with
+    # an "l" or a "u" can spell one (numbers and keys hold none but the "u" of
+    # "pure"), and a one-letter test costs far less than a search for "true".
+    if pairs.dtype.kind not in "biuf" or pairs.ndim != depth or pairs.shape[-1] != 2 or (
+        ("u" in text or "l" in text) and bool in map(type, np.array(payload, dtype=object).flat)
+    ):
         raise ValueError(f"{path}: a {kind} matrix must be {form} of [re, im] number pairs")
     # In C order, each pair of float64 holds the bytes of one complex entry.
     values = np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
@@ -354,39 +362,25 @@ def cmd_sweep(args) -> int:
     grid = _parse_range(args.range)
     d = _family_dim(args.family, args.d)
     # The first value outside the domain fails here, before any state is built.
-    _parameters(grid, *family.domain, family.noun)
+    params = family.point(_parameters(grid, *family.domain, family.noun))
+    taus = family.tau(d, params).tolist()
+    # "%.12g" renders a float as _fmt does; a family without gamma leaves its field empty.
+    if family.gamma is None:
+        gamma, gammas, field = None, [""] * len(grid), "%s"
+    else:
+        gamma = family.gamma(d, params)
+        gammas, field = gamma.value.tolist(), "%.12g"
+    row = "%.12g,%.12g,%.12g," + field + ",%.12g,%.12g,%s"
     size = max(1, min(SWEEP_BLOCK, SWEEP_BLOCK_BYTES // (16 * d**4)))
     lines = [CSV_HEADER]
     for first in range(0, len(grid), size):
-        block = grid[first : first + size]
-        params = [family.point(value) for value in block]
-        taus = [family.tau(d, param) for param in params]
-        gammas = [None] * len(params) if family.gamma is None else [
-            family.gamma(d, param) for param in params
-        ]
-        report = report_stack(validate_stack(family.build(d, params), d, d), gammas)
-        for value, tau, tau_closed, gamma, ppt_floor, reduction_floor, verdict in zip(
-            block,
-            report.tau.tolist(),
-            taus,
-            gammas,
-            report.ppt_floor.tolist(),
-            report.reduction_floor.tolist(),
-            report.verdict.tolist(),
-        ):
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(value),
-                        _fmt(tau),
-                        _fmt(tau_closed),
-                        "" if gamma is None else _fmt(gamma.value),
-                        _fmt(ppt_floor),
-                        _fmt(reduction_floor),
-                        verdict,
-                    ]
-                )
-            )
+        part = slice(first, first + size)
+        closed = None if gamma is None else [GammaValue(g, gamma.family) for g in gammas[part]]
+        report = report_stack(validate_stack(family.build(d, params[part]), d, d), closed)
+        columns = (grid[part], report.tau.tolist(), taus[part], gammas[part],
+                   report.ppt_floor.tolist(), report.reduction_floor.tolist(),
+                   report.verdict.tolist())
+        lines += [row % values for values in zip(*columns)]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
     return 0

@@ -4,7 +4,9 @@ The greatest cross norm of a density operator equals 1 exactly on separable
 states.  No general-purpose evaluator exists here: the norm is an infimum
 over all finite tensor decompositions, and only symmetric families and
 rank-one operators admit closed forms.  For arbitrary states the realignment
-trace norm (:func:`ccnr.realign.ccnr_tau`) is a computable lower bound.
+trace norm (:func:`ccnr.realign.ccnr_tau`) is a computable lower bound.  The
+family closed forms map an array of parameters to one :class:`GammaValue`
+whose ``value`` is an array.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import PureState, bell_spectrum, schmidt_decompose
+from .states import PureState, _in_domain, _per_state, bell_spectrum, schmidt_decompose
 
 __all__ = [
     "GammaValue",
@@ -33,7 +35,7 @@ SEPARABILITY_TOL = 1e-12
 class GammaValue(NamedTuple):
     """Greatest-cross-norm value tagged with the closed form that produced it."""
 
-    value: float
+    value: float | np.ndarray
     family: str
 
 
@@ -57,32 +59,26 @@ def gamma_pure(psi: PureState) -> GammaValue:
     return GammaValue(_sqrt_coefficient_sum(psi) ** 2, "pure")
 
 
-def gamma_werner_closed(d: int, f: float) -> GammaValue:
+def gamma_werner_closed(d: int, f) -> GammaValue:
     """Werner-state cross norm: 1 on ``f >= 0``, else ``1 - f``."""
     if d < 2:
         raise ValueError("local dimension must be at least 2")
-    if not -1.0 <= f <= 1.0:
-        raise ValueError(f"flip expectation must lie in [-1, 1], got {f}")
-    value = 1.0 if f >= 0.0 else 1.0 - f
-    return GammaValue(value, "werner")
+    f = _in_domain(f, -1.0, 1.0, "flip expectation")
+    return GammaValue(_per_state(np.where(f >= 0.0, 1.0, 1.0 - f)), "werner")
 
 
-def gamma_isotropic_closed(d: int, F: float) -> GammaValue:
+def gamma_isotropic_closed(d: int, F) -> GammaValue:
     """Isotropic-state cross norm: 1 up to ``F = 1/d``, then ``dF``."""
     if d < 2:
         raise ValueError("local dimension must be at least 2")
-    if not 0.0 <= F <= 1.0:
-        raise ValueError(f"fidelity must lie in [0, 1], got {F}")
-    value = 1.0 if F <= 1.0 / d else d * F
-    return GammaValue(value, "isotropic")
+    F = _in_domain(F, 0.0, 1.0, "fidelity")
+    return GammaValue(_per_state(np.where(F <= 1.0 / d, 1.0, d * F)), "isotropic")
 
 
 def gamma_bell_diagonal_closed(lam) -> GammaValue:
     """Bell-diagonal cross norm: ``2 max(lam)`` beyond the 1/2 threshold, else 1."""
-    lam = bell_spectrum(lam)
-    peak = float(np.max(lam))
-    value = 2.0 * peak if peak > 0.5 else 1.0
-    return GammaValue(value, "bell_diagonal")
+    peak = np.max(bell_spectrum(lam), axis=-1)
+    return GammaValue(_per_state(np.where(peak > 0.5, 2.0 * peak, 1.0)), "bell_diagonal")
 
 
 def robustness_lower_bound(gamma: GammaValue) -> float:

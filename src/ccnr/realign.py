@@ -8,18 +8,20 @@ the row and the two B indices into the column:
 so a product input ``X (x) Y`` realigns to the rank-one matrix
 ``vec(X) vec(Y)^T`` with trace norm ``||X||_2 ||Y||_2``.  The sum of the
 singular values of ``R`` is the separability diagnostic ``tau``: it cannot
-exceed 1 on separable states.
+exceed 1 on separable states.  The closed forms of ``tau`` map an array of
+family parameters to an array, and one parameter to a float.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import singular_values
-from .states import DensityOperator, _bipartite_tensor, _per_state, bell_spectrum
+from .states import (
+    DensityOperator, _SV_FLOOR, _bipartite_tensor, _in_domain, _per_state, bell_spectrum
+)
 
 __all__ = [
     "RealignedMatrix",
@@ -35,9 +37,6 @@ __all__ = [
     "tau_qutrit_family_closed",
     "realign_trace",
 ]
-
-_SV_FLOOR = 1e-12
-
 
 @dataclass(frozen=True)
 class RealignedMatrix:
@@ -107,61 +106,51 @@ def _check_dim(d: int) -> None:
         raise ValueError("local dimension must be at least 2")
 
 
-def tau_werner_closed(d: int, f: float) -> float:
+def tau_werner_closed(d: int, f) -> float | np.ndarray:
     """Closed-form ``tau`` for the Werner state: ``2/d - f`` up to ``f = 1/d``, then ``f``."""
     _check_dim(d)
-    if not -1.0 <= f <= 1.0:
-        raise ValueError(f"flip expectation must lie in [-1, 1], got {f}")
-    if f <= 1.0 / d:
-        return 2.0 / d - f
-    return float(f)
+    f = _in_domain(f, -1.0, 1.0, "flip expectation")
+    return _per_state(np.where(f <= 1.0 / d, 2.0 / d - f, f))
 
 
-def tau_isotropic_closed(d: int, F: float) -> float:
+def tau_isotropic_closed(d: int, F) -> float | np.ndarray:
     """Closed-form ``tau`` for the isotropic state: ``2/d - dF`` below ``F = 1/d^2``, then ``dF``."""
     _check_dim(d)
-    if not 0.0 <= F <= 1.0:
-        raise ValueError(f"fidelity must lie in [0, 1], got {F}")
-    if F < 1.0 / (d * d):
-        return 2.0 / d - d * F
-    return d * F
+    F = _in_domain(F, 0.0, 1.0, "fidelity")
+    return _per_state(np.where(F < 1.0 / (d * d), 2.0 / d - d * F, d * F))
 
 
-def tau_bell_diagonal_closed(lam) -> float:
-    """Closed-form ``tau`` for a Bell-diagonal state.
+def tau_bell_diagonal_closed(lam) -> float | np.ndarray:
+    """Closed-form ``tau`` for a Bell-diagonal state (one per row of a ``(k, 4)`` array).
 
     Equals ``2 max(lam)`` whenever ``max(lam) >= 1/2``, so the criterion is
     exact on this family.
     """
-    l0, l1, l2, l3 = bell_spectrum(lam)
-    return 0.5 * (
+    l0, l1, l2, l3 = bell_spectrum(lam).T
+    return _per_state(0.5 * (
         1.0
         + abs(l0 + l3 - l1 - l2)
         + abs(l1 - l2)
         + abs(l0 - l3)
         + abs(abs(l0 - l3) - abs(l1 - l2))
-    )
+    ))
 
 
-def tau_qubit_family_closed(p: float) -> float:
+# ``np.float_power(x, 2.0)`` is C ``pow``, as ``x ** 2`` on a Python float is;
+# ``x * x`` and ``np.power`` differ from it in the last bit on some values.
+def tau_qubit_family_closed(p) -> float | np.ndarray:
     """Closed-form ``tau`` for the two-qubit mixture of ``|00>`` with a Bell state."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixing weight must lie in [0, 1], got {p}")
-    cross = 0.5 * p * math.sqrt(p * p + (1.0 - p) ** 2)
-    base = 0.5 * p * p + 0.25 * (1.0 - p) ** 2
-    return (
-        1.0
-        - p
-        + math.sqrt(base + cross)
-        + math.sqrt(max(base - cross, 0.0))
-    )
+    p = _in_domain(p, 0.0, 1.0, "mixing weight")
+    cross = 0.5 * p * np.sqrt(p * p + np.float_power(1.0 - p, 2.0))
+    base = 0.5 * p * p + 0.25 * np.float_power(1.0 - p, 2.0)
+    return _per_state(1.0 - p + np.sqrt(base + cross) + np.sqrt(np.maximum(base - cross, 0.0)))
 
 
-def tau_qutrit_family_closed(alpha: float) -> float:
+def tau_qutrit_family_closed(alpha) -> float | np.ndarray:
     """Closed-form ``tau`` for the two-qutrit family: ``19/21 + (2/21) sqrt(19 - 15a + 3a^2)``."""
-    if not 2.0 <= alpha <= 5.0:
-        raise ValueError(f"parameter must lie in [2, 5], got {alpha}")
-    return 19.0 / 21.0 + (2.0 / 21.0) * math.sqrt(19.0 - 15.0 * alpha + 3.0 * alpha**2)
+    alpha = _in_domain(alpha, 2.0, 5.0, "parameter")
+    root = np.sqrt(19.0 - 15.0 * alpha + 3.0 * np.float_power(alpha, 2.0))
+    return _per_state(19.0 / 21.0 + (2.0 / 21.0) * root)
 
 
 def realign_trace(rho: DensityOperator) -> complex:

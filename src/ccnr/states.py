@@ -97,15 +97,21 @@ def _local_dim(d) -> int:
     return d
 
 
+def _in_domain(values, lo: float, hi: float, name: str) -> np.ndarray:
+    """``values`` as a float array of any shape, each inside ``[lo, hi]``."""
+    values = np.asarray(values, dtype=float)
+    outside = np.flatnonzero(~((values >= lo) & (values <= hi)))
+    if outside.size:
+        raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], got {values.flat[outside[0]]}")
+    return values
+
+
 def _parameters(values, lo: float, hi: float, name: str) -> np.ndarray:
     """Family parameters as a 1-d float array, each inside ``[lo, hi]``."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise ValueError(f"{name} values must form a 1-d sequence, got shape {values.shape}")
-    outside = np.flatnonzero(~((values >= lo) & (values <= hi)))
-    if outside.size:
-        raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], got {values[outside[0]]}")
-    return values
+    return _in_domain(values, lo, hi, name)
 
 
 def _bipartite_tensor(matrix, dim_a: int, dim_b: int) -> np.ndarray:
@@ -148,6 +154,9 @@ class DensityStack(NamedTuple):
     dim_b: int
 
 
+# Entries near the float limit overflow in the checks; the invariant that
+# fails then raises its own error, with no numpy warning before it.
+@np.errstate(over="ignore", invalid="ignore")
 def validate_stack(
     matrices,
     dim_a: int | None = None,
@@ -233,6 +242,7 @@ class PureState:
 
     __slots__ = ("dim_a", "dim_b", "amplitudes")
 
+    @np.errstate(over="ignore", invalid="ignore")  # as on validate_stack
     def __init__(self, amplitudes, dim_a: int | None = None, dim_b: int | None = None):
         amps = np.asarray(amplitudes, dtype=complex).ravel()
         if not np.all(np.isfinite(amps)):
@@ -299,8 +309,9 @@ def _bell_spectra(lams) -> np.ndarray:
 
 
 def bell_spectrum(lam) -> np.ndarray:
-    """Validate a Bell-diagonal spectrum: four nonnegative weights summing to 1."""
-    return _bell_spectra(np.asarray(lam, dtype=float).reshape(1, -1))[0]
+    """Validate a Bell-diagonal spectrum, four nonnegative weights summing to 1 (or one per row)."""
+    lam = np.asarray(lam, dtype=float)
+    return _bell_spectra(lam) if lam.ndim == 2 else _bell_spectra(lam.reshape(1, -1))[0]
 
 
 def flip_operator(d: int) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Tests for the command-line interface and the state-file format."""
 
+import contextlib
+import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -434,6 +437,9 @@ _ONE = [[[1.0, 0.0]]]  # the 1x1 density matrix of dims [1, 1]
     pytest.param("density", [[[1.0]]], id="re-only"),
     pytest.param("density", [[[1.0, 0.0, 0.0]]], id="three-numbers"),
     pytest.param("density", 1.0, id="scalar"),
+    pytest.param("density", [[[True, False]]], id="booleans"),
+    pytest.param("density", [[[0.5, 0], [0, False]], [[0, 0], [0.5, 0]]], id="one-boolean"),
+    pytest.param("density", [[[0.5, 0], [0, 10**30]], [[0, True], [0.5, 0]]], id="bool-and-bigint"),
 ])
 def test_check_rejects_malformed_matrix_payloads(tmp_path, capsys, kind, matrix):
     dims = [1, len(matrix) if isinstance(matrix, list) else 1]
@@ -443,6 +449,21 @@ def test_check_rejects_malformed_matrix_payloads(tmp_path, capsys, kind, matrix)
     assert main(["check", str(state_file)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "[re, im] number pairs" in err
+
+
+@pytest.mark.parametrize("kind, matrix", [
+    ("pure", [[1e308, 1e308]]),
+    ("density", [[[1e308, 0.0], [1e308, 0.0]], [[1e308, 0.0], [1e308, 0.0]]]),
+])
+def test_check_overflowing_entries_end_in_the_invariant_error_alone(tmp_path, capsys, kind, matrix):
+    state_file = tmp_path / "huge.json"
+    state_file.write_text(json.dumps({"kind": kind, "dims": [1, len(matrix)], "matrix": matrix}),
+                          encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", str(state_file)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: invariant") and err.count("\n") == 1
 
 
 def test_check_accepts_a_one_by_one_density_file(tmp_path):
@@ -536,3 +557,67 @@ def test_check_ends_in_a_verdict_or_an_input_error_on_any_state_file(tmp_path_fa
     state_file = tmp_path_factory.mktemp("fuzz") / "state.json"
     state_file.write_text(json.dumps(payload), encoding="utf-8")
     assert main(["check", str(state_file)]) in {0, 2, 3}
+
+
+# Command-line fuzz.  Each argument is usually well formed and sometimes junk
+# (the draw of 0 from 0-9, which Hypothesis favours).  Grids stay within ~200 points and families within d = 4 (16
+# rows): drawn grids take at most 200 steps, junk ranges join numbers that step
+# by at least 0.25 or so finely that the grid cap refuses them, and junk text
+# has no digits.
+_FAMILIES = {"werner": (-1.0, 1.0, ["2", "3", "4"]), "isotropic": (0.0, 1.0, ["2", "3", "4"]),
+             "bell": (0.0, 1.0, [None, "2"]), "qubit": (0.0, 1.0, [None, "2"]),
+             "qutrit": (2.0, 5.0, [None, "3"]), "random": (0.0, 1.0, [None])}
+_NUMBER_TEXT = st.sampled_from(
+    ["0", "1", "-1", "2", "5", "0.25", "-0.5", "1e-300", "inf", "-inf", "nan", "1e400", "", "x"]
+)
+_JUNK = st.text("abefinx:,.-+ ", max_size=8)
+_JUNK_D = st.sampled_from([None, "-1", "0", "1", "33", "1000", "2.5", "x", "", "inf"])
+
+
+def _mostly(valid, junk):
+    return st.integers(0, 9).flatmap(lambda k: junk if k == 0 else valid)
+
+
+@st.composite
+def _grids(draw, lo, hi):
+    start = draw(st.floats(lo, hi))
+    step = draw(st.floats((hi - lo) / 200, hi - lo))
+    stop = start + step * min(draw(st.integers(0, 199)), math.floor((hi - start) / step))
+    return f"{start!r}:{stop!r}:{step!r}"
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(["sweep", "gen"]))
+    names = sorted(_FAMILIES) if command == "gen" else sorted(set(_FAMILIES) - {"random"})
+    family = draw(_mostly(st.sampled_from(names), st.just("x")))
+    lo, hi, dims = _FAMILIES.get(family, (0.0, 1.0, [None]))
+    argv = [command, family]
+    d = draw(_mostly(st.sampled_from(dims), _JUNK_D))
+    argv += [] if d is None else ["--d", d]
+    if command == "sweep":
+        junk = st.one_of(_JUNK, st.builds(":".join, st.lists(_NUMBER_TEXT, max_size=4)))
+        argv.append(f"--range={draw(_mostly(_grids(lo, hi), junk))}")
+    else:
+        if family == "bell":
+            param = st.sampled_from(["0.25,0.25,0.25,0.25", "1,0,0,0", "0.7,0.1,0.1,0.1"])
+        else:
+            param = st.floats(lo, hi).map(repr)
+        junk = st.one_of(_JUNK, st.builds(",".join, st.lists(_NUMBER_TEXT, max_size=5)))
+        argv += ["--param", draw(_mostly(param, junk))]
+        for flag, valid, junk in [
+            ("--dims", ["1,1", "2,3", "4,4", "1,16"], ["0,2", "2", "a,b", "2.5,2", "40,40"]),
+            ("--rank", [None, "1", "3"], ["0", "-1", "17", "x"]),
+            ("--seed", [None, "0", "7"], ["-1", "x"]),
+        ]:
+            value = draw(_mostly(st.sampled_from(valid), st.sampled_from(junk)))
+            argv += [] if value is None else [flag, value]
+    return argv + draw(_mostly(st.just(["--out", "OUT"]), st.just([])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_cli_argv())
+def test_sweep_and_gen_end_in_an_exit_code_on_any_arguments(tmp_path_factory, argv):
+    out = str(tmp_path_factory.mktemp("cli") / "out")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main([out if arg == "OUT" else arg for arg in argv]) in {0, 2, 3}

@@ -7,7 +7,10 @@ only certified through a closed-form cross norm equal to 1.
 Every criterion accepts a :class:`~ccnr.states.DensityOperator` or a
 :class:`~ccnr.states.DensityStack`; :func:`report_stack` evaluates a whole
 stack with one decomposition call per criterion, and :func:`full_report` is
-that report on a stack of one.
+that report on a stack of one.  The criteria assume the exactly Hermitian
+matrices :func:`~ccnr.states.validate_stack` stores: ``eigvalsh`` reads one
+triangle, and ``tau`` reads a real matrix that shares the realignment's
+singular values only for Hermitian input.
 """
 
 from __future__ import annotations

@@ -81,11 +81,13 @@ def gamma_bell_diagonal_closed(lam) -> GammaValue:
     return GammaValue(_per_state(np.where(peak > 0.5, 2.0 * peak, 1.0)), "bell_diagonal")
 
 
-def robustness_lower_bound(gamma: GammaValue) -> float:
-    """Lower bound ``gamma - 1`` on the robustness of entanglement."""
-    if gamma.value < 1.0 - SEPARABILITY_TOL:
-        raise ValueError(f"cross norm of a state cannot fall below 1, got {gamma.value}")
-    return gamma.value - 1.0
+def robustness_lower_bound(gamma: GammaValue) -> float | np.ndarray:
+    """Lower bound ``gamma - 1`` on the robustness of entanglement (elementwise)."""
+    value = np.asarray(gamma.value, dtype=float)
+    below = value < 1.0 - SEPARABILITY_TOL
+    if below.any():
+        raise ValueError(f"cross norm of a state cannot fall below 1, got {value[below][0]}")
+    return _per_state(value - 1.0)
 
 
 def robustness_pure_exact(psi: PureState) -> float:
@@ -93,6 +95,6 @@ def robustness_pure_exact(psi: PureState) -> float:
     return _sqrt_coefficient_sum(psi) ** 2 - 1.0
 
 
-def is_separable_closed(gamma: GammaValue) -> bool:
-    """Separability verdict from a closed-form cross norm (ties count as separable)."""
-    return gamma.value <= 1.0 + SEPARABILITY_TOL
+def is_separable_closed(gamma: GammaValue) -> bool | np.ndarray:
+    """Separability verdict from a closed-form cross norm (ties count as separable, elementwise)."""
+    return _per_state(np.asarray(gamma.value) <= 1.0 + SEPARABILITY_TOL, bool)

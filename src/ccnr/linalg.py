@@ -1,7 +1,8 @@
 """Dense complex linear algebra kernel shared by the whole package.
 
 Everything here operates on plain ``numpy`` arrays (promoted to
-``complex128``) and is pure: inputs are never modified.
+``complex128``, except that :func:`singular_values` keeps a real float64
+input real) and is pure: inputs are never modified.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ __all__ = [
 HERMITICITY_TOL = 1e-10
 
 
-def _as_matrix(a, *, stack: bool = False) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
+def _as_matrix(a, *, stack: bool = False, keep_real: bool = False) -> np.ndarray:
+    a = np.asarray(a)
+    if not (keep_real and a.dtype == np.float64):
+        a = a.astype(complex, copy=False)
     if a.ndim != 2 and not (stack and a.ndim > 2):
         raise ValueError(f"expected a 2-d matrix, got ndim={a.ndim}")
     if a.shape[-2] < 1 or a.shape[-1] < 1:
@@ -84,8 +87,10 @@ def singular_values(a) -> np.ndarray:
     """Singular values of ``a``, descending, of length ``min(rows, cols)``.
 
     A ``(..., rows, cols)`` stack gives one row of singular values per matrix.
+    A real float64 input stays real, so LAPACK takes the real SVD, which
+    costs less than half the complex one.
     """
-    return np.linalg.svd(_as_matrix(a, stack=True), compute_uv=False)
+    return np.linalg.svd(_as_matrix(a, stack=True, keep_real=True), compute_uv=False)
 
 
 def trace_norm(a) -> float:

@@ -97,8 +97,14 @@ def ccnr_tau(rho: DensityOperator) -> float:
 
     For a :class:`~ccnr.states.DensityStack`, an array with one ``tau`` per state.
     """
-    realigned = realign_matrix(rho.matrix, rho.dim_a, rho.dim_b)
-    return _per_state(np.sum(singular_values(realigned), axis=-1))
+    # R = realign_matrix(rho) shares its singular values with the real
+    # X[(i,j),(k,l)] = Re R[(j,i),(k,l)] - Im R[(i,j),(k,l)] = U_A R U_B^T, where
+    # U = (w I + conj(w) S)/sqrt(2), w = e^{i pi/4} and S swaps the two A (or
+    # B) indices; X is real because rho is Hermitian.
+    realigned = np.swapaxes(_bipartite_tensor(rho.matrix, rho.dim_a, rho.dim_b), -3, -2)
+    real = np.swapaxes(realigned, -4, -3).real - realigned.imag
+    shape = real.shape[:-4] + (rho.dim_a * rho.dim_a, rho.dim_b * rho.dim_b)
+    return _per_state(np.sum(singular_values(real.reshape(shape)), axis=-1))
 
 
 def _check_dim(d: int) -> None:

@@ -128,9 +128,9 @@ def _bipartite_tensor(matrix, dim_a: int, dim_b: int) -> np.ndarray:
     return m.reshape(m.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
 
 
-def _per_state(values):
-    """A Python float for a single state, the array itself for a stack."""
-    return float(values) if np.ndim(values) == 0 else values
+def _per_state(values, scalar=float):
+    """A Python ``scalar`` (float by default) for one state, the array itself for a stack."""
+    return scalar(values) if np.ndim(values) == 0 else values
 
 
 def _check_invariant(invariant: str, residual: np.ndarray, failed: np.ndarray) -> None:
@@ -146,7 +146,10 @@ class DensityStack(NamedTuple):
     ``matrix`` has shape ``(..., d_a d_b, d_a d_b)`` and is read-only.
     :func:`validate_stack` builds one; constructing it directly skips the
     checks.  The criteria accept it wherever they accept a
-    :class:`DensityOperator` and return one value per state.
+    :class:`DensityOperator` and return one value per state.  They assume
+    the exactly Hermitian matrices :func:`validate_stack` stores: on a
+    hand-built stack of non-Hermitian matrices ``tau`` and the eigenvalue
+    floors are meaningless.
     """
 
     matrix: np.ndarray

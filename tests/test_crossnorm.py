@@ -85,6 +85,18 @@ def test_robustness_lower_bound():
         robustness_lower_bound(GammaValue(0.5, "pure"))
 
 
+def test_robustness_lower_bound_elementwise():
+    f = np.array([0.5, 0.0, -0.5, -1.0])
+    bounds = robustness_lower_bound(gamma_werner_closed(3, f))
+    assert isinstance(bounds, np.ndarray)
+    for bound, one in zip(bounds, f):
+        scalar = robustness_lower_bound(gamma_werner_closed(3, float(one)))
+        assert type(scalar) is float
+        assert scalar == bound == gamma_werner_closed(3, float(one)).value - 1.0
+    with pytest.raises(ValueError, match="got 0.5$"):
+        robustness_lower_bound(GammaValue(np.array([1.0, 0.5, 0.25]), "werner"))
+
+
 def test_robustness_pure_exact():
     assert robustness_pure_exact(PureState([1, 0, 0, 0], 2, 2)) == pytest.approx(0.0, abs=1e-12)
     assert robustness_pure_exact(max_entangled(2)) == pytest.approx(1.0, abs=1e-12)
@@ -97,6 +109,16 @@ def test_is_separable_closed():
     assert is_separable_closed(gamma_werner_closed(5, 0.3))
     assert not is_separable_closed(gamma_isotropic_closed(2, 0.9))
     assert is_separable_closed(gamma_bell_diagonal_closed([0.5, 0.5, 0, 0]))
+
+
+def test_is_separable_closed_elementwise():
+    F = np.array([0.0, 0.5, 0.9, 1.0])
+    verdicts = is_separable_closed(gamma_isotropic_closed(2, F))
+    assert verdicts.dtype == bool
+    np.testing.assert_array_equal(verdicts, [True, True, False, False])
+    for verdict, one in zip(verdicts, F):
+        scalar = is_separable_closed(gamma_isotropic_closed(2, float(one)))
+        assert type(scalar) is bool and scalar == verdict
 
 
 # ---------------------------------------------------------------------------

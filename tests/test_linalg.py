@@ -123,6 +123,24 @@ def test_singular_values_dual_gram_oracle():
     np.testing.assert_allclose(s, left, atol=1e-10)
 
 
+def test_singular_values_keeps_float64_real(monkeypatch):
+    """Real float64 input reaches LAPACK real; anything else goes complex."""
+    seen = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        seen.append(a.dtype)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    rng = np.random.default_rng(5)
+    real = rng.standard_normal((2, 4, 3))
+    np.testing.assert_allclose(singular_values(real), singular_values(real + 0j), atol=1e-12)
+    singular_values([[1, 2], [3, 4]])
+    singular_values(real.astype(np.float32))
+    assert seen == [np.float64, np.complex128, np.complex128, np.complex128]
+
+
 def test_singular_values_adjoint_invariant():
     rng = np.random.default_rng(4)
     a = _random_complex(rng, 5, 3)

@@ -29,6 +29,7 @@ from ccnr.states import (
     random_density,
     random_pure,
     schmidt_decompose,
+    validate_stack,
     werner_state,
 )
 
@@ -316,3 +317,69 @@ def test_realign_trace_rejects_rectangular():
 def test_pure_schmidt_tau_example():
     psi = pure_from_schmidt([0.5, 0.5], 2, 2)
     assert ccnr_tau(psi.projector()) == pytest.approx(2.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# tau through the real matrix that shares the realignment's singular values
+
+SPLITS = [(1, 1), (1, 5), (5, 1), (2, 3), (3, 2), (2, 7), (7, 3), (4, 9), (6, 24), (12, 12)]
+
+
+def _complex_tau(matrix, dim_a, dim_b):
+    """``tau`` as the sum of the singular values of the complex realignment."""
+    realigned = realign_matrix(matrix, dim_a, dim_b)
+    return np.sum(np.linalg.svd(realigned, compute_uv=False), axis=-1)
+
+
+@pytest.mark.parametrize("dim_a, dim_b", SPLITS)
+def test_tau_matches_complex_realignment(dim_a, dim_b):
+    n = dim_a * dim_b
+    for rank in sorted({1, min(2, n), n}):
+        rho = random_density(dim_a, dim_b, rank=rank, seed=100 * n + rank)
+        tau = ccnr_tau(rho)
+        assert type(tau) is float
+        assert abs(tau - _complex_tau(rho.matrix, dim_a, dim_b)) <= 1e-12
+
+
+@pytest.mark.parametrize("dim_a, dim_b", [(3, 3), (2, 5), (1, 4)])
+def test_tau_of_mixed_stack_equals_tau_per_state(dim_a, dim_b):
+    n = dim_a * dim_b
+    members = [random_density(dim_a, dim_b, rank=r, seed=r).matrix for r in sorted({1, 2, n})]
+    members.append(np.eye(n) / n)
+    members.append(random_pure(dim_a, dim_b, seed=7).projector().matrix)
+    if dim_a == dim_b:
+        members += [werner_state(dim_a, -0.5).matrix, isotropic_state(dim_a, 0.8).matrix]
+    stack = validate_stack(np.stack(members), dim_a, dim_b)
+    taus = ccnr_tau(stack)
+    assert taus.shape == (len(members),)
+    for tau, member in zip(taus, members):
+        assert tau == ccnr_tau(DensityOperator(member, dim_a, dim_b))
+    np.testing.assert_allclose(taus, _complex_tau(stack.matrix, dim_a, dim_b), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim_a, dim_b", [(2, 2), (2, 3), (3, 3), (4, 2)])
+def test_tau_of_pure_product_is_one(dim_a, dim_b):
+    u = random_pure(1, dim_a, seed=dim_a).amplitudes
+    v = random_pure(1, dim_b, seed=10 + dim_b).amplitudes
+    product = PureState(np.kron(u, v), dim_a, dim_b).projector()
+    assert ccnr_tau(product) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_tau_of_max_entangled_is_d(d):
+    assert ccnr_tau(max_entangled(d).projector()) == pytest.approx(d, abs=1e-12)
+
+
+def test_tau_takes_a_real_svd(monkeypatch):
+    """``ccnr_tau`` hands LAPACK a float64 matrix, never the complex realignment."""
+    seen = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        seen.append(a.dtype)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    ccnr_tau(random_density(2, 3, seed=0))
+    ccnr_tau(validate_stack(np.stack([np.eye(6) / 6, random_density(2, 3, seed=1).matrix]), 2, 3))
+    assert seen == [np.float64, np.float64]

@@ -60,6 +60,7 @@ from .states import (
     validate_stack,
     werner_stack,
 )
+from .tolerances import GRID_SLACK, HERMITICITY_TOL, PSD_TOL
 
 CSV_HEADER = "param,tau_numeric,tau_closed,gamma_closed,ppt_floor,reduction_floor,verdict"
 
@@ -181,7 +182,7 @@ def _parse_range(text: str) -> list[float]:
         raise ValueError("range step must be positive")
     if stop < start:
         raise ValueError("range stop must not precede start")
-    steps = (stop - start) / step + 1e-9
+    steps = (stop - start) / step + GRID_SLACK
     if not steps < MAX_SWEEP_POINTS:
         raise ValueError(f"range {text!r} has more than {MAX_SWEEP_POINTS} points")
     count = int(math.floor(steps)) + 1
@@ -197,7 +198,7 @@ def _dim_entry(value) -> int:
     raise ValueError(f"dims entries must be integers, got {value!r}")
 
 
-def load_state_file(path, dims_override=None, *, tol_psd=1e-10, tol_herm=1e-10):
+def load_state_file(path, dims_override=None, *, tol_psd=PSD_TOL, tol_herm=HERMITICITY_TOL):
     """Parse a JSON state file into a (kind, state) pair.
 
     Malformed content raises ``ValueError``; a well-formed matrix that fails
@@ -375,7 +376,7 @@ def cmd_sweep(args) -> int:
     lines = [CSV_HEADER]
     for first in range(0, len(grid), size):
         part = slice(first, first + size)
-        closed = None if gamma is None else [GammaValue(g, gamma.family) for g in gammas[part]]
+        closed = None if gamma is None else GammaValue(gamma.value[part], gamma.family)
         report = report_stack(validate_stack(family.build(d, params[part]), d, d), closed)
         columns = (grid[part], report.tau.tolist(), taus[part], gammas[part],
                    report.ppt_floor.tolist(), report.reduction_floor.tolist(),
@@ -394,10 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_tolerances(p):
-        p.add_argument("--tol-psd", type=float, default=1e-10, dest="tol_psd",
-                       help="positive-semidefiniteness tolerance (default 1e-10)")
-        p.add_argument("--tol-herm", type=float, default=1e-10, dest="tol_herm",
-                       help="hermiticity tolerance (default 1e-10)")
+        p.add_argument("--tol-psd", type=float, default=PSD_TOL, dest="tol_psd",
+                       help="positive-semidefiniteness tolerance (default %(default)s)")
+        p.add_argument("--tol-herm", type=float, default=HERMITICITY_TOL, dest="tol_herm",
+                       help="hermiticity tolerance (default %(default)s)")
 
     check = sub.add_parser("check", help="criteria report for a state file")
     check.add_argument("path", help="JSON state file")

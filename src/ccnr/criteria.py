@@ -15,7 +15,7 @@ singular values only for Hermitian input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .states import (
     partial_trace_a,
     partial_trace_b,
 )
+from .tolerances import GAMMA_EQUALITY_TOL, VIOLATION_GUARD
 
 __all__ = [
     "VIOLATION_GUARD",
@@ -40,12 +41,6 @@ __all__ = [
     "report_stack",
     "full_report",
 ]
-
-# Guard band applied symmetrically on both sides of every criterion
-# threshold before a violation flag is raised.
-VIOLATION_GUARD = 1e-9
-
-_GAMMA_EQUALITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,32 +58,23 @@ class CriteriaReport:
     verdict: str
 
     def as_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "tau_violated": self.tau_violated,
-            "ppt_floor": self.ppt_floor,
-            "ppt_violated": self.ppt_violated,
-            "reduction_floor": self.reduction_floor,
-            "reduction_violated": self.reduction_violated,
-            "gamma_closed": self.gamma_closed,
-            "gamma_family": self.gamma_family,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 class StackReport:
     """Criteria of every state in a stack, as arrays indexed like the stack.
 
-    Built from the three criteria and one optional closed-form cross norm
-    per state; ``report[i]`` is the :class:`CriteriaReport` of state ``i``.
+    Built from the three criteria and the closed-form cross norms ``gamma``
+    of one family (``gamma_family``), NaN where none is known;
+    ``report[i]`` is the :class:`CriteriaReport` of state ``i``.
     """
 
-    def __init__(self, tau, ppt_floor, reduction_floor, gammas):
+    def __init__(self, tau, ppt_floor, reduction_floor, gamma, gamma_family):
         self.tau = tau
         self.ppt_floor = ppt_floor
         self.reduction_floor = reduction_floor
-        self.gammas = tuple(gammas)
-        gamma = np.array([np.nan if g is None else g.value for g in self.gammas], dtype=float)
+        self.gamma = gamma
+        self.gamma_family = gamma_family
         self.tau_violated, self.ppt_violated, self.reduction_violated, self.verdict = _verdicts(
             tau, ppt_floor, reduction_floor, gamma
         )
@@ -97,7 +83,6 @@ class StackReport:
         return len(self.tau)
 
     def __getitem__(self, i: int) -> CriteriaReport:
-        gamma = self.gammas[i]
         return CriteriaReport(
             tau=float(self.tau[i]),
             tau_violated=bool(self.tau_violated[i]),
@@ -105,8 +90,8 @@ class StackReport:
             ppt_violated=bool(self.ppt_violated[i]),
             reduction_floor=float(self.reduction_floor[i]),
             reduction_violated=bool(self.reduction_violated[i]),
-            gamma_closed=None if gamma is None else gamma.value,
-            gamma_family=None if gamma is None else gamma.family,
+            gamma_closed=None if self.gamma_family is None else float(self.gamma[i]),
+            gamma_family=self.gamma_family,
             verdict=str(self.verdict[i]),
         )
 
@@ -157,7 +142,7 @@ def _verdicts(tau, ppt_floor, reduction_floor, gamma):
     ppt_violated = ppt_floor < -VIOLATION_GUARD
     reduction_violated = reduction_floor < -VIOLATION_GUARD
     entangled = tau_violated | ppt_violated | reduction_violated | (gamma > 1.0 + VIOLATION_GUARD)
-    separable = np.abs(gamma - 1.0) <= _GAMMA_EQUALITY_TOL
+    separable = np.abs(gamma - 1.0) <= GAMMA_EQUALITY_TOL
     verdict = np.where(
         entangled,
         "entangled_certified",
@@ -166,21 +151,22 @@ def _verdicts(tau, ppt_floor, reduction_floor, gamma):
     return tau_violated, ppt_violated, reduction_violated, verdict
 
 
-def report_stack(rhos: DensityStack, gammas=None) -> StackReport:
+def report_stack(rhos: DensityStack, gamma: GammaValue | None = None) -> StackReport:
     """Evaluate every criterion on a ``(k, n, n)`` stack and aggregate verdicts.
 
-    ``gammas``, if given, holds one optional closed-form cross norm
-    (:class:`~ccnr.crossnorm.GammaValue` or ``None``) per state; see
+    ``gamma``, if given, is the closed-form cross norm of the stack's
+    family, with a ``value`` of shape ``(k,)``: one per state; see
     :func:`full_report`.
     """
     if rhos.matrix.ndim != 3:
         raise ValueError(f"need a (k, n, n) stack, got shape {rhos.matrix.shape}")
     count = len(rhos.matrix)
-    gammas = (None,) * count if gammas is None else tuple(gammas)
-    if len(gammas) != count:
-        raise ValueError(f"need one gamma per state, got {len(gammas)} for {count} states")
+    values = np.full(count, np.nan) if gamma is None else np.asarray(gamma.value, dtype=float)
+    if values.shape != (count,):
+        raise ValueError(f"need one gamma per state, shape ({count},), got {values.shape}")
+    family = None if gamma is None else gamma.family
     return StackReport(
-        ccnr_tau(rhos), ppt_min_eigenvalue(rhos), reduction_min_eigenvalue(rhos), gammas
+        ccnr_tau(rhos), ppt_min_eigenvalue(rhos), reduction_min_eigenvalue(rhos), values, family
     )
 
 
@@ -192,4 +178,6 @@ def full_report(rho: DensityOperator, gamma: GammaValue | None = None) -> Criter
     entanglement (value above 1).
     """
     one = DensityStack(rho.matrix[None], rho.dim_a, rho.dim_b)
-    return report_stack(one, [gamma])[0]
+    if gamma is not None:
+        gamma = GammaValue(np.reshape(gamma.value, 1), gamma.family)
+    return report_stack(one, gamma)[0]

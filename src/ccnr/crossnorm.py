@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import PureState, _in_domain, _per_state, bell_spectrum, schmidt_decompose
+from .states import PureState, _in_domain, _local_dim, _per_state, bell_spectrum, schmidt_decompose
+from .tolerances import GAMMA_EQUALITY_TOL as SEPARABILITY_TOL
 
 __all__ = [
     "GammaValue",
@@ -28,8 +29,6 @@ __all__ = [
     "robustness_pure_exact",
     "is_separable_closed",
 ]
-
-SEPARABILITY_TOL = 1e-12
 
 
 class GammaValue(NamedTuple):
@@ -61,16 +60,14 @@ def gamma_pure(psi: PureState) -> GammaValue:
 
 def gamma_werner_closed(d: int, f) -> GammaValue:
     """Werner-state cross norm: 1 on ``f >= 0``, else ``1 - f``."""
-    if d < 2:
-        raise ValueError("local dimension must be at least 2")
+    d = _local_dim(d)
     f = _in_domain(f, -1.0, 1.0, "flip expectation")
     return GammaValue(_per_state(np.where(f >= 0.0, 1.0, 1.0 - f)), "werner")
 
 
 def gamma_isotropic_closed(d: int, F) -> GammaValue:
     """Isotropic-state cross norm: 1 up to ``F = 1/d``, then ``dF``."""
-    if d < 2:
-        raise ValueError("local dimension must be at least 2")
+    d = _local_dim(d)
     F = _in_domain(F, 0.0, 1.0, "fidelity")
     return GammaValue(_per_state(np.where(F <= 1.0 / d, 1.0, d * F)), "isotropic")
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .tolerances import HERMITICITY_TOL
+
 __all__ = [
     "HERMITICITY_TOL",
     "kron",
@@ -20,10 +22,6 @@ __all__ = [
     "ferrers_determinant",
     "random_unitary",
 ]
-
-# Inputs with ||h - h^dag||_inf inside this band (relative to 1 + ||h||_inf)
-# are symmetrized; anything worse is rejected.
-HERMITICITY_TOL = 1e-10
 
 
 def _as_matrix(a, *, stack: bool = False, keep_real: bool = False) -> np.ndarray:
@@ -37,6 +35,12 @@ def _as_matrix(a, *, stack: bool = False, keep_real: bool = False) -> np.ndarray
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
+
+
+def _hermiticity_residual(h, adjoint, tol: float):
+    """``max|h - h^dag|`` of each matrix of a stack, and its bound ``tol (1 + max|h|)``."""
+    square = (-2, -1)
+    return np.max(np.abs(h - adjoint), axis=square), tol * (1.0 + np.max(np.abs(h), axis=square))
 
 
 def kron(a, b) -> np.ndarray:
@@ -72,14 +76,14 @@ def hermitian_eigensystem(h) -> tuple[np.ndarray, np.ndarray]:
     h = _as_matrix(h)
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"matrix must be square, got shape {h.shape}")
-    residual = float(np.max(np.abs(h - h.conj().T)))
-    bound = HERMITICITY_TOL * (1.0 + float(np.max(np.abs(h))))
+    adjoint = h.conj().T
+    residual, bound = _hermiticity_residual(h, adjoint, HERMITICITY_TOL)
     if residual > bound:
         raise ValueError(
             f"matrix is not Hermitian: ||h - h^dag||_inf = {residual:.3e} "
             f"exceeds tolerance {bound:.3e}"
         )
-    eigenvalues, eigenvectors = np.linalg.eigh((h + h.conj().T) / 2.0)
+    eigenvalues, eigenvectors = np.linalg.eigh((h + adjoint) / 2.0)
     return eigenvalues, eigenvectors
 
 

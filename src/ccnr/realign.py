@@ -20,8 +20,9 @@ import numpy as np
 
 from .linalg import singular_values
 from .states import (
-    DensityOperator, _SV_FLOOR, _bipartite_tensor, _in_domain, _per_state, bell_spectrum
+    DensityOperator, _bipartite_tensor, _in_domain, _local_dim, _per_state, bell_spectrum
 )
+from .tolerances import SV_FLOOR
 
 __all__ = [
     "RealignedMatrix",
@@ -84,7 +85,7 @@ def operator_schmidt(rho: DensityOperator) -> OperatorSchmidt:
     u, s, vh = np.linalg.svd(
         realign_matrix(rho.matrix, rho.dim_a, rho.dim_b), full_matrices=False
     )
-    keep = s > _SV_FLOOR
+    keep = s > SV_FLOOR
     # Left operators unvectorize the left singular vectors; the rows of vh
     # already carry the conjugation that makes rho = sum_i s_i E_i (x) F_i.
     left = u[:, keep].T.reshape(-1, rho.dim_a, rho.dim_a)
@@ -107,21 +108,16 @@ def ccnr_tau(rho: DensityOperator) -> float:
     return _per_state(np.sum(singular_values(real.reshape(shape)), axis=-1))
 
 
-def _check_dim(d: int) -> None:
-    if d < 2:
-        raise ValueError("local dimension must be at least 2")
-
-
 def tau_werner_closed(d: int, f) -> float | np.ndarray:
     """Closed-form ``tau`` for the Werner state: ``2/d - f`` up to ``f = 1/d``, then ``f``."""
-    _check_dim(d)
+    d = _local_dim(d)
     f = _in_domain(f, -1.0, 1.0, "flip expectation")
     return _per_state(np.where(f <= 1.0 / d, 2.0 / d - f, f))
 
 
 def tau_isotropic_closed(d: int, F) -> float | np.ndarray:
     """Closed-form ``tau`` for the isotropic state: ``2/d - dF`` below ``F = 1/d^2``, then ``dF``."""
-    _check_dim(d)
+    d = _local_dim(d)
     F = _in_domain(F, 0.0, 1.0, "fidelity")
     return _per_state(np.where(F < 1.0 / (d * d), 2.0 / d - d * F, d * F))
 

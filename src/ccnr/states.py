@@ -6,12 +6,17 @@ Composite systems use the row-major index convention: the basis vector
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from operator import index
 from typing import NamedTuple
 
 import numpy as np
+
+from .linalg import _hermiticity_residual
+from .tolerances import CLIP_GUARD, NORM_TOL, PSD_TOL, TRACE_TOL, WEIGHT_SLACK
+from .tolerances import HERMITICITY_TOL as HERM_TOL, SV_FLOOR as _SV_FLOOR
 
 __all__ = [
     "InvariantViolation",
@@ -44,15 +49,6 @@ __all__ = [
     "random_pure",
     "random_density",
 ]
-
-TRACE_TOL = 1e-10
-PSD_TOL = 1e-10
-HERM_TOL = 1e-10
-NORM_TOL = 1e-12
-
-# Singular values at or below this floor are treated as exact zeros when a
-# decomposition is truncated.
-_SV_FLOOR = 1e-12
 
 
 class InvariantViolation(ValueError):
@@ -183,10 +179,8 @@ def validate_stack(
         raise ValueError("density matrix entries must be finite")
     dim_a, dim_b = _infer_dims(m.shape[-1], dim_a, dim_b)
 
-    square = (-2, -1)
     adjoint = np.swapaxes(m.conj(), -2, -1)
-    herm_residual = np.max(np.abs(m - adjoint), axis=square)
-    bound = tol_herm * (1.0 + np.max(np.abs(m), axis=square))
+    herm_residual, bound = _hermiticity_residual(m, adjoint, tol_herm)
     _check_invariant("hermiticity", herm_residual, herm_residual > bound)
     m = (m + adjoint) / 2.0
 
@@ -202,7 +196,23 @@ def validate_stack(
     return DensityStack(m, dim_a, dim_b)
 
 
-class DensityOperator:
+class _Bipartite:
+    """Immutable object on ``C^{d_a} (x) C^{d_b}``; subclasses set their slots in ``__init__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self):
+        return f"{type(self).__name__}(dim_a={self.dim_a}, dim_b={self.dim_b})"
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        return (self.dim_a, self.dim_b)
+
+
+class DensityOperator(_Bipartite):
     """Density operator on ``C^{d_a} (x) C^{d_b}``.
 
     The matrix is required to be Hermitian, unit-trace and positive
@@ -229,18 +239,8 @@ class DensityOperator:
         object.__setattr__(self, "dim_b", state.dim_b)
         object.__setattr__(self, "matrix", state.matrix)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DensityOperator is immutable")
 
-    def __repr__(self):
-        return f"DensityOperator(dim_a={self.dim_a}, dim_b={self.dim_b})"
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return (self.dim_a, self.dim_b)
-
-
-class PureState:
+class PureState(_Bipartite):
     """Unit vector on ``C^{d_a} (x) C^{d_b}`` (row-major composite index)."""
 
     __slots__ = ("dim_a", "dim_b", "amplitudes")
@@ -259,16 +259,6 @@ class PureState:
         object.__setattr__(self, "dim_a", dim_a)
         object.__setattr__(self, "dim_b", dim_b)
         object.__setattr__(self, "amplitudes", amps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PureState is immutable")
-
-    def __repr__(self):
-        return f"PureState(dim_a={self.dim_a}, dim_b={self.dim_b})"
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return (self.dim_a, self.dim_b)
 
     def coefficient_matrix(self) -> np.ndarray:
         """The ``d_a x d_b`` matrix ``c`` with ``c[a, b] = <a (x) b|psi>``."""
@@ -301,11 +291,11 @@ def _bell_spectra(lams) -> np.ndarray:
     if lams.ndim != 2 or lams.shape[1] != 4:
         raise ValueError(f"spectrum needs exactly four weights, got {lams.shape[-1]}")
     low = lams.min(axis=1)
-    negative = low < -1e-12
+    negative = low < -WEIGHT_SLACK
     if negative.any():
         raise ValueError(f"weights must be nonnegative, got min {low[negative.argmax()]}")
     total = lams.sum(axis=1)
-    unnormalized = np.abs(total - 1.0) > 1e-12
+    unnormalized = np.abs(total - 1.0) > WEIGHT_SLACK
     if unnormalized.any():
         raise ValueError(f"weights must sum to 1, got {total[unnormalized.argmax()]}")
     return lams.clip(0.0, None) / total[:, None]
@@ -333,6 +323,12 @@ def max_entangled(d: int) -> PureState:
     amps = np.zeros(d * d, dtype=complex)
     amps[:: d + 1] = 1.0 / math.sqrt(d)
     return PureState(amps, d, d)
+
+
+@functools.lru_cache(maxsize=8)
+def _max_entangled_amplitudes(d: int) -> np.ndarray:
+    """The read-only amplitudes of ``max_entangled(d)``, built once; ``d`` from ``_local_dim``."""
+    return max_entangled(d).amplitudes
 
 
 def fhat_operator(d: int) -> np.ndarray:
@@ -376,7 +372,7 @@ def isotropic_stack(d: int, F) -> np.ndarray:
     """Isotropic matrices for each maximally entangled fidelity in ``F``."""
     d = _local_dim(d)
     F = _parameters(F, 0.0, 1.0, "fidelity")[:, None, None]
-    psi = max_entangled(d).amplitudes
+    psi = _max_entangled_amplitudes(d)
     proj = np.outer(psi, psi.conj())
     return (1.0 - F) / (d * d - 1.0) * (np.eye(d * d, dtype=complex) - proj) + F * proj
 
@@ -402,12 +398,16 @@ def bell_basis() -> tuple[PureState, PureState, PureState, PureState]:
     return tuple(PureState(v, 2, 2) for v in vectors)
 
 
+# Validated amplitudes: raw 1/sqrt(2) entries miss PureState's rescaling in the last bit.
+_BELL_VECTORS = np.array([psi.amplitudes for psi in bell_basis()])
+
+
 def bell_diagonal_stack(lams) -> np.ndarray:
     """Two-qubit matrices diagonal in the Bell basis, one per row of ``(k, 4)`` weights."""
     lams = _bell_spectra(lams)
     m = np.zeros((lams.shape[0], 4, 4), dtype=complex)
-    for weight, psi in zip(lams.T, bell_basis()):
-        m += weight[:, None, None] * np.outer(psi.amplitudes, psi.amplitudes.conj())
+    for weight, psi in zip(lams.T, _BELL_VECTORS):
+        m += weight[:, None, None] * np.outer(psi, psi.conj())
     return m
 
 
@@ -441,7 +441,7 @@ def qutrit_family_stack(alpha) -> np.ndarray:
     ``sigma_minus`` of ``|10>, |21>, |02>``; defined for ``2 <= alpha <= 5``.
     """
     alpha = _parameters(alpha, 2.0, 5.0, "parameter")[:, None, None]
-    psi = max_entangled(3).amplitudes
+    psi = _max_entangled_amplitudes(3)
     proj = np.outer(psi, psi.conj())
     sigma_plus = np.zeros((9, 9), dtype=complex)
     sigma_minus = np.zeros((9, 9), dtype=complex)
@@ -469,7 +469,7 @@ def pure_from_schmidt(p, dim_a: int, dim_b: int) -> PureState:
         )
     if float(np.min(p)) < 0.0:
         raise ValueError("coefficients must be nonnegative")
-    if abs(float(np.sum(p)) - 1.0) > 1e-12:
+    if abs(float(np.sum(p)) - 1.0) > WEIGHT_SLACK:
         raise ValueError(f"coefficients must sum to 1, got {np.sum(p)}")
     amps = np.zeros(dim_a * dim_b, dtype=complex)
     for i, weight in enumerate(p):
@@ -494,8 +494,8 @@ def _expectation(rho: DensityOperator, operator: np.ndarray) -> float:
     return float(np.real(np.einsum("ij,ji->", rho.matrix, operator)))
 
 
-def _clip_to(value: float, lo: float, hi: float, guard: float = 1e-8) -> float:
-    if value < lo - guard or value > hi + guard:
+def _clip_to(value: float, lo: float, hi: float) -> float:
+    if value < lo - CLIP_GUARD or value > hi + CLIP_GUARD:
         raise ValueError(f"value {value} falls outside [{lo}, {hi}]")
     return min(max(value, lo), hi)
 

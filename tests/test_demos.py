@@ -24,3 +24,16 @@ def test_demo_runs(demo, tmp_path):
                           env=env, cwd=tmp_path, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_state_file_demo_removes_its_temporary_directory(tmp_path):
+    demo = next(path for path in DEMOS if path.name.startswith("05_"))
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(Path(ccnr.__file__).resolve().parents[1]),
+           "OPENBLAS_NUM_THREADS": "1", "TMPDIR": str(tmpdir)}
+    done = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "ccnr_demo_" in done.stdout  # the demo did write under TMPDIR
+    assert not list(tmpdir.glob("ccnr_demo_*"))

@@ -36,7 +36,7 @@ from .crossnorm import (
     gamma_werner_closed,
     robustness_pure_exact,
 )
-from .criteria import VIOLATION_GUARD, full_report, report_stack
+from .criteria import full_report, report_stack
 from .realign import (
     operator_schmidt,
     tau_bell_diagonal_closed,
@@ -77,8 +77,9 @@ MAX_SWEEP_POINTS = 10**6
 MAX_MATRIX_SIDE = 1024
 
 
-def _bell_weights(t: np.ndarray) -> np.ndarray:
+def _bell_weights(t) -> np.ndarray:
     """Sweep spectra, a row per ``t``: weight ``t`` on the first Bell vector, the rest equal."""
+    t = _parameters(t, 0.0, 1.0, "bell sweep weight")
     rest = (1.0 - t) / 3.0
     return np.stack([t, rest, rest, rest], axis=-1)
 
@@ -88,18 +89,16 @@ class Family(NamedTuple):
 
     ``build(d, params)`` returns the unvalidated ``(k, n, n)`` stack for a
     sequence of family parameters; ``tau(d, params)`` and ``gamma(d, params)``
-    are the closed forms, one value per member.  A sweep runs over a grid of
-    scalars in ``domain`` (named ``noun`` in errors), mapped to family
-    parameters by ``point``.  ``dim`` fixes the local dimension; ``None``
-    means ``--d`` is required.  ``arity`` is the number of values
+    are the closed forms, one value per member; the closed ``tau`` refuses a
+    parameter outside the family's domain.  A sweep maps its grid of scalars
+    to family parameters by ``point``.  ``dim`` fixes the local dimension;
+    ``None`` means ``--d`` is required.  ``arity`` is the number of values
     ``gen --param`` takes.
     """
 
     build: Callable
     tau: Callable
     gamma: Callable | None
-    domain: tuple[float, float]
-    noun: str
     dim: int | None = None
     point: Callable = lambda t: t
     arity: int = 1
@@ -112,22 +111,16 @@ FAMILIES = {
         build=lambda d, f: werner_stack(d, f),
         tau=lambda d, f: tau_werner_closed(d, f),
         gamma=lambda d, f: gamma_werner_closed(d, f),
-        domain=(-1.0, 1.0),
-        noun="flip expectation",
     ),
     "isotropic": Family(
         build=lambda d, F: isotropic_stack(d, F),
         tau=lambda d, F: tau_isotropic_closed(d, F),
         gamma=lambda d, F: gamma_isotropic_closed(d, F),
-        domain=(0.0, 1.0),
-        noun="fidelity",
     ),
     "bell": Family(
         build=lambda d, lams: bell_diagonal_stack(lams),
         tau=lambda d, lam: tau_bell_diagonal_closed(lam),
         gamma=lambda d, lam: gamma_bell_diagonal_closed(lam),
-        domain=(0.0, 1.0),
-        noun="bell sweep weight",
         dim=2,
         point=_bell_weights,
         arity=4,
@@ -136,16 +129,12 @@ FAMILIES = {
         build=lambda d, p: qubit_family_stack(p),
         tau=lambda d, p: tau_qubit_family_closed(p),
         gamma=None,
-        domain=(0.0, 1.0),
-        noun="mixing weight",
         dim=2,
     ),
     "qutrit": Family(
         build=lambda d, alpha: qutrit_family_stack(alpha),
         tau=lambda d, alpha: tau_qutrit_family_closed(alpha),
         gamma=None,
-        domain=(2.0, 5.0),
-        noun="parameter",
         dim=3,
     ),
 }
@@ -320,15 +309,11 @@ def cmd_oschmidt(args) -> int:
     )
     if kind != "density":
         raise ValueError("oschmidt needs a density-state file")
-    decomposition = operator_schmidt(state)
-    tau = float(np.sum(decomposition.coefficients))
-    verdict = "violated" if tau > 1.0 + VIOLATION_GUARD else "satisfied"
-    print(
-        "operator_schmidt_coefficients = "
-        + " ".join(_fmt(c) for c in decomposition.coefficients)
-    )
-    print(f"tau = {_fmt(tau)}")
-    print(f"tau_criterion = {verdict}")
+    coefficients = operator_schmidt(state).coefficients
+    report = full_report(state)
+    print("operator_schmidt_coefficients = " + " ".join(_fmt(c) for c in coefficients))
+    print(f"tau = {_fmt(report.tau)}")
+    print(f"tau_criterion = {'violated' if report.tau_violated else 'satisfied'}")
     return 0
 
 
@@ -362,8 +347,8 @@ def cmd_sweep(args) -> int:
     family = FAMILIES[args.family]
     grid = _parse_range(args.range)
     d = _family_dim(args.family, args.d)
-    # The first value outside the domain fails here, before any state is built.
-    params = family.point(_parameters(grid, *family.domain, family.noun))
+    # The closed tau refuses the first value outside the domain before any state is built.
+    params = family.point(np.array(grid))
     taus = family.tau(d, params).tolist()
     # "%.12g" renders a float as _fmt does; a family without gamma leaves its field empty.
     if family.gamma is None:

@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import PureState, _in_domain, _local_dim, _per_state, bell_spectrum, schmidt_decompose
+from .states import _FIDELITY, _FLIP, PureState, _in_domain, _local_dim, _per_state
+from .states import bell_spectrum, schmidt_decompose
 from .tolerances import GAMMA_EQUALITY_TOL as SEPARABILITY_TOL
 
 __all__ = [
@@ -61,14 +62,14 @@ def gamma_pure(psi: PureState) -> GammaValue:
 def gamma_werner_closed(d: int, f) -> GammaValue:
     """Werner-state cross norm: 1 on ``f >= 0``, else ``1 - f``."""
     d = _local_dim(d)
-    f = _in_domain(f, -1.0, 1.0, "flip expectation")
+    f = _in_domain(f, *_FLIP)
     return GammaValue(_per_state(np.where(f >= 0.0, 1.0, 1.0 - f)), "werner")
 
 
 def gamma_isotropic_closed(d: int, F) -> GammaValue:
     """Isotropic-state cross norm: 1 up to ``F = 1/d``, then ``dF``."""
     d = _local_dim(d)
-    F = _in_domain(F, 0.0, 1.0, "fidelity")
+    F = _in_domain(F, *_FIDELITY)
     return GammaValue(_per_state(np.where(F <= 1.0 / d, 1.0, d * F)), "isotropic")
 
 

@@ -37,10 +37,14 @@ def _as_matrix(a, *, stack: bool = False, keep_real: bool = False) -> np.ndarray
     return a
 
 
-def _hermiticity_residual(h, adjoint, tol: float):
-    """``max|h - h^dag|`` of each matrix of a stack, and its bound ``tol (1 + max|h|)``."""
+# Entries near the float limit overflow here silently; the residual then fails its bound.
+@np.errstate(over="ignore", invalid="ignore")
+def _hermitian_part(h, tol: float):
+    """``(h + h^dag) / 2``, ``max|h - h^dag|`` and its bound ``tol (1 + max|h|)``, per matrix."""
+    adjoint = np.swapaxes(h.conj(), -2, -1)
     square = (-2, -1)
-    return np.max(np.abs(h - adjoint), axis=square), tol * (1.0 + np.max(np.abs(h), axis=square))
+    residual = np.max(np.abs(h - adjoint), axis=square)
+    return (h + adjoint) / 2.0, residual, tol * (1.0 + np.max(np.abs(h), axis=square))
 
 
 def kron(a, b) -> np.ndarray:
@@ -76,14 +80,13 @@ def hermitian_eigensystem(h) -> tuple[np.ndarray, np.ndarray]:
     h = _as_matrix(h)
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"matrix must be square, got shape {h.shape}")
-    adjoint = h.conj().T
-    residual, bound = _hermiticity_residual(h, adjoint, HERMITICITY_TOL)
+    hermitian, residual, bound = _hermitian_part(h, HERMITICITY_TOL)
     if residual > bound:
         raise ValueError(
             f"matrix is not Hermitian: ||h - h^dag||_inf = {residual:.3e} "
             f"exceeds tolerance {bound:.3e}"
         )
-    eigenvalues, eigenvectors = np.linalg.eigh((h + adjoint) / 2.0)
+    eigenvalues, eigenvectors = np.linalg.eigh(hermitian)
     return eigenvalues, eigenvectors
 
 

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import singular_values
-from .states import (
-    DensityOperator, _bipartite_tensor, _in_domain, _local_dim, _per_state, bell_spectrum
-)
+from .states import _FIDELITY, _FLIP, _MIXING, _QUTRIT, DensityOperator, _bipartite_tensor
+from .states import _in_domain, _local_dim, _per_state, bell_spectrum
 from .tolerances import SV_FLOOR
 
 __all__ = [
@@ -111,14 +110,14 @@ def ccnr_tau(rho: DensityOperator) -> float:
 def tau_werner_closed(d: int, f) -> float | np.ndarray:
     """Closed-form ``tau`` for the Werner state: ``2/d - f`` up to ``f = 1/d``, then ``f``."""
     d = _local_dim(d)
-    f = _in_domain(f, -1.0, 1.0, "flip expectation")
+    f = _in_domain(f, *_FLIP)
     return _per_state(np.where(f <= 1.0 / d, 2.0 / d - f, f))
 
 
 def tau_isotropic_closed(d: int, F) -> float | np.ndarray:
     """Closed-form ``tau`` for the isotropic state: ``2/d - dF`` below ``F = 1/d^2``, then ``dF``."""
     d = _local_dim(d)
-    F = _in_domain(F, 0.0, 1.0, "fidelity")
+    F = _in_domain(F, *_FIDELITY)
     return _per_state(np.where(F < 1.0 / (d * d), 2.0 / d - d * F, d * F))
 
 
@@ -142,7 +141,7 @@ def tau_bell_diagonal_closed(lam) -> float | np.ndarray:
 # ``x * x`` and ``np.power`` differ from it in the last bit on some values.
 def tau_qubit_family_closed(p) -> float | np.ndarray:
     """Closed-form ``tau`` for the two-qubit mixture of ``|00>`` with a Bell state."""
-    p = _in_domain(p, 0.0, 1.0, "mixing weight")
+    p = _in_domain(p, *_MIXING)
     cross = 0.5 * p * np.sqrt(p * p + np.float_power(1.0 - p, 2.0))
     base = 0.5 * p * p + 0.25 * np.float_power(1.0 - p, 2.0)
     return _per_state(1.0 - p + np.sqrt(base + cross) + np.sqrt(np.maximum(base - cross, 0.0)))
@@ -150,7 +149,7 @@ def tau_qubit_family_closed(p) -> float | np.ndarray:
 
 def tau_qutrit_family_closed(alpha) -> float | np.ndarray:
     """Closed-form ``tau`` for the two-qutrit family: ``19/21 + (2/21) sqrt(19 - 15a + 3a^2)``."""
-    alpha = _in_domain(alpha, 2.0, 5.0, "parameter")
+    alpha = _in_domain(alpha, *_QUTRIT)
     root = np.sqrt(19.0 - 15.0 * alpha + 3.0 * np.float_power(alpha, 2.0))
     return _per_state(19.0 / 21.0 + (2.0 / 21.0) * root)
 

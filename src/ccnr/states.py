@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _hermiticity_residual
+from .linalg import _hermitian_part
 from .tolerances import CLIP_GUARD, NORM_TOL, PSD_TOL, TRACE_TOL, WEIGHT_SLACK
 from .tolerances import HERMITICITY_TOL as HERM_TOL, SV_FLOOR as _SV_FLOOR
 
@@ -102,6 +102,13 @@ def _in_domain(values, lo: float, hi: float, name: str) -> np.ndarray:
     return values
 
 
+# Family parameter domains, each as ``(lo, hi, name)`` for ``_in_domain`` and ``_parameters``.
+_FLIP = (-1.0, 1.0, "flip expectation")
+_FIDELITY = (0.0, 1.0, "fidelity")
+_MIXING = (0.0, 1.0, "mixing weight")
+_QUTRIT = (2.0, 5.0, "parameter")
+
+
 def _parameters(values, lo: float, hi: float, name: str) -> np.ndarray:
     """Family parameters as a 1-d float array, each inside ``[lo, hi]``."""
     values = np.asarray(values, dtype=float)
@@ -170,8 +177,12 @@ def validate_stack(
     each within tolerance.  Accepted matrices are symmetrized and
     trace-renormalized.  The first matrix failing an invariant raises
     :class:`InvariantViolation` with its residual; invariants are checked in
-    that order over the whole stack.
+    that order over the whole stack.  Both tolerances must be finite and
+    nonnegative.
     """
+    for name, tol in (("tol_herm", tol_herm), ("tol_psd", tol_psd)):
+        if not 0.0 <= tol < math.inf:
+            raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
     m = np.asarray(matrices, dtype=complex)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"density matrix must be square, got shape {m.shape}")
@@ -179,10 +190,8 @@ def validate_stack(
         raise ValueError("density matrix entries must be finite")
     dim_a, dim_b = _infer_dims(m.shape[-1], dim_a, dim_b)
 
-    adjoint = np.swapaxes(m.conj(), -2, -1)
-    herm_residual, bound = _hermiticity_residual(m, adjoint, tol_herm)
+    m, herm_residual, bound = _hermitian_part(m, tol_herm)
     _check_invariant("hermiticity", herm_residual, herm_residual > bound)
-    m = (m + adjoint) / 2.0
 
     trace = np.real(np.trace(m, axis1=-2, axis2=-1))
     deviation = np.abs(trace - 1.0)
@@ -285,26 +294,25 @@ class SchmidtForm:
     right_basis: np.ndarray
 
 
-def _bell_spectra(lams) -> np.ndarray:
-    """Validate Bell-diagonal spectra, one per row of a ``(k, 4)`` array."""
-    lams = np.asarray(lams, dtype=float)
-    if lams.ndim != 2 or lams.shape[1] != 4:
-        raise ValueError(f"spectrum needs exactly four weights, got {lams.shape[-1]}")
-    low = lams.min(axis=1)
+def bell_spectrum(lam) -> np.ndarray:
+    """Validate Bell-diagonal spectra: four nonnegative weights summing to 1.
+
+    ``lam`` is one spectrum of shape ``(4,)`` or one per row of a ``(k, 4)``
+    array; the result has the same shape.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim not in (1, 2) or lam.shape[-1] != 4:
+        raise ValueError(f"spectrum needs four weights: shape (4,) or (k, 4), got {lam.shape}")
+    rows = lam.reshape(-1, 4)
+    low = rows.min(axis=1)
     negative = low < -WEIGHT_SLACK
     if negative.any():
         raise ValueError(f"weights must be nonnegative, got min {low[negative.argmax()]}")
-    total = lams.sum(axis=1)
+    total = rows.sum(axis=1)
     unnormalized = np.abs(total - 1.0) > WEIGHT_SLACK
     if unnormalized.any():
         raise ValueError(f"weights must sum to 1, got {total[unnormalized.argmax()]}")
-    return lams.clip(0.0, None) / total[:, None]
-
-
-def bell_spectrum(lam) -> np.ndarray:
-    """Validate a Bell-diagonal spectrum, four nonnegative weights summing to 1 (or one per row)."""
-    lam = np.asarray(lam, dtype=float)
-    return _bell_spectra(lam) if lam.ndim == 2 else _bell_spectra(lam.reshape(1, -1))[0]
+    return (rows.clip(0.0, None) / total[:, None]).reshape(lam.shape)
 
 
 def flip_operator(d: int) -> np.ndarray:
@@ -357,7 +365,7 @@ def werner_stack(d: int, f) -> np.ndarray:
     ``tr(rho F) = f`` for the swap operator ``F``.
     """
     d = _local_dim(d)
-    f = _parameters(f, -1.0, 1.0, "flip expectation")[:, None, None]
+    f = _parameters(f, *_FLIP)[:, None, None]
     return (
         (d - f) * np.eye(d * d, dtype=complex) + (d * f - 1.0) * flip_operator(d)
     ) / (d**3 - d)
@@ -371,7 +379,7 @@ def werner_state(d: int, f: float) -> DensityOperator:
 def isotropic_stack(d: int, F) -> np.ndarray:
     """Isotropic matrices for each maximally entangled fidelity in ``F``."""
     d = _local_dim(d)
-    F = _parameters(F, 0.0, 1.0, "fidelity")[:, None, None]
+    F = _parameters(F, *_FIDELITY)[:, None, None]
     psi = _max_entangled_amplitudes(d)
     proj = np.outer(psi, psi.conj())
     return (1.0 - F) / (d * d - 1.0) * (np.eye(d * d, dtype=complex) - proj) + F * proj
@@ -404,7 +412,9 @@ _BELL_VECTORS = np.array([psi.amplitudes for psi in bell_basis()])
 
 def bell_diagonal_stack(lams) -> np.ndarray:
     """Two-qubit matrices diagonal in the Bell basis, one per row of ``(k, 4)`` weights."""
-    lams = _bell_spectra(lams)
+    lams = bell_spectrum(lams)
+    if lams.ndim != 2:
+        raise ValueError(f"spectra must form a (k, 4) array, got shape {lams.shape}")
     m = np.zeros((lams.shape[0], 4, 4), dtype=complex)
     for weight, psi in zip(lams.T, _BELL_VECTORS):
         m += weight[:, None, None] * np.outer(psi, psi.conj())
@@ -421,7 +431,7 @@ def qubit_family_stack(p) -> np.ndarray:
 
     ``|Phi> = (|01> + |10>) / sqrt(2)``; entangled for every ``p < 1``.
     """
-    p = _parameters(p, 0.0, 1.0, "mixing weight")[:, None, None]
+    p = _parameters(p, *_MIXING)[:, None, None]
     s = 1.0 / math.sqrt(2.0)
     e00 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     phi = np.array([0.0, s, s, 0.0], dtype=complex)
@@ -440,7 +450,7 @@ def qutrit_family_stack(alpha) -> np.ndarray:
     with ``sigma_plus`` the uniform mixture of ``|01>, |12>, |20>`` and
     ``sigma_minus`` of ``|10>, |21>, |02>``; defined for ``2 <= alpha <= 5``.
     """
-    alpha = _parameters(alpha, 2.0, 5.0, "parameter")[:, None, None]
+    alpha = _parameters(alpha, *_QUTRIT)[:, None, None]
     psi = _max_entangled_amplitudes(3)
     proj = np.outer(psi, psi.conj())
     sigma_plus = np.zeros((9, 9), dtype=complex)
@@ -509,7 +519,7 @@ def twirl_uu(sigma: DensityOperator) -> DensityOperator:
     if sigma.dim_a != sigma.dim_b:
         raise ValueError("twirl requires equal local dimensions")
     d = sigma.dim_a
-    f = _clip_to(_expectation(sigma, flip_operator(d)), -1.0, 1.0)
+    f = _clip_to(_expectation(sigma, flip_operator(d)), *_FLIP[:2])
     return werner_state(d, f)
 
 
@@ -518,7 +528,7 @@ def twirl_uubar(sigma: DensityOperator) -> DensityOperator:
     if sigma.dim_a != sigma.dim_b:
         raise ValueError("twirl requires equal local dimensions")
     d = sigma.dim_a
-    fidelity = _clip_to(_expectation(sigma, fhat_operator(d)) / d, 0.0, 1.0)
+    fidelity = _clip_to(_expectation(sigma, fhat_operator(d)) / d, *_FIDELITY[:2])
     return isotropic_state(d, fidelity)
 
 

@@ -89,6 +89,39 @@ def test_check_invariant_violation(tmp_path, capsys):
     assert "residual" in err
 
 
+def _write_diagonal_density(path, diag):
+    payload = {
+        "kind": "density",
+        "dims": [2, 2],
+        "matrix": [[[diag[i] if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)],
+    }
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+@pytest.mark.parametrize("flag", ["--tol-psd", "--tol-herm"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("state", ["non_state", "bell"])
+def test_check_refuses_a_tolerance_that_is_not_finite_and_nonnegative(
+    tmp_path, capsys, flag, value, state
+):
+    state_file = tmp_path / f"{state}.json"
+    if state == "bell":
+        _write_max_entangled_density(state_file)
+    else:
+        _write_diagonal_density(state_file, [1.5, -0.5, 0.0, 0.0])
+    assert main(["check", str(state_file), f"{flag}={value}"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {flag[2:].replace('-', '_')} must be finite and nonnegative, got {float(value)}\n"
+    )
+
+
+def test_check_tol_psd_widens_the_eigenvalue_band(tmp_path):
+    state_file = tmp_path / "slightly_negative.json"
+    _write_diagonal_density(state_file, [0.5 + 5e-9, 0.5, 0.0, -5e-9])
+    assert main(["check", str(state_file)]) == 3
+    assert main(["check", str(state_file), "--tol-psd", "1e-8"]) == 0
+
+
 def test_check_dims_override(tmp_path, capsys):
     state_file = tmp_path / "bell.json"
     rho = max_entangled(2).projector()

@@ -1,5 +1,7 @@
 """Tests for the dense complex linear algebra kernel."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,14 @@ def test_eigensystem_rejects_non_square():
 def test_eigensystem_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_eigensystem_refuses_entries_near_the_float_limit_without_a_warning():
+    h = np.array([[1e308, 1e308], [-1e308, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_eigensystem(h)
 
 
 def test_eigensystem_symmetrizes_within_tolerance():

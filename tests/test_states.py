@@ -5,11 +5,13 @@ import pytest
 
 from ccnr.criteria import partial_transpose_b
 from ccnr.linalg import random_unitary
+from ccnr.realign import tau_bell_diagonal_closed
 from ccnr.states import (
     DensityOperator,
     InvariantViolation,
     PureState,
     bell_basis,
+    bell_diagonal_stack,
     bell_diagonal_state,
     bell_spectrum,
     fhat_operator,
@@ -26,6 +28,7 @@ from ccnr.states import (
     schmidt_decompose,
     twirl_uu,
     twirl_uubar,
+    validate_stack,
     werner_state,
 )
 
@@ -94,6 +97,26 @@ def test_bell_spectrum_validation():
         bell_spectrum([1.2, -0.2, 0.0, 0.0])
     with pytest.raises(ValueError, match="sum"):
         bell_spectrum([0.5, 0.5, 0.5, 0.5])
+
+
+
+def test_bell_spectrum_names_a_wrong_shape():
+    with pytest.raises(ValueError, match=r"\(4,\) or \(k, 4\), got \(1, 1, 4\)"):
+        bell_spectrum([[[0.25, 0.25, 0.25, 0.25]]])
+    with pytest.raises(ValueError, match=r"\(4,\) or \(k, 4\), got \(1, 1, 4\)"):
+        tau_bell_diagonal_closed(np.full((1, 1, 4), 0.25))
+
+
+def test_bell_diagonal_stack_names_a_single_spectrum():
+    with pytest.raises(ValueError, match=r"\(k, 4\) array, got shape \(4,\)"):
+        bell_diagonal_stack([0.25, 0.25, 0.25, 0.25])
+
+
+@pytest.mark.parametrize("keyword", ["tol_herm", "tol_psd"])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_validate_stack_refuses_a_bad_tolerance(keyword, tol):
+    with pytest.raises(ValueError, match=f"{keyword} must be finite and nonnegative"):
+        validate_stack(np.eye(4) / 4, **{keyword: tol})
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -236,26 +236,68 @@ def load_state_file(path, dims_override=None, *, tol_psd=PSD_TOL, tol_herm=HERMI
     return kind, PureState(values, *dims)
 
 
-def _json_layout(shape: tuple[int, ...], depth: int = 1) -> str:
-    """``json.dumps(a.tolist(), indent=1)`` for ``a`` of ``shape``, a ``%r`` per number:
+def _json_layout(shape: tuple[int, ...], depth: int = 1, slot: str = "%r") -> str:
+    """``json.dumps(a.tolist(), indent=1)`` for ``a`` of ``shape``, a ``slot`` per number:
     json writes a finite float as ``%r`` does, but its indenting encoder is pure Python."""
     pad = "\n" + " " * (depth + 1)
-    item = "%r" if len(shape) == 1 else _json_layout(shape[1:], depth + 1)
+    item = slot if len(shape) == 1 else _json_layout(shape[1:], depth + 1, slot)
     return "[" + pad + ("," + pad).join([item] * shape[0]) + "\n" + " " * depth + "]"
 
 
+def _density_pieces(m: np.ndarray) -> Iterator[str]:
+    """The ``[re, im]`` layout of a density matrix, a row at a time, from a
+    ``repr`` per number of its upper half (see :func:`write_state_file`)."""
+    n = m.shape[0]
+    row, col = np.triu_indices(n)
+    upper, mirror = row * n + col, col * n + row  # flat indices of (i, j) and (j, i), i <= j
+    re, im = m.real.ravel(), m.imag.ravel()
+    re_upper, im_upper = re[upper], im[upper]
+    re_text = list(map(repr, re_upper.tolist()))
+    im_text = list(map(repr, im_upper.tolist()))
+    flipped = [s[1:] if s[0] == "-" else "-" + s for s in im_text]
+    # The strings of flat entry k sit at 2k (real part) and 2k + 1 (imaginary part).
+    text = [""] * (2 * n * n)
+    put = text.__setitem__
+    for slots, strings in ((2 * mirror, re_text), (2 * mirror + 1, flipped),
+                           (2 * upper, re_text), (2 * upper + 1, im_text)):
+        list(map(put, slots.tolist(), strings))
+    own_re = mirror[(re[mirror] != re_upper) | (re_upper == 0)]
+    own_im = mirror[(im[mirror] != -im_upper) | (im_upper == 0)]
+    list(map(put, (2 * own_re).tolist(), map(repr, re[own_re].tolist())))
+    list(map(put, (2 * own_im + 1).tolist(), map(repr, im[own_im].tolist())))
+    layout = _json_layout((n, 2), 2, "%s")
+    yield "[\n  "
+    for k in range(0, 2 * n * n, 2 * n):
+        yield (",\n  " if k else "") + layout % tuple(text[k:k + 2 * n])
+    yield "\n ]"
+
+
 def write_state_file(path, state) -> None:
-    """Serialize a DensityOperator or PureState as ``json.dumps(payload, indent=1)`` would."""
+    """Serialize a DensityOperator or PureState as ``json.dumps(payload, indent=1)`` would.
+
+    A density matrix is formatted from its diagonal and upper triangle.  Below
+    the diagonal, entry ``(j, i)`` takes the real string of ``(i, j)`` and its
+    imaginary string with the sign flipped (a leading ``-`` dropped or added).
+    Zeros and any entry that is not the exact conjugate of its mirror take
+    their own ``repr``.  Zeros are exempt because ``==`` cannot tell ``-0.0``
+    from ``0.0`` and the signs of mirrored zeros need not mirror: both
+    imaginary zeros of ``x - x`` are ``+0.0``, and the division by the trace
+    can turn one of two real ``-0.0`` into ``+0.0``.  The bytes are those of
+    ``repr`` on every number.
+    """
     if isinstance(state, DensityOperator):
-        kind, values = "density", state.matrix
+        kind, pieces = "density", _density_pieces(state.matrix)
     elif isinstance(state, PureState):
-        kind, values = "pure", state.amplitudes
+        values = state.amplitudes
+        pairs = np.stack([values.real, values.imag], -1)
+        kind, pieces = "pure", [_json_layout(pairs.shape) % tuple(pairs.ravel().tolist())]
     else:
         raise ValueError(f"cannot serialize {type(state).__name__}")
-    pairs = np.stack([values.real, values.imag], -1)
-    matrix = _json_layout(pairs.shape) % tuple(pairs.ravel().tolist())
     head = f'{{\n "kind": "{kind}",\n "dims": [\n  {state.dim_a},\n  {state.dim_b}\n ],\n'
-    Path(path).write_text(f'{head} "matrix": {matrix}\n}}\n', encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f'{head} "matrix": ')
+        fh.writelines(pieces)
+        fh.write("\n}\n")
 
 
 def _family_dim(name: str, d: int | None) -> int:
@@ -277,8 +319,9 @@ def cmd_check(args) -> int:
     kind, state = load_state_file(
         args.path, args.dims, tol_psd=args.tol_psd, tol_herm=args.tol_herm
     )
-    rho = state.projector() if kind == "pure" else state
-    report = full_report(rho)
+    if kind == "pure":
+        state = state.projector(tol_psd=args.tol_psd, tol_herm=args.tol_herm)
+    report = full_report(state)
     if args.json:
         print(json.dumps(report.as_dict()))
         return 0

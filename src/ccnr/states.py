@@ -273,10 +273,13 @@ class PureState(_Bipartite):
         """The ``d_a x d_b`` matrix ``c`` with ``c[a, b] = <a (x) b|psi>``."""
         return self.amplitudes.reshape(self.dim_a, self.dim_b)
 
-    def projector(self) -> DensityOperator:
-        """The rank-one density operator ``|psi><psi|``."""
+    def projector(
+        self, *, tol_herm: float = HERM_TOL, tol_psd: float = PSD_TOL
+    ) -> DensityOperator:
+        """The rank-one density operator ``|psi><psi|``, validated with the given tolerances."""
         return DensityOperator(
-            np.outer(self.amplitudes, self.amplitudes.conj()), self.dim_a, self.dim_b
+            np.outer(self.amplitudes, self.amplitudes.conj()), self.dim_a, self.dim_b,
+            tol_herm=tol_herm, tol_psd=tol_psd,
         )
 
 
@@ -423,7 +426,10 @@ def bell_diagonal_stack(lams) -> np.ndarray:
 
 def bell_diagonal_state(lam) -> DensityOperator:
     """Two-qubit state diagonal in the Bell basis with weights ``lam``."""
-    return DensityOperator(bell_diagonal_stack(np.reshape(lam, (1, -1)))[0], 2, 2)
+    spectrum = bell_spectrum(lam)  # refused under the shape the caller passed
+    if spectrum.size != 4:
+        raise ValueError(f"one spectrum needs shape (4,), got {spectrum.shape}")
+    return DensityOperator(bell_diagonal_stack(np.reshape(lam, (1, 4)))[0], 2, 2)
 
 
 def qubit_family_stack(p) -> np.ndarray:

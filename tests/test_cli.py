@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from ccnr.cli import CSV_HEADER, load_state_file, main, write_state_file
 from ccnr.states import max_entangled, qubit_family
+from ccnr.states import bell_diagonal_state, isotropic_state, qutrit_family, werner_state
 
 
 def _write_max_entangled_density(path):
@@ -120,6 +121,38 @@ def test_check_tol_psd_widens_the_eigenvalue_band(tmp_path):
     _write_diagonal_density(state_file, [0.5 + 5e-9, 0.5, 0.0, -5e-9])
     assert main(["check", str(state_file)]) == 3
     assert main(["check", str(state_file), "--tol-psd", "1e-8"]) == 0
+
+
+@pytest.mark.parametrize("flag", ["--tol-psd", "--tol-herm"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_check_refuses_a_bad_tolerance_on_a_pure_file(tmp_path, capsys, flag, value):
+    state_file = tmp_path / "pure.json"
+    write_state_file(state_file, max_entangled(2))
+    assert main(["check", str(state_file), f"{flag}={value}"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {flag[2:].replace('-', '_')} must be finite and nonnegative, got {float(value)}\n"
+    )
+
+
+def test_check_passes_its_tolerances_to_a_pure_file(tmp_path, capsys):
+    state_file = tmp_path / "pure.json"
+    write_state_file(state_file, max_entangled(2))
+    assert main(["check", str(state_file), "--json"]) == 0
+    default = capsys.readouterr().out
+    assert main(["check", str(state_file), "--json", "--tol-psd=1e-6", "--tol-herm=1e-6"]) == 0
+    assert capsys.readouterr().out == default
+    # The projector of a vector with a negative rounding eigenvalue fails only a zero tol_psd.
+    from ccnr.states import random_pure
+
+    for seed in range(40):
+        write_state_file(state_file, random_pure(2, 3, seed=seed))
+        smallest = np.linalg.eigvalsh(load_state_file(state_file)[1].projector().matrix)[0]
+        if smallest < 0:
+            break
+    else:
+        pytest.fail("no projector with a negative rounding eigenvalue among the seeds")
+    assert main(["check", str(state_file), "--tol-psd=0"]) == 3
+    assert main(["check", str(state_file), f"--tol-psd={-float(smallest)!r}"]) == 0
 
 
 def test_check_dims_override(tmp_path, capsys):
@@ -453,6 +486,113 @@ def test_state_file_text_keeps_signed_zeros_subnormals_and_extreme_exponents(tmp
     assert _json_layout(values.shape) % tuple(values.ravel().tolist()) == json.dumps(
         values.tolist(), indent=1
     ).replace("\n", "\n ")
+
+
+@pytest.mark.parametrize("dims", [(12, 12), (6, 24), (16, 16)])
+@pytest.mark.parametrize("rank", [1, 2, None])
+def test_density_file_text_is_json_dumps_at_every_rank(tmp_path, dims, rank):
+    from ccnr.states import random_density
+
+    path = tmp_path / "state.json"
+    rank_flag = [] if rank is None else ["--rank", str(rank)]
+    argv = ["gen", "random", "--dims", "%d,%d" % dims, "--seed", "11", *rank_flag]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--out", str(path)]) == 0
+    state = random_density(*dims, rank=rank, seed=11)
+    assert path.read_bytes() == _reference_text(state).encode("utf-8")
+
+
+@pytest.mark.parametrize("argv, build", [
+    (["werner", "--d", "3", "--param", "-0.25"], lambda: werner_state(3, -0.25)),
+    (["isotropic", "--d", "3", "--param", "0.8"], lambda: isotropic_state(3, 0.8)),
+    (["bell", "--param", "0.6,0.2,0.1,0.1"], lambda: bell_diagonal_state([0.6, 0.2, 0.1, 0.1])),
+    (["qubit", "--param", "0.3"], lambda: qubit_family(0.3)),
+    (["qutrit", "--param", "4"], lambda: qutrit_family(4.0)),
+], ids=["werner", "isotropic", "bell", "qubit", "qutrit"])
+def test_gen_family_file_text_is_json_dumps(tmp_path, argv, build):
+    path = tmp_path / "state.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", *argv, "--out", str(path)]) == 0
+    assert path.read_bytes() == _reference_text(build()).encode("utf-8")
+
+
+# (upper, lower) entries put on both sides of the diagonal of a 4x4 state, with
+# zeros signed independently.  Subnormals and 1e-300 sit next to the zeros,
+# where the division by the trace can flip the sign of a zero.
+_SIGNED_ZERO_PAIRS = [
+    (complex(-0.0, 1e-300), complex(-0.0, -1e-300)),
+    (complex(-0.0, -1e-300), complex(-0.0, 1e-300)),
+    (complex(0.0, -5e-324), complex(-0.0, 5e-324)),
+    (complex(-0.0, 0.0), complex(-0.0, -0.0)),
+    (complex(-0.0, -0.0), complex(0.0, 0.0)),
+    (complex(5e-324, -0.0), complex(5e-324, 0.0)),
+    (complex(-1e-300, 0.0), complex(-1e-300, -0.0)),
+    (complex(-2.5e-310, -0.0), complex(-2.5e-310, -0.0)),
+    (complex(1e-3, -1e-300), complex(1e-3, 1e-300)),
+    (complex(-0.0, -0.125), complex(0.0, 0.125)),
+]
+
+
+@pytest.mark.parametrize("upper, lower", _SIGNED_ZERO_PAIRS)
+def test_density_file_text_keeps_the_sign_of_each_mirrored_zero(tmp_path, upper, lower):
+    from ccnr.states import DensityOperator
+
+    m = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+    for i, j in [(0, 1), (0, 3), (2, 3)]:
+        m[i, j], m[j, i] = upper, lower
+    m[1, 2], m[2, 1] = 1e-300, -0.0
+    state = DensityOperator(m, 2, 2)
+    path = tmp_path / "state.json"
+    write_state_file(path, state)
+    assert path.read_text(encoding="utf-8") == _reference_text(state)
+
+
+_FILE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1e-300, -1e-300]),
+    st.floats(-0.01, 0.01),
+)
+
+
+@st.composite
+def _hermitian_matrices(draw):
+    """A diagonally dominant (so valid) density matrix of side n <= 5 with drawn entries."""
+    n = draw(st.integers(1, 5))
+    m = np.diag(np.full(n, 1.0 / n)).astype(complex)
+    for i in range(n):
+        for j in range(i + 1, n):
+            re, im = draw(_FILE_VALUES) / n, draw(_FILE_VALUES) / n
+            # A zero below the diagonal takes a drawn sign of its own.
+            re_low = draw(st.sampled_from([0.0, -0.0])) if re == 0 else re
+            im_low = draw(st.sampled_from([0.0, -0.0])) if im == 0 else -im
+            m[i, j], m[j, i] = complex(re, im), complex(re_low, im_low)
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=_hermitian_matrices())
+def test_density_file_text_is_json_dumps_on_signed_zeros_and_subnormals(tmp_path_factory, m):
+    from ccnr.states import DensityOperator
+
+    state = DensityOperator(m, 1, m.shape[0])
+    path = tmp_path_factory.mktemp("mirror") / "state.json"
+    write_state_file(path, state)
+    assert path.read_text(encoding="utf-8") == _reference_text(state)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 4), data=st.data())
+def test_density_layout_takes_its_own_repr_off_the_mirror(n, data):
+    from ccnr.cli import _density_pieces
+
+    values = data.draw(st.lists(_FILE_VALUES, min_size=2 * n * n, max_size=2 * n * n))
+    pairs = np.array(values).reshape(n, n, 2)
+    if data.draw(st.booleans()):  # exact conjugates below the diagonal, zeros included
+        lower = np.tril_indices(n, -1)
+        pairs[lower] = pairs.transpose(1, 0, 2)[lower] * [1.0, -1.0]
+    m = np.empty((n, n), dtype=complex)
+    m.real, m.imag = pairs[..., 0], pairs[..., 1]
+    want = json.dumps(pairs.tolist(), indent=1).replace("\n", "\n ")
+    assert "".join(_density_pieces(m)) == want
 
 
 _ONE = [[[1.0, 0.0]]]  # the 1x1 density matrix of dims [1, 1]

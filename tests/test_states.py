@@ -112,6 +112,17 @@ def test_bell_diagonal_stack_names_a_single_spectrum():
         bell_diagonal_stack([0.25, 0.25, 0.25, 0.25])
 
 
+def test_bell_diagonal_state_names_the_shape_passed():
+    with pytest.raises(ValueError, match=r"got \(3,\)"):
+        bell_diagonal_state([0.5, 0.5, 0.0])
+    with pytest.raises(ValueError, match=r"one spectrum needs shape \(4,\), got \(2, 4\)"):
+        bell_diagonal_state([[0.25] * 4] * 2)
+    np.testing.assert_array_equal(
+        bell_diagonal_state([[0.4, 0.3, 0.2, 0.1]]).matrix,
+        bell_diagonal_state([0.4, 0.3, 0.2, 0.1]).matrix,
+    )
+
+
 @pytest.mark.parametrize("keyword", ["tol_herm", "tol_psd"])
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
 def test_validate_stack_refuses_a_bad_tolerance(keyword, tol):

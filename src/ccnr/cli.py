@@ -57,7 +57,6 @@ from .states import (
     qutrit_family_stack,
     random_density,
     schmidt_decompose,
-    validate_stack,
     werner_stack,
 )
 from .tolerances import GRID_SLACK, HERMITICITY_TOL, PSD_TOL
@@ -286,6 +285,8 @@ def write_state_file(path, state) -> None:
     ``repr`` on every number.
     """
     if isinstance(state, DensityOperator):
+        if state.matrix.ndim != 2:
+            raise ValueError(f"a state file holds one state, got shape {state.matrix.shape}")
         kind, pieces = "density", _density_pieces(state.matrix)
     elif isinstance(state, PureState):
         values = state.amplitudes
@@ -363,6 +364,10 @@ def cmd_oschmidt(args) -> int:
 def cmd_gen(args) -> int:
     if args.out is None:
         raise ValueError("gen needs --out")
+    options = ("d", "param") if args.family == "random" else ("dims", "rank", "seed")
+    stray = [f"--{name}" for name in options if getattr(args, name) is not None]
+    if stray:
+        raise ValueError(f"family {args.family!r} takes no {', '.join(stray)}")
     if args.family == "random":
         if args.dims is None:
             raise ValueError("family 'random' needs --dims")
@@ -405,7 +410,7 @@ def cmd_sweep(args) -> int:
     for first in range(0, len(grid), size):
         part = slice(first, first + size)
         closed = None if gamma is None else GammaValue(gamma.value[part], gamma.family)
-        report = report_stack(validate_stack(family.build(d, params[part]), d, d), closed)
+        report = report_stack(DensityOperator(family.build(d, params[part]), d, d), closed)
         columns = (grid[part], report.tau.tolist(), taus[part], gammas[part],
                    report.ppt_floor.tolist(), report.reduction_floor.tolist(),
                    report.verdict.tolist())

@@ -4,13 +4,12 @@ All three numeric criteria are necessary conditions: a violation certifies
 entanglement, while satisfaction alone certifies nothing.  Separability is
 only certified through a closed-form cross norm equal to 1.
 
-Every criterion accepts a :class:`~ccnr.states.DensityOperator` or a
-:class:`~ccnr.states.DensityStack`; :func:`report_stack` evaluates a whole
-stack with one decomposition call per criterion, and :func:`full_report` is
-that report on a stack of one.  The criteria assume the exactly Hermitian
-matrices :func:`~ccnr.states.validate_stack` stores: ``eigvalsh`` reads one
-triangle, and ``tau`` reads a real matrix that shares the realignment's
-singular values only for Hermitian input.
+Every criterion accepts a :class:`~ccnr.states.DensityOperator` of one state
+or of a stack; :func:`report_stack` evaluates either with one decomposition
+call per criterion, and :func:`full_report` is its report of one state.  The
+criteria rely on the exactly Hermitian matrices ``DensityOperator`` stores:
+``eigvalsh`` reads one triangle, and ``tau`` reads a real matrix that shares
+the realignment's singular values only for Hermitian input.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .crossnorm import GammaValue
 from .realign import ccnr_tau
 from .states import (
     DensityOperator,
-    DensityStack,
     _bipartite_tensor,
     _per_state,
     partial_trace_a,
@@ -105,13 +103,13 @@ def partial_transpose_b(matrix, dim_a: int, dim_b: int) -> np.ndarray:
     return np.swapaxes(four, -3, -1).reshape(four.shape[:-4] + 2 * (dim_a * dim_b,))
 
 
-def ppt_min_eigenvalue(rho: DensityOperator | DensityStack) -> float:
+def ppt_min_eigenvalue(rho: DensityOperator) -> float:
     """Minimum eigenvalue of the partial transpose; negative means entangled."""
     pt = partial_transpose_b(rho.matrix, rho.dim_a, rho.dim_b)
     return _per_state(np.linalg.eigvalsh(pt)[..., 0])
 
 
-def reduction_min_eigenvalue(rho: DensityOperator | DensityStack) -> float:
+def reduction_min_eigenvalue(rho: DensityOperator) -> float:
     """Minimum eigenvalue over both reduction operators.
 
     Tests ``rho_A (x) I - rho`` and ``I (x) rho_B - rho``; a negative value
@@ -151,33 +149,35 @@ def _verdicts(tau, ppt_floor, reduction_floor, gamma):
     return tau_violated, ppt_violated, reduction_violated, verdict
 
 
-def report_stack(rhos: DensityStack, gamma: GammaValue | None = None) -> StackReport:
-    """Evaluate every criterion on a ``(k, n, n)`` stack and aggregate verdicts.
+def report_stack(rhos: DensityOperator, gamma: GammaValue | None = None) -> StackReport:
+    """Evaluate every criterion on one state or a ``(k, n, n)`` stack and aggregate verdicts.
 
-    ``gamma``, if given, is the closed-form cross norm of the stack's
-    family, with a ``value`` of shape ``(k,)``: one per state; see
-    :func:`full_report`.
+    One state reports as a stack of one.  ``gamma``, if given, is the
+    closed-form cross norm of the states' family with one value per state:
+    a ``value`` of shape ``(k,)`` for a stack; see :func:`full_report`.
     """
-    if rhos.matrix.ndim != 3:
-        raise ValueError(f"need a (k, n, n) stack, got shape {rhos.matrix.shape}")
-    count = len(rhos.matrix)
+    single = rhos.matrix.ndim == 2
+    if not single and rhos.matrix.ndim != 3:
+        raise ValueError(f"need one state or a (k, n, n) stack, got shape {rhos.matrix.shape}")
+    count = 1 if single else len(rhos.matrix)
     values = np.full(count, np.nan) if gamma is None else np.asarray(gamma.value, dtype=float)
+    if single:
+        values = values.reshape(-1)
     if values.shape != (count,):
         raise ValueError(f"need one gamma per state, shape ({count},), got {values.shape}")
     family = None if gamma is None else gamma.family
-    return StackReport(
-        ccnr_tau(rhos), ppt_min_eigenvalue(rhos), reduction_min_eigenvalue(rhos), values, family
-    )
+    measured = (ccnr_tau(rhos), ppt_min_eigenvalue(rhos), reduction_min_eigenvalue(rhos))
+    return StackReport(*(np.reshape(value, count) for value in measured), values, family)
 
 
 def full_report(rho: DensityOperator, gamma: GammaValue | None = None) -> CriteriaReport:
-    """Evaluate every criterion and aggregate a verdict.
+    """Evaluate every criterion on one state and aggregate a verdict.
 
     ``gamma`` is an optional closed-form cross norm for states of a known
     family; when given, it can certify separability (value 1) or
-    entanglement (value above 1).
+    entanglement (value above 1).  A stack is refused: :func:`report_stack`
+    reports one.
     """
-    one = DensityStack(rho.matrix[None], rho.dim_a, rho.dim_b)
-    if gamma is not None:
-        gamma = GammaValue(np.reshape(gamma.value, 1), gamma.family)
-    return report_stack(one, gamma)[0]
+    if rho.matrix.ndim != 2:
+        raise ValueError(f"full_report needs one state, got a stack of shape {rho.matrix.shape}")
+    return report_stack(rho, gamma)[0]

@@ -95,7 +95,8 @@ def operator_schmidt(rho: DensityOperator) -> OperatorSchmidt:
 def ccnr_tau(rho: DensityOperator) -> float:
     """Realignment trace norm ``tau``; values above 1 certify entanglement.
 
-    For a :class:`~ccnr.states.DensityStack`, an array with one ``tau`` per state.
+    For a :class:`~ccnr.states.DensityOperator` of a stack, an array with one
+    ``tau`` per state.
     """
     # R = realign_matrix(rho) shares its singular values with the real
     # X[(i,j),(k,l)] = Re R[(j,i),(k,l)] - Im R[(i,j),(k,l)] = U_A R U_B^T, where

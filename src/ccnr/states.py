@@ -10,7 +10,6 @@ import functools
 import math
 from dataclasses import dataclass
 from operator import index
-from typing import NamedTuple
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .tolerances import HERMITICITY_TOL as HERM_TOL, SV_FLOOR as _SV_FLOOR
 __all__ = [
     "InvariantViolation",
     "DensityOperator",
-    "DensityStack",
     "validate_stack",
     "PureState",
     "SchmidtForm",
@@ -143,68 +141,6 @@ def _check_invariant(invariant: str, residual: np.ndarray, failed: np.ndarray) -
         raise InvariantViolation(invariant, np.ravel(residual)[first[0]])
 
 
-class DensityStack(NamedTuple):
-    """Density operators on ``C^{d_a} (x) C^{d_b}``, validated together.
-
-    ``matrix`` has shape ``(..., d_a d_b, d_a d_b)`` and is read-only.
-    :func:`validate_stack` builds one; constructing it directly skips the
-    checks.  The criteria accept it wherever they accept a
-    :class:`DensityOperator` and return one value per state.  They assume
-    the exactly Hermitian matrices :func:`validate_stack` stores: on a
-    hand-built stack of non-Hermitian matrices ``tau`` and the eigenvalue
-    floors are meaningless.
-    """
-
-    matrix: np.ndarray
-    dim_a: int
-    dim_b: int
-
-
-# Entries near the float limit overflow in the checks; the invariant that
-# fails then raises its own error, with no numpy warning before it.
-@np.errstate(over="ignore", invalid="ignore")
-def validate_stack(
-    matrices,
-    dim_a: int | None = None,
-    dim_b: int | None = None,
-    *,
-    tol_herm: float = HERM_TOL,
-    tol_psd: float = PSD_TOL,
-) -> DensityStack:
-    """Check and normalise a ``(..., n, n)`` stack of density matrices.
-
-    Every matrix must be Hermitian, unit-trace and positive semidefinite,
-    each within tolerance.  Accepted matrices are symmetrized and
-    trace-renormalized.  The first matrix failing an invariant raises
-    :class:`InvariantViolation` with its residual; invariants are checked in
-    that order over the whole stack.  Both tolerances must be finite and
-    nonnegative.
-    """
-    for name, tol in (("tol_herm", tol_herm), ("tol_psd", tol_psd)):
-        if not 0.0 <= tol < math.inf:
-            raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
-    m = np.asarray(matrices, dtype=complex)
-    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
-        raise ValueError(f"density matrix must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("density matrix entries must be finite")
-    dim_a, dim_b = _infer_dims(m.shape[-1], dim_a, dim_b)
-
-    m, herm_residual, bound = _hermitian_part(m, tol_herm)
-    _check_invariant("hermiticity", herm_residual, herm_residual > bound)
-
-    trace = np.real(np.trace(m, axis1=-2, axis2=-1))
-    deviation = np.abs(trace - 1.0)
-    _check_invariant("unit_trace", deviation, deviation > TRACE_TOL)
-    m = m / trace[..., None, None]
-
-    min_eig = np.linalg.eigvalsh(m)[..., 0]
-    _check_invariant("positive_semidefinite", min_eig, min_eig < -tol_psd)
-
-    m.setflags(write=False)
-    return DensityStack(m, dim_a, dim_b)
-
-
 class _Bipartite:
     """Immutable object on ``C^{d_a} (x) C^{d_b}``; subclasses set their slots in ``__init__``."""
 
@@ -222,15 +158,23 @@ class _Bipartite:
 
 
 class DensityOperator(_Bipartite):
-    """Density operator on ``C^{d_a} (x) C^{d_b}``.
+    """Density operator on ``C^{d_a} (x) C^{d_b}``, or a stack of them validated together.
 
-    The matrix is required to be Hermitian, unit-trace and positive
-    semidefinite, each within tolerance; accepted inputs are symmetrized and
-    trace-renormalized, then frozen.
+    ``matrix`` is one ``(n, n)`` matrix or a ``(..., n, n)`` stack.  Every
+    matrix must be Hermitian, unit-trace and positive semidefinite, each
+    within tolerance.  Accepted matrices are symmetrized, trace-renormalized
+    and frozen read-only.  The first matrix failing an invariant raises
+    :class:`InvariantViolation` with its residual; invariants are checked in
+    that order over the whole stack.  Both tolerances must be finite and
+    nonnegative.  The criteria take one state or a stack and return one
+    value per state.
     """
 
     __slots__ = ("dim_a", "dim_b", "matrix")
 
+    # Entries near the float limit overflow in the checks; the invariant that
+    # fails then raises its own error, with no numpy warning before it.
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(
         self,
         matrix,
@@ -240,13 +184,35 @@ class DensityOperator(_Bipartite):
         tol_herm: float = HERM_TOL,
         tol_psd: float = PSD_TOL,
     ):
+        for name, tol in (("tol_herm", tol_herm), ("tol_psd", tol_psd)):
+            if not 0.0 <= tol < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
         m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        state = validate_stack(m, dim_a, dim_b, tol_herm=tol_herm, tol_psd=tol_psd)
-        object.__setattr__(self, "dim_a", state.dim_a)
-        object.__setattr__(self, "dim_b", state.dim_b)
-        object.__setattr__(self, "matrix", state.matrix)
+        if not np.all(np.isfinite(m)):
+            raise ValueError("density matrix entries must be finite")
+        dim_a, dim_b = _infer_dims(m.shape[-1], dim_a, dim_b)
+
+        m, herm_residual, bound = _hermitian_part(m, tol_herm)
+        _check_invariant("hermiticity", herm_residual, herm_residual > bound)
+
+        trace = np.real(np.trace(m, axis1=-2, axis2=-1))
+        deviation = np.abs(trace - 1.0)
+        _check_invariant("unit_trace", deviation, deviation > TRACE_TOL)
+        m = m / trace[..., None, None]
+
+        min_eig = np.linalg.eigvalsh(m)[..., 0]
+        _check_invariant("positive_semidefinite", min_eig, min_eig < -tol_psd)
+
+        m.setflags(write=False)
+        object.__setattr__(self, "dim_a", dim_a)
+        object.__setattr__(self, "dim_b", dim_b)
+        object.__setattr__(self, "matrix", m)
+
+
+# The name stack callers use; the constructor is the one validation.
+validate_stack = DensityOperator
 
 
 class PureState(_Bipartite):
@@ -254,7 +220,7 @@ class PureState(_Bipartite):
 
     __slots__ = ("dim_a", "dim_b", "amplitudes")
 
-    @np.errstate(over="ignore", invalid="ignore")  # as on validate_stack
+    @np.errstate(over="ignore", invalid="ignore")  # as on DensityOperator
     def __init__(self, amplitudes, dim_a: int | None = None, dim_b: int | None = None):
         amps = np.asarray(amplitudes, dtype=complex).ravel()
         if not np.all(np.isfinite(amps)):
@@ -357,7 +323,7 @@ def fhat_operator(d: int) -> np.ndarray:
 
 # The ``*_stack`` builders take a 1-d sequence of parameters (spectra for
 # the Bell-diagonal family) and return the unvalidated matrices as one
-# ``(k, n, n)`` array; pass it to ``validate_stack``.  The scalar
+# ``(k, n, n)`` array; pass it to ``DensityOperator``.  The scalar
 # constructors are the builders applied to one parameter.
 
 

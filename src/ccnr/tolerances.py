@@ -1,8 +1,8 @@
 """Every numerical tolerance of the package, each next to the rule that reads it."""
 
 HERMITICITY_TOL = 1e-10  # hermiticity checks: max|h - h^dag| <= tol (1 + max|h|), per matrix
-TRACE_TOL = 1e-10  # validate_stack: |tr(rho) - 1| <= tol
-PSD_TOL = 1e-10  # validate_stack: smallest eigenvalue >= -tol
+TRACE_TOL = 1e-10  # DensityOperator: |tr(rho) - 1| <= tol
+PSD_TOL = 1e-10  # DensityOperator: smallest eigenvalue >= -tol
 NORM_TOL = 1e-12  # PureState: | ||psi|| - 1 | <= tol
 SV_FLOOR = 1e-12  # schmidt_decompose, operator_schmidt: singular values <= floor are zeros
 VIOLATION_GUARD = 1e-9  # verdicts: a criterion is violated past its threshold by more than this

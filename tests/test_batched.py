@@ -5,6 +5,8 @@ scalar constructors and ``full_report`` exactly, member by member, and a
 blocked sweep must write the same rows as a point-by-point rebuild.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -129,3 +131,44 @@ def test_blocked_sweep_matches_point_by_point_rebuild(tmp_path, name):
             report.verdict,
         ]))
     assert rows == expected + [""]
+
+
+def test_validate_stack_returns_a_density_operator():
+    stack = validate_stack(werner_stack(2, [0.5, -0.5]), 2, 2)
+    assert type(stack) is DensityOperator
+    assert stack.matrix.shape == (2, 4, 4)
+    assert stack.dims == (2, 2)
+
+
+@pytest.mark.parametrize("closed", [None, gamma_werner_closed(3, -0.5)], ids=["none", "werner"])
+def test_one_state_reports_as_its_full_report_and_as_a_stack_of_one(closed):
+    rho = werner_state(3, -0.5)
+    report = report_stack(rho, closed)
+    assert len(report) == 1
+    assert report[0] == full_report(rho, closed)
+    one = validate_stack(rho.matrix[None], 3, 3)
+    as_stack = None if closed is None else closed._replace(value=np.reshape(closed.value, 1))
+    assert report_stack(one, as_stack)[0] == report[0]
+
+
+@pytest.mark.parametrize("report, shape", [
+    (full_report, (2, 4, 4)), (full_report, (2, 3, 4, 4)), (report_stack, (2, 3, 4, 4)),
+], ids=["full-stack", "full-grid", "stack-grid"])
+def test_a_report_refuses_more_states_than_it_takes(report, shape):
+    rhos = validate_stack(np.broadcast_to(np.eye(4) / 4, shape), 2, 2)
+    with pytest.raises(ValueError, match=r"one state.*" + re.escape(str(shape))):
+        report(rhos)
+
+
+def test_sweep_validates_each_block_through_the_density_operator(tmp_path, monkeypatch):
+    shapes = []
+    init = DensityOperator.__init__
+
+    def counted(self, matrix, *args, **kwargs):
+        shapes.append(np.shape(matrix))
+        init(self, matrix, *args, **kwargs)
+
+    monkeypatch.setattr(DensityOperator, "__init__", counted)
+    assert main(["sweep", "werner", "--d", "2", "--range=0:1:0.01",
+                 "--out", str(tmp_path / "werner.csv")]) == 0
+    assert shapes == 3 * [(32, 4, 4)] + [(5, 4, 4)]  # 101 points in blocks of 32

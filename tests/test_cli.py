@@ -259,6 +259,18 @@ def test_gen_rejects_bad_parameters(tmp_path, capsys):
                  "--out", str(tmp_path / "z.json")]) == 2
 
 
+@pytest.mark.parametrize("argv, stray", [
+    (["werner", "--d", "2", "--param", "0.5", "--rank", "3", "--seed", "1", "--dims", "3,3"],
+     "--dims, --rank, --seed"),
+    (["random", "--dims", "2,2", "--d", "5", "--param", "0.3"], "--d, --param"),
+    (["bell", "--param", "0.4,0.2,0.2,0.2", "--seed", "3"], "--seed"),
+], ids=["werner", "random", "bell"])
+def test_gen_refuses_options_its_family_does_not_take(tmp_path, capsys, argv, stray):
+    assert main(["gen", *argv, "--out", str(tmp_path / "x.json")]) == 2
+    assert f"takes no {stray}\n" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_gen_file_round_trips_exactly(tmp_path):
     out_file = tmp_path / "werner.json"
     assert main(["gen", "werner", "--d", "3", "--param", "-0.25",
@@ -343,6 +355,15 @@ def test_state_file_serializer_round_trip(tmp_path):
     kind, loaded = load_state_file(path)
     assert kind == "pure"
     np.testing.assert_array_equal(loaded.amplitudes, psi.amplitudes)
+
+
+def test_state_file_refuses_a_stack(tmp_path):
+    from ccnr.states import DensityOperator, werner_stack
+
+    path = tmp_path / "stack.json"
+    with pytest.raises(ValueError, match=r"one state, got shape \(3, 4, 4\)"):
+        write_state_file(path, DensityOperator(werner_stack(2, [0.5, -0.5, 0.1]), 2, 2))
+    assert not path.exists()
 
 
 def test_sweep_overflowing_range_exits_2(tmp_path, capsys):
@@ -794,3 +815,20 @@ def test_sweep_and_gen_end_in_an_exit_code_on_any_arguments(tmp_path_factory, ar
     out = str(tmp_path_factory.mktemp("cli") / "out")
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main([out if arg == "OUT" else arg for arg in argv]) in {0, 2, 3}
+
+
+# The options each gen family takes, besides --out.
+_GEN_TAKES = {"random": {"--dims", "--rank", "--seed"}}
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_cli_argv().filter(lambda argv: argv[0] == "gen"))
+def test_gen_ends_in_an_exit_code_on_any_options_its_family_takes(tmp_path_factory, argv):
+    takes = _GEN_TAKES.get(argv[1], {"--d", "--param"}) | {"--out"}
+    argv = argv[:2] + [arg for flag, value in zip(argv[2::2], argv[3::2]) if flag in takes
+                       for arg in (flag, value)]
+    out = str(tmp_path_factory.mktemp("gen") / "out")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main([out if arg == "OUT" else arg for arg in argv]) in {0, 2, 3}
+    assert "takes no" not in err.getvalue()

@@ -6,130 +6,17 @@ separability diagnostic ``tau``, closed-form greatest-cross-norm values, and
 comparison criteria (PPT, reduction) with an aggregated per-state report.
 """
 
-from .linalg import (
-    determinant,
-    ferrers_determinant,
-    hermitian_eigensystem,
-    hs_norm,
-    kron,
-    random_unitary,
-    singular_values,
-    trace_norm,
-)
-from .states import (
-    DensityOperator,
-    InvariantViolation,
-    PureState,
-    SchmidtForm,
-    bell_basis,
-    bell_diagonal_state,
-    bell_spectrum,
-    fhat_operator,
-    flip_operator,
-    isotropic_state,
-    max_entangled,
-    partial_trace_a,
-    partial_trace_b,
-    pure_from_schmidt,
-    qubit_family,
-    qutrit_family,
-    random_density,
-    random_pure,
-    schmidt_decompose,
-    twirl_uu,
-    twirl_uubar,
-    werner_state,
-)
-from .realign import (
-    OperatorSchmidt,
-    RealignedMatrix,
-    ccnr_tau,
-    operator_schmidt,
-    realign,
-    realign_matrix,
-    realign_trace,
-    tau_bell_diagonal_closed,
-    tau_isotropic_closed,
-    tau_qubit_family_closed,
-    tau_qutrit_family_closed,
-    tau_werner_closed,
-)
-from .crossnorm import (
-    GammaValue,
-    gamma_bell_diagonal_closed,
-    gamma_isotropic_closed,
-    gamma_pure,
-    gamma_rank_one,
-    gamma_werner_closed,
-    is_separable_closed,
-    robustness_lower_bound,
-    robustness_pure_exact,
-)
-from .criteria import (
-    CriteriaReport,
-    full_report,
-    partial_transpose_b,
-    ppt_min_eigenvalue,
-    reduction_min_eigenvalue,
-)
+from . import criteria, crossnorm, linalg, realign, states
+
+# Built before the star imports, because ``from .realign import *`` rebinds
+# ``realign`` from the submodule to the function.
+__all__ = [name for module in (linalg, states, realign, crossnorm, criteria)
+           for name in module.__all__]
+
+from .linalg import *
+from .states import *
+from .realign import *
+from .crossnorm import *
+from .criteria import *
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "determinant",
-    "ferrers_determinant",
-    "hermitian_eigensystem",
-    "hs_norm",
-    "kron",
-    "random_unitary",
-    "singular_values",
-    "trace_norm",
-    "DensityOperator",
-    "InvariantViolation",
-    "PureState",
-    "SchmidtForm",
-    "bell_basis",
-    "bell_diagonal_state",
-    "bell_spectrum",
-    "fhat_operator",
-    "flip_operator",
-    "isotropic_state",
-    "max_entangled",
-    "partial_trace_a",
-    "partial_trace_b",
-    "pure_from_schmidt",
-    "qubit_family",
-    "qutrit_family",
-    "random_density",
-    "random_pure",
-    "schmidt_decompose",
-    "twirl_uu",
-    "twirl_uubar",
-    "werner_state",
-    "OperatorSchmidt",
-    "RealignedMatrix",
-    "ccnr_tau",
-    "operator_schmidt",
-    "realign",
-    "realign_matrix",
-    "realign_trace",
-    "tau_bell_diagonal_closed",
-    "tau_isotropic_closed",
-    "tau_qubit_family_closed",
-    "tau_qutrit_family_closed",
-    "tau_werner_closed",
-    "GammaValue",
-    "gamma_bell_diagonal_closed",
-    "gamma_isotropic_closed",
-    "gamma_pure",
-    "gamma_rank_one",
-    "gamma_werner_closed",
-    "is_separable_closed",
-    "robustness_lower_bound",
-    "robustness_pure_exact",
-    "CriteriaReport",
-    "full_report",
-    "partial_transpose_b",
-    "ppt_min_eigenvalue",
-    "reduction_min_eigenvalue",
-]

@@ -50,6 +50,7 @@ from .states import (
     InvariantViolation,
     PureState,
     _local_dim,
+    _one_state,
     _parameters,
     bell_diagonal_stack,
     isotropic_stack,
@@ -285,8 +286,7 @@ def write_state_file(path, state) -> None:
     ``repr`` on every number.
     """
     if isinstance(state, DensityOperator):
-        if state.matrix.ndim != 2:
-            raise ValueError(f"a state file holds one state, got shape {state.matrix.shape}")
+        _one_state(state, "write_state_file")
         kind, pieces = "density", _density_pieces(state.matrix)
     elif isinstance(state, PureState):
         values = state.amplitudes

@@ -23,6 +23,7 @@ from .realign import ccnr_tau
 from .states import (
     DensityOperator,
     _bipartite_tensor,
+    _one_state,
     _per_state,
     partial_trace_a,
     partial_trace_b,
@@ -178,6 +179,5 @@ def full_report(rho: DensityOperator, gamma: GammaValue | None = None) -> Criter
     entanglement (value above 1).  A stack is refused: :func:`report_stack`
     reports one.
     """
-    if rho.matrix.ndim != 2:
-        raise ValueError(f"full_report needs one state, got a stack of shape {rho.matrix.shape}")
+    _one_state(rho, "full_report")
     return report_stack(rho, gamma)[0]

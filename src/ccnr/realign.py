@@ -20,7 +20,7 @@ import numpy as np
 
 from .linalg import singular_values
 from .states import _FIDELITY, _FLIP, _MIXING, _QUTRIT, DensityOperator, _bipartite_tensor
-from .states import _in_domain, _local_dim, _per_state, bell_spectrum
+from .states import _in_domain, _local_dim, _one_state, _per_state, bell_spectrum
 from .tolerances import SV_FLOOR
 
 __all__ = [
@@ -81,6 +81,7 @@ def realign(rho: DensityOperator) -> RealignedMatrix:
 
 def operator_schmidt(rho: DensityOperator) -> OperatorSchmidt:
     """Operator Schmidt decomposition via the SVD of the realigned matrix."""
+    _one_state(rho, "operator_schmidt")
     u, s, vh = np.linalg.svd(
         realign_matrix(rho.matrix, rho.dim_a, rho.dim_b), full_matrices=False
     )
@@ -161,6 +162,7 @@ def realign_trace(rho: DensityOperator) -> complex:
     Equals ``d`` times the maximally entangled fidelity of the state, hence
     ``dF`` for isotropic states and ``(f + 1)/(d + 1)`` for Werner states.
     """
+    _one_state(rho, "realign_trace")
     if rho.dim_a != rho.dim_b:
         raise ValueError("realigned matrix is square only for equal local dimensions")
     return complex(np.trace(realign_matrix(rho.matrix, rho.dim_a, rho.dim_b)))

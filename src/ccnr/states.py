@@ -134,6 +134,12 @@ def _per_state(values, scalar=float):
     return scalar(values) if np.ndim(values) == 0 else values
 
 
+def _one_state(rho: DensityOperator, caller: str) -> None:
+    """Refuse a stack where ``caller`` takes one state."""
+    if rho.matrix.ndim != 2:
+        raise ValueError(f"{caller} needs one state, got shape {rho.matrix.shape}")
+
+
 def _check_invariant(invariant: str, residual: np.ndarray, failed: np.ndarray) -> None:
     """Raise for the first state of a stack whose invariant ``failed``."""
     first = np.flatnonzero(failed)
@@ -488,6 +494,7 @@ def twirl_uu(sigma: DensityOperator) -> DensityOperator:
     Matches the flip expectation of the input, so the result is the Werner
     state with ``f = tr(sigma F)``.
     """
+    _one_state(sigma, "twirl_uu")
     if sigma.dim_a != sigma.dim_b:
         raise ValueError("twirl requires equal local dimensions")
     d = sigma.dim_a
@@ -497,6 +504,7 @@ def twirl_uu(sigma: DensityOperator) -> DensityOperator:
 
 def twirl_uubar(sigma: DensityOperator) -> DensityOperator:
     """Projection onto the isotropic family (average over ``U (x) conj(U)``)."""
+    _one_state(sigma, "twirl_uubar")
     if sigma.dim_a != sigma.dim_b:
         raise ValueError("twirl requires equal local dimensions")
     d = sigma.dim_a

@@ -19,6 +19,8 @@ from ccnr.crossnorm import (
     gamma_werner_closed,
 )
 from ccnr.realign import (
+    operator_schmidt,
+    realign_trace,
     tau_bell_diagonal_closed,
     tau_isotropic_closed,
     tau_qubit_family_closed,
@@ -37,6 +39,8 @@ from ccnr.states import (
     qutrit_family,
     qutrit_family_stack,
     random_density,
+    twirl_uu,
+    twirl_uubar,
     validate_stack,
     werner_stack,
     werner_state,
@@ -158,6 +162,24 @@ def test_a_report_refuses_more_states_than_it_takes(report, shape):
     rhos = validate_stack(np.broadcast_to(np.eye(4) / 4, shape), 2, 2)
     with pytest.raises(ValueError, match=r"one state.*" + re.escape(str(shape))):
         report(rhos)
+
+
+# Each function that takes one state, under the name its refusal gives.
+_ONE_STATE = {
+    "operator_schmidt": operator_schmidt,
+    "realign_trace": realign_trace,
+    "twirl_uu": twirl_uu,
+    "twirl_uubar": twirl_uubar,
+    "full_report": full_report,
+    "write_state_file": lambda rho: cli.write_state_file(None, rho),
+}
+
+
+@pytest.mark.parametrize("name", _ONE_STATE)
+def test_a_one_state_function_refuses_a_stack_naming_itself_and_the_shape(name):
+    rhos = DensityOperator(werner_stack(2, [0.5, -0.5, 0.1]), 2, 2)
+    with pytest.raises(ValueError, match=rf"^{name} needs one state, got shape \(3, 4, 4\)$"):
+        _ONE_STATE[name](rhos)
 
 
 def test_sweep_validates_each_block_through_the_density_operator(tmp_path, monkeypatch):

@@ -787,18 +787,10 @@ def _cli_argv(draw):
     family = draw(_mostly(st.sampled_from(names), st.just("x")))
     lo, hi, dims = _FAMILIES.get(family, (0.0, 1.0, [None]))
     argv = [command, family]
-    d = draw(_mostly(st.sampled_from(dims), _JUNK_D))
-    argv += [] if d is None else ["--d", d]
-    if command == "sweep":
-        junk = st.one_of(_JUNK, st.builds(":".join, st.lists(_NUMBER_TEXT, max_size=4)))
-        argv.append(f"--range={draw(_mostly(_grids(lo, hi), junk))}")
-    else:
-        if family == "bell":
-            param = st.sampled_from(["0.25,0.25,0.25,0.25", "1,0,0,0", "0.7,0.1,0.1,0.1"])
-        else:
-            param = st.floats(lo, hi).map(repr)
-        junk = st.one_of(_JUNK, st.builds(",".join, st.lists(_NUMBER_TEXT, max_size=5)))
-        argv += ["--param", draw(_mostly(param, junk))]
+    # Only random takes --dims, --rank and --seed, and every other family --d
+    # and --param.  A gen draw adds a stray option its family does not take
+    # only now and then, so most draws get past the "takes no" refusal.
+    if family == "random":
         for flag, valid, junk in [
             ("--dims", ["1,1", "2,3", "4,4", "1,16"], ["0,2", "2", "a,b", "2.5,2", "40,40"]),
             ("--rank", [None, "1", "3"], ["0", "-1", "17", "x"]),
@@ -806,6 +798,23 @@ def _cli_argv(draw):
         ]:
             value = draw(_mostly(st.sampled_from(valid), st.sampled_from(junk)))
             argv += [] if value is None else [flag, value]
+        stray = st.sampled_from([["--d", "2"], ["--param", "0.5"]])
+    else:
+        d = draw(_mostly(st.sampled_from(dims), _JUNK_D))
+        argv += [] if d is None else ["--d", d]
+        stray = st.sampled_from([["--dims", "2,2"], ["--rank", "1"], ["--seed", "0"]])
+    if command == "sweep":
+        junk = st.one_of(_JUNK, st.builds(":".join, st.lists(_NUMBER_TEXT, max_size=4)))
+        argv.append(f"--range={draw(_mostly(_grids(lo, hi), junk))}")
+    elif family != "random":
+        if family == "bell":
+            param = st.sampled_from(["0.25,0.25,0.25,0.25", "1,0,0,0", "0.7,0.1,0.1,0.1"])
+        else:
+            param = st.floats(lo, hi).map(repr)
+        junk = st.one_of(_JUNK, st.builds(",".join, st.lists(_NUMBER_TEXT, max_size=5)))
+        argv += ["--param", draw(_mostly(param, junk))]
+    if command == "gen":
+        argv += draw(_mostly(st.just([]), stray))
     return argv + draw(_mostly(st.just(["--out", "OUT"]), st.just([])))
 
 

@@ -5,6 +5,7 @@ have one place in the source; a second copy would drift from the first.
 """
 
 import ast
+import importlib
 import tokenize
 from pathlib import Path
 
@@ -70,3 +71,41 @@ def test_one_symmetrisation_in_the_source():
 
 def test_the_symmetrisation_scan_sees_one():
     assert _symmetrisations(ast.parse("m = (m + adjoint) / 2.0")) == [1]
+
+
+# The public API is stated once: each module's ``__all__``, re-exported by the package.
+API_MODULES = [importlib.import_module(f"ccnr.{name}")
+               for name in ("linalg", "states", "realign", "crossnorm", "criteria")]
+
+
+def test_the_package_exports_the_module_lists_joined():
+    joined = [name for module in API_MODULES for name in module.__all__]
+    assert ccnr.__all__ == joined
+    assert len(set(joined)) == len(joined)
+
+
+def test_every_exported_name_resolves_on_the_package():
+    from ccnr import report_stack, werner_stack
+
+    assert report_stack is ccnr.criteria.report_stack
+    assert werner_stack is ccnr.states.werner_stack
+    for module in API_MODULES:
+        for name in module.__all__:
+            assert getattr(ccnr, name) is getattr(module, name), name
+
+
+@pytest.mark.parametrize("module", API_MODULES, ids=lambda module: module.__name__)
+def test_each_module_lists_every_public_function_and_class_it_defines(module):
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")}
+    assert defined <= set(module.__all__)
+
+
+def test_the_package_init_holds_no_second_list_of_names():
+    init = Path(ccnr.__file__)
+    imported = [alias.name for node in ast.walk(ast.parse(init.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert set(imported) <= {"*", "linalg", "states", "realign", "crossnorm", "criteria"}
+    assert _string_literals(init) == [ccnr.__doc__, ccnr.__version__]

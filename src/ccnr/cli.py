@@ -326,13 +326,11 @@ def cmd_check(args) -> int:
     if args.json:
         print(json.dumps(report.as_dict()))
         return 0
-    print(f"tau = {_fmt(report.tau)}")
-    print(f"tau_violated = {str(report.tau_violated).lower()}")
-    print(f"ppt_floor = {_fmt(report.ppt_floor)}")
-    print(f"ppt_violated = {str(report.ppt_violated).lower()}")
-    print(f"reduction_floor = {_fmt(report.reduction_floor)}")
-    print(f"reduction_violated = {str(report.reduction_violated).lower()}")
-    print(f"verdict = {report.verdict}")
+    for key, value in report.as_dict().items():
+        if isinstance(value, bool):
+            value = str(value).lower()
+        if key not in ("gamma_closed", "gamma_family"):  # check passes no gamma
+            print(f"{key} = {_fmt(value) if isinstance(value, float) else value}")
     return 0
 
 
@@ -398,20 +396,17 @@ def cmd_sweep(args) -> int:
     # The closed tau refuses the first value outside the domain before any state is built.
     params = family.point(np.array(grid))
     taus = family.tau(d, params).tolist()
+    gamma = None if family.gamma is None else family.gamma(d, params)
     # "%.12g" renders a float as _fmt does; a family without gamma leaves its field empty.
-    if family.gamma is None:
-        gamma, gammas, field = None, [""] * len(grid), "%s"
-    else:
-        gamma = family.gamma(d, params)
-        gammas, field = gamma.value.tolist(), "%.12g"
-    row = "%.12g,%.12g,%.12g," + field + ",%.12g,%.12g,%s"
+    row = "%.12g,%.12g,%.12g," + ("%s" if gamma is None else "%.12g") + ",%.12g,%.12g,%s"
     size = max(1, min(SWEEP_BLOCK, SWEEP_BLOCK_BYTES // (16 * d**4)))
     lines = [CSV_HEADER]
     for first in range(0, len(grid), size):
         part = slice(first, first + size)
         closed = None if gamma is None else GammaValue(gamma.value[part], gamma.family)
         report = report_stack(DensityOperator(family.build(d, params[part]), d, d), closed)
-        columns = (grid[part], report.tau.tolist(), taus[part], gammas[part],
+        gammas = [""] * len(report) if gamma is None else report.gamma_closed.tolist()
+        columns = (grid[part], report.tau.tolist(), taus[part], gammas,
                    report.ppt_floor.tolist(), report.reduction_floor.tolist(),
                    report.verdict.tolist())
         lines += [row % values for values in zip(*columns)]

@@ -6,7 +6,9 @@ only certified through a closed-form cross norm equal to 1.
 
 Every criterion accepts a :class:`~ccnr.states.DensityOperator` of one state
 or of a stack; :func:`report_stack` evaluates either with one decomposition
-call per criterion, and :func:`full_report` is its report of one state.  The
+call per criterion, and :func:`full_report` is its report of one state.
+Both return the one report type, :class:`CriteriaReport`: arrays indexed like
+the stack from ``report_stack``, Python values from ``full_report``.  The
 criteria rely on the exactly Hermitian matrices ``DensityOperator`` stores:
 ``eigvalsh`` reads one triangle, and ``tau`` reads a real matrix that shares
 the realignment's singular values only for Hermitian input.
@@ -14,7 +16,7 @@ the realignment's singular values only for Hermitian input.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -33,7 +35,6 @@ from .tolerances import GAMMA_EQUALITY_TOL, VIOLATION_GUARD
 __all__ = [
     "VIOLATION_GUARD",
     "CriteriaReport",
-    "StackReport",
     "partial_transpose_b",
     "ppt_min_eigenvalue",
     "reduction_min_eigenvalue",
@@ -44,7 +45,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CriteriaReport:
-    """Aggregated per-state verdicts of the implemented criteria."""
+    """Verdicts of the implemented criteria on one state, or on each state of a stack.
+
+    :func:`full_report` fills the fields with Python values.  A report of a
+    stack (:func:`report_stack`) holds one array per field, indexed like the
+    stack, except ``gamma_family``; ``gamma_closed`` is ``None`` without a
+    closed-form cross norm.  ``report[i]`` is the report of state ``i``.
+    """
 
     tau: float
     tau_violated: bool
@@ -56,43 +63,17 @@ class CriteriaReport:
     gamma_family: str | None
     verdict: str
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-class StackReport:
-    """Criteria of every state in a stack, as arrays indexed like the stack.
-
-    Built from the three criteria and the closed-form cross norms ``gamma``
-    of one family (``gamma_family``), NaN where none is known;
-    ``report[i]`` is the :class:`CriteriaReport` of state ``i``.
-    """
-
-    def __init__(self, tau, ppt_floor, reduction_floor, gamma, gamma_family):
-        self.tau = tau
-        self.ppt_floor = ppt_floor
-        self.reduction_floor = reduction_floor
-        self.gamma = gamma
-        self.gamma_family = gamma_family
-        self.tau_violated, self.ppt_violated, self.reduction_violated, self.verdict = _verdicts(
-            tau, ppt_floor, reduction_floor, gamma
-        )
-
     def __len__(self) -> int:
         return len(self.tau)
 
     def __getitem__(self, i: int) -> CriteriaReport:
-        return CriteriaReport(
-            tau=float(self.tau[i]),
-            tau_violated=bool(self.tau_violated[i]),
-            ppt_floor=float(self.ppt_floor[i]),
-            ppt_violated=bool(self.ppt_violated[i]),
-            reduction_floor=float(self.reduction_floor[i]),
-            reduction_violated=bool(self.reduction_violated[i]),
-            gamma_closed=None if self.gamma_family is None else float(self.gamma[i]),
-            gamma_family=self.gamma_family,
-            verdict=str(self.verdict[i]),
-        )
+        values = (getattr(self, field.name) for field in fields(self))
+        # One state's report holds floats, which refuse an index as a report should.
+        return CriteriaReport(*(v if v is None or isinstance(v, str) else v[i].item()
+                                for v in values))
+
+    def as_dict(self) -> dict:
+        return asdict(self)
 
 
 def partial_transpose_b(matrix, dim_a: int, dim_b: int) -> np.ndarray:
@@ -131,31 +112,13 @@ def reduction_min_eigenvalue(rho: DensityOperator) -> float:
     )
 
 
-def _verdicts(tau, ppt_floor, reduction_floor, gamma):
-    """The verdict rule, elementwise.
-
-    ``gamma`` holds each state's closed-form cross norm, NaN where none is
-    known.  Returns the three violation flags and the verdict.
-    """
-    tau_violated = tau > 1.0 + VIOLATION_GUARD
-    ppt_violated = ppt_floor < -VIOLATION_GUARD
-    reduction_violated = reduction_floor < -VIOLATION_GUARD
-    entangled = tau_violated | ppt_violated | reduction_violated | (gamma > 1.0 + VIOLATION_GUARD)
-    separable = np.abs(gamma - 1.0) <= GAMMA_EQUALITY_TOL
-    verdict = np.where(
-        entangled,
-        "entangled_certified",
-        np.where(separable, "separable_certified", "undecided"),
-    )
-    return tau_violated, ppt_violated, reduction_violated, verdict
-
-
-def report_stack(rhos: DensityOperator, gamma: GammaValue | None = None) -> StackReport:
+def report_stack(rhos: DensityOperator, gamma: GammaValue | None = None) -> CriteriaReport:
     """Evaluate every criterion on one state or a ``(k, n, n)`` stack and aggregate verdicts.
 
-    One state reports as a stack of one.  ``gamma``, if given, is the
-    closed-form cross norm of the states' family with one value per state:
-    a ``value`` of shape ``(k,)`` for a stack; see :func:`full_report`.
+    One state reports as a stack of one; the report holds each field as an
+    array of one value per state.  ``gamma``, if given, is the closed-form
+    cross norm of the states' family with one value per state: a ``value``
+    of shape ``(k,)`` for a stack; see :func:`full_report`.
     """
     single = rhos.matrix.ndim == 2
     if not single and rhos.matrix.ndim != 3:
@@ -168,7 +131,22 @@ def report_stack(rhos: DensityOperator, gamma: GammaValue | None = None) -> Stac
         raise ValueError(f"need one gamma per state, shape ({count},), got {values.shape}")
     family = None if gamma is None else gamma.family
     measured = (ccnr_tau(rhos), ppt_min_eigenvalue(rhos), reduction_min_eigenvalue(rhos))
-    return StackReport(*(np.reshape(value, count) for value in measured), values, family)
+    tau, ppt_floor, reduction_floor = (np.reshape(value, count) for value in measured)
+    # The verdict rule, elementwise; a state without a gamma has NaN in ``values``.
+    tau_violated = tau > 1.0 + VIOLATION_GUARD
+    ppt_violated = ppt_floor < -VIOLATION_GUARD
+    reduction_violated = reduction_floor < -VIOLATION_GUARD
+    entangled = tau_violated | ppt_violated | reduction_violated | (values > 1.0 + VIOLATION_GUARD)
+    separable = np.abs(values - 1.0) <= GAMMA_EQUALITY_TOL
+    verdict = np.where(
+        entangled,
+        "entangled_certified",
+        np.where(separable, "separable_certified", "undecided"),
+    )
+    return CriteriaReport(
+        tau, tau_violated, ppt_floor, ppt_violated, reduction_floor, reduction_violated,
+        None if gamma is None else values, family, verdict,
+    )
 
 
 def full_report(rho: DensityOperator, gamma: GammaValue | None = None) -> CriteriaReport:

@@ -69,8 +69,10 @@ def _infer_dims(n: int, dim_a, dim_b) -> tuple[int, int]:
                 f"cannot infer a bipartition of total dimension {n}; pass dim_a, dim_b"
             )
         return root, root
-    given_a = None if dim_a is None else int(dim_a)
-    given_b = None if dim_b is None else int(dim_b)
+    try:
+        given_a, given_b = (None if d is None else index(d) for d in (dim_a, dim_b))
+    except TypeError:
+        raise ValueError(f"dims must be integers, got ({dim_a!r}, {dim_b!r})") from None
     if (given_a is not None and given_a < 1) or (given_b is not None and given_b < 1):
         raise ValueError(f"dims ({dim_a}, {dim_b}) must be positive")
     dim_a = n // given_b if given_a is None else given_a
@@ -270,7 +272,7 @@ class SchmidtForm:
 
 
 def bell_spectrum(lam) -> np.ndarray:
-    """Validate Bell-diagonal spectra: four nonnegative weights summing to 1.
+    """Validate Bell-diagonal spectra: four finite, nonnegative weights summing to 1.
 
     ``lam`` is one spectrum of shape ``(4,)`` or one per row of a ``(k, 4)``
     array; the result has the same shape.
@@ -278,6 +280,8 @@ def bell_spectrum(lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if lam.ndim not in (1, 2) or lam.shape[-1] != 4:
         raise ValueError(f"spectrum needs four weights: shape (4,) or (k, 4), got {lam.shape}")
+    if not np.isfinite(lam).all():
+        raise ValueError(f"weights must be finite, got {lam[~np.isfinite(lam)][0]}")
     rows = lam.reshape(-1, 4)
     low = rows.min(axis=1)
     negative = low < -WEIGHT_SLACK

@@ -41,9 +41,15 @@ def test_check_text_output(tmp_path, capsys):
     state_file = tmp_path / "bell.json"
     _write_max_entangled_density(state_file)
     assert main(["check", str(state_file)]) == 0
-    out = capsys.readouterr().out
-    assert "tau = 2" in out
-    assert "verdict = entangled_certified" in out
+    assert capsys.readouterr().out == (
+        "tau = 2\n"
+        "tau_violated = true\n"
+        "ppt_floor = -0.5\n"
+        "ppt_violated = true\n"
+        "reduction_floor = -0.5\n"
+        "reduction_violated = true\n"
+        "verdict = entangled_certified\n"
+    )
 
 
 def test_check_exit_code_zero_for_undecided(tmp_path, capsys):
@@ -257,6 +263,13 @@ def test_gen_rejects_bad_parameters(tmp_path, capsys):
                  "--out", str(tmp_path / "y.json")]) == 2
     assert main(["gen", "werner", "--param", "0.5",
                  "--out", str(tmp_path / "z.json")]) == 2
+
+
+def test_gen_refuses_nan_bell_weights(tmp_path, capsys):
+    out = tmp_path / "bell.json"
+    assert main(["gen", "bell", "--param", "nan,0.5,0.25,0.25", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: weights must be finite, got nan\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, stray", [

@@ -46,14 +46,14 @@ TAU_ROUNDING = 1e-12
 
 def _report(matrices, d, gamma):
     report = report_stack(validate_stack(matrices, d, d), gamma)
-    assert np.all(report.tau <= report.gamma + TAU_ROUNDING)
+    assert np.all(report.tau <= report.gamma_closed + TAU_ROUNDING)
     return report
 
 
 def _assert_tau_decides_exactly(report):
-    outside = np.abs(report.gamma - (1.0 + VIOLATION_GUARD)) > BAND
+    outside = np.abs(report.gamma_closed - (1.0 + VIOLATION_GUARD)) > BAND
     assert outside.any()
-    entangled = report.gamma > 1.0 + VIOLATION_GUARD
+    entangled = report.gamma_closed > 1.0 + VIOLATION_GUARD
     assert np.array_equal(report.tau_violated[outside], entangled[outside])
 
 
@@ -99,7 +99,7 @@ def test_tau_is_exact_on_isotropic_states(d):
 def test_tau_misses_entangled_werner_states_that_ppt_certifies(d):
     f = np.linspace(2.0 / d - 1.0, 0.0, 42)[1:-1]
     report = _report(werner_stack(d, f), d, gamma_werner_closed(d, f))
-    assert np.all(report.gamma > 1.0 + VIOLATION_GUARD)
+    assert np.all(report.gamma_closed > 1.0 + VIOLATION_GUARD)
     assert not report.tau_violated.any()
     assert report.ppt_violated.all()
     unaided = report_stack(validate_stack(werner_stack(d, f), d, d))

@@ -70,8 +70,16 @@ def test_report_stack_refuses_a_gamma_of_the_wrong_shape(shape):
 def test_report_stack_without_gamma_has_no_family():
     report = report_stack(validate_stack(werner_stack(2, [0.5, -0.5]), 2, 2))
     assert report.gamma_family is None
-    assert np.isnan(report.gamma).all()
+    assert report.gamma_closed is None
     assert report[0].gamma_closed is None
+
+
+def test_a_report_of_one_state_has_no_items():
+    report = full_report(werner_state(2, 0.5))
+    with pytest.raises(TypeError):
+        len(report)
+    with pytest.raises(TypeError):
+        report[0]
 
 
 def test_report_keys_keep_their_order():

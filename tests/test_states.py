@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ccnr.criteria import partial_transpose_b
+from ccnr.crossnorm import gamma_bell_diagonal_closed
 from ccnr.linalg import random_unitary
 from ccnr.realign import tau_bell_diagonal_closed
 from ccnr.states import (
@@ -97,6 +98,13 @@ def test_bell_spectrum_validation():
         bell_spectrum([1.2, -0.2, 0.0, 0.0])
     with pytest.raises(ValueError, match="sum"):
         bell_spectrum([0.5, 0.5, 0.5, 0.5])
+    # NaN fails every comparison, so only a finiteness check refuses it.
+    stack = np.full((3, 4), 0.25)
+    stack[1] = [np.nan, 0.5, 0.25, 0.25]
+    for lam in (stack[1], stack):
+        for refuse in (bell_spectrum, gamma_bell_diagonal_closed, tau_bell_diagonal_closed):
+            with pytest.raises(ValueError, match="weights must be finite, got nan"):
+                refuse(lam)
 
 
 
@@ -525,6 +533,16 @@ def test_density_operator_rejects_nonpositive_dims_with_value_error():
         DensityOperator(np.eye(4) / 4, dim_b=0)
     with pytest.raises(ValueError, match="positive"):
         DensityOperator(np.eye(4) / 4, dim_a=-2)
+
+
+@pytest.mark.parametrize("state, data", [(DensityOperator, np.eye(4) / 4),
+                                         (PureState, np.ones(4) / 2)], ids=["density", "pure"])
+@pytest.mark.parametrize("dims", [(2.5, 2), (None, 2.0), (2.9, None), (2, np.float64(2.0))],
+                         ids=["2.5", "2.0", "2.9", "float64"])
+def test_fractional_dims_are_refused_not_truncated(state, data, dims):
+    with pytest.raises(ValueError, match="dims must be integers"):
+        state(data, *dims)
+    assert state(data, np.int64(2), np.int64(2)).dims == (2, 2)  # numpy integers still pass
 
 
 @pytest.mark.parametrize("build", [werner_state, isotropic_state])

@@ -61,36 +61,50 @@ class InvariantViolation(ValueError):
         )
 
 
+# The most rows a state's matrix may have: d_a * d_b, or d * d for a family.
+MAX_MATRIX_SIDE = 1024
+
+
+def _dims(*dims) -> tuple[int, ...]:
+    """Positive integer ``dims`` of at most ``MAX_MATRIX_SIDE`` rows, checked before any sizing."""
+    try:
+        checked = tuple(map(index, dims))
+    except TypeError:
+        raise ValueError(f"dims must be integers, got {dims!r}") from None
+    if min(checked) < 1:
+        raise ValueError(f"dims {checked} must be positive")
+    if math.prod(checked) > MAX_MATRIX_SIDE:
+        raise ValueError(f"dims {checked} give more than {MAX_MATRIX_SIDE} rows")
+    return checked
+
+
 def _infer_dims(n: int, dim_a, dim_b) -> tuple[int, int]:
     if dim_a is None and dim_b is None:
-        root = math.isqrt(n)
-        if root * root != n:
+        dim_a = dim_b = math.isqrt(n)
+        if dim_a * dim_b != n:
             raise ValueError(
                 f"cannot infer a bipartition of total dimension {n}; pass dim_a, dim_b"
             )
-        return root, root
-    try:
-        given_a, given_b = (None if d is None else index(d) for d in (dim_a, dim_b))
-    except TypeError:
-        raise ValueError(f"dims must be integers, got ({dim_a!r}, {dim_b!r})") from None
-    if (given_a is not None and given_a < 1) or (given_b is not None and given_b < 1):
-        raise ValueError(f"dims ({dim_a}, {dim_b}) must be positive")
-    dim_a = n // given_b if given_a is None else given_a
-    dim_b = n // dim_a if given_b is None else given_b
-    if dim_a < 1 or dim_b < 1 or dim_a * dim_b != n:
+    elif dim_a is None:
+        dim_a = n // _dims(dim_b)[0]
+    elif dim_b is None:
+        dim_b = n // _dims(dim_a)[0]
+    else:
+        dim_a, dim_b = _dims(dim_a, dim_b)
+    if dim_a * dim_b != n:
         raise ValueError(f"dims ({dim_a}, {dim_b}) do not factor total dimension {n}")
-    return dim_a, dim_b
+    return _dims(dim_a, dim_b)
 
 
 def _local_dim(d) -> int:
-    """A local dimension of a symmetric family: an integer of at least 2."""
+    """A local dimension of a symmetric family: an integer of at least 2, ``d * d`` rows in all."""
     try:
         d = index(d)
     except TypeError:
         raise ValueError(f"local dimension must be an integer, got {d!r}") from None
     if d < 2:
         raise ValueError("local dimension must be at least 2")
-    return d
+    return _dims(d, d)[0]
 
 
 def _in_domain(values, lo: float, hi: float, name: str) -> np.ndarray:
@@ -454,6 +468,7 @@ def qutrit_family(alpha: float) -> DensityOperator:
 
 def pure_from_schmidt(p, dim_a: int, dim_b: int) -> PureState:
     """Vector ``sum_i sqrt(p_i) |i (x) i>`` built on the canonical bases."""
+    dim_a, dim_b = _dims(dim_a, dim_b)
     p = np.asarray(p, dtype=float).ravel()
     if p.size > min(dim_a, dim_b):
         raise ValueError(
@@ -528,6 +543,7 @@ def partial_trace_b(rho: DensityOperator) -> np.ndarray:
 
 def random_pure(dim_a: int, dim_b: int, seed=None) -> PureState:
     """Haar-random pure state on ``C^{d_a} (x) C^{d_b}``."""
+    dim_a, dim_b = _dims(dim_a, dim_b)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(dim_a * dim_b) + 1j * rng.standard_normal(dim_a * dim_b)
     return PureState(z / np.linalg.norm(z), dim_a, dim_b)
@@ -535,9 +551,12 @@ def random_pure(dim_a: int, dim_b: int, seed=None) -> PureState:
 
 def random_density(dim_a: int, dim_b: int, rank: int | None = None, seed=None) -> DensityOperator:
     """Random density operator of the given rank (full rank by default)."""
+    dim_a, dim_b = _dims(dim_a, dim_b)
     n = dim_a * dim_b
-    if rank is None:
-        rank = n
+    try:
+        rank = n if rank is None else index(rank)
+    except TypeError:
+        raise ValueError(f"rank must be an integer, got {rank!r}") from None
     if not 1 <= rank <= n:
         raise ValueError(f"rank must lie in [1, {n}], got {rank}")
     rng = np.random.default_rng(seed)

@@ -689,18 +689,16 @@ def test_check_deeply_nested_json_exits_2(tmp_path, capsys):
 
 
 def test_matrix_side_cap_bounds_dims_and_local_dimension():
-    import argparse
-
-    from ccnr.cli import MAX_MATRIX_SIDE, _family_dim, _parse_dims
+    from ccnr.states import MAX_MATRIX_SIDE, _local_dim, random_density
 
     assert MAX_MATRIX_SIDE >= 144  # every dimension the demos and the benchmark use
-    assert _parse_dims(f"1,{MAX_MATRIX_SIDE}") == (1, MAX_MATRIX_SIDE)
-    with pytest.raises(argparse.ArgumentTypeError, match="more than"):
-        _parse_dims(f"2,{MAX_MATRIX_SIDE}")
-    side = math.isqrt(MAX_MATRIX_SIDE)
-    assert _family_dim("werner", side) == side
+    assert random_density(1, MAX_MATRIX_SIDE, rank=1, seed=0).dims == (1, MAX_MATRIX_SIDE)
     with pytest.raises(ValueError, match="more than"):
-        _family_dim("werner", side + 1)
+        random_density(2, MAX_MATRIX_SIDE)
+    side = math.isqrt(MAX_MATRIX_SIDE)
+    assert _local_dim(side) == side
+    with pytest.raises(ValueError, match="more than"):
+        _local_dim(side + 1)
 
 
 def test_matrix_side_cap_refuses_without_allocating(tmp_path):
@@ -713,6 +711,16 @@ def test_matrix_side_cap_refuses_without_allocating(tmp_path):
     assert done.stderr.count("more than 1024 rows") == 3
     assert "Traceback" not in done.stderr
     assert not list(tmp_path.iterdir())
+
+
+def test_a_state_file_whose_own_dims_pass_the_cap_is_refused(tmp_path, capsys):
+    state_file = tmp_path / "wide.json"
+    amplitudes = [[1.0 if k == 0 else 0.0, 0.0] for k in range(33 * 32)]
+    state_file.write_text(json.dumps({"kind": "pure", "dims": [33, 32], "matrix": amplitudes}),
+                          encoding="utf-8")
+    assert main(["schmidt", str(state_file)]) == 2
+    err = capsys.readouterr().err
+    assert "more than 1024 rows" in err and "Traceback" not in err
 
 
 _NUMBERS = st.one_of(

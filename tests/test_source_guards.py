@@ -44,15 +44,26 @@ def test_each_domain_name_is_written_once(name):
     assert sum(_string_literals(path).count(name) for path in SOURCES) == 1
 
 
+def _files_naming(name: str) -> set[str]:
+    return {path.name for path in SOURCES for tok in _tokens(path)
+            if tok.type == tokenize.NAME and tok.string == name}
+
+
+def _files_assigning(name: str) -> list[str]:
+    return [path.name for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == name for t in node.targets)]
+
+
 def test_the_violation_guard_is_defined_once_and_read_only_by_the_verdict_rule():
-    users = {path.name for path in SOURCES for tok in _tokens(path)
-             if tok.type == tokenize.NAME and tok.string == "VIOLATION_GUARD"}
-    assert users == {"criteria.py", "tolerances.py"}
-    defined = [path.name for path in SOURCES
-               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-               if isinstance(node, ast.Assign)
-               and any(getattr(t, "id", None) == "VIOLATION_GUARD" for t in node.targets)]
-    assert defined == ["tolerances.py"]
+    assert _files_naming("VIOLATION_GUARD") == {"criteria.py", "tolerances.py"}
+    assert _files_assigning("VIOLATION_GUARD") == ["tolerances.py"]
+
+
+def test_the_matrix_side_cap_is_defined_and_read_only_where_arrays_are_sized():
+    assert _files_naming("MAX_MATRIX_SIDE") == {"states.py"}
+    assert _files_assigning("MAX_MATRIX_SIDE") == ["states.py"]
 
 
 def _symmetrisations(tree: ast.AST) -> list[int]:

@@ -526,6 +526,8 @@ def test_random_density_deterministic_and_valid():
 def test_random_density_rejects_bad_rank():
     with pytest.raises(ValueError):
         random_density(2, 2, rank=5, seed=0)
+    with pytest.raises(ValueError, match="rank must be an integer"):
+        random_density(2, 2, rank=2.5, seed=0)
 
 
 def test_density_operator_rejects_nonpositive_dims_with_value_error():
@@ -535,14 +537,58 @@ def test_density_operator_rejects_nonpositive_dims_with_value_error():
         DensityOperator(np.eye(4) / 4, dim_a=-2)
 
 
-@pytest.mark.parametrize("state, data", [(DensityOperator, np.eye(4) / 4),
-                                         (PureState, np.ones(4) / 2)], ids=["density", "pure"])
+# Each constructor and builder that takes dims, called as ``state(data, dim_a, dim_b)``.
+@pytest.mark.parametrize("state, data", [
+    (DensityOperator, np.eye(4) / 4),
+    (PureState, np.ones(4) / 2),
+    (lambda _, dim_a, dim_b: random_density(dim_a, dim_b, seed=0), None),
+    (lambda _, dim_a, dim_b: random_pure(dim_a, dim_b, seed=0), None),
+    (pure_from_schmidt, [1.0]),
+], ids=["density", "pure", "random_density", "random_pure", "pure_from_schmidt"])
 @pytest.mark.parametrize("dims", [(2.5, 2), (None, 2.0), (2.9, None), (2, np.float64(2.0))],
                          ids=["2.5", "2.0", "2.9", "float64"])
 def test_fractional_dims_are_refused_not_truncated(state, data, dims):
     with pytest.raises(ValueError, match="dims must be integers"):
         state(data, *dims)
     assert state(data, np.int64(2), np.int64(2)).dims == (2, 2)  # numpy integers still pass
+
+
+_LIBRARY_REFUSALS = """
+import resource, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from ccnr.states import flip_operator, random_density, random_pure, werner_state
+for call in (lambda: random_pure(10**6, 10**6), lambda: flip_operator(10**4),
+             lambda: werner_state(10**3, 0.5), lambda: random_density(10**4, 10**4)):
+    tracemalloc.start()
+    try:
+        call()
+    except ValueError as exc:
+        print(exc)
+    print(tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+"""
+
+
+def test_library_builders_refuse_oversized_dims_without_allocating():
+    # A 1 GiB address-space limit in a child process: a builder that tried
+    # the allocation would end there in a MemoryError, not here.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ccnr
+
+    env = {**os.environ, "PYTHONPATH": str(Path(ccnr.__file__).resolve().parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", _LIBRARY_REFUSALS], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 8, done.stdout
+    for message, peak in zip(lines[::2], lines[1::2]):
+        assert "more than 1024 rows" in message
+        assert int(peak) < 2**20
 
 
 @pytest.mark.parametrize("build", [werner_state, isotropic_state])

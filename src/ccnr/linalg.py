@@ -133,9 +133,14 @@ def ferrers_determinant(a) -> complex:
 
 
 def random_unitary(d: int, seed=None) -> np.ndarray:
-    """Haar-distributed ``d x d`` unitary from the QR of a complex Gaussian."""
-    if d < 1:
-        raise ValueError("dimension must be positive")
+    """Haar-distributed ``d x d`` unitary from the QR of a complex Gaussian.
+
+    ``d`` meets the rule for state dimensions: a positive integer of at most
+    ``states.MAX_MATRIX_SIDE``.
+    """
+    from .states import _dims  # states imports this module
+
+    (d,) = _dims(d)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)

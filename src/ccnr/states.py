@@ -14,7 +14,7 @@ from operator import index
 import numpy as np
 
 from .linalg import _hermitian_part
-from .tolerances import CLIP_GUARD, NORM_TOL, PSD_TOL, TRACE_TOL, WEIGHT_SLACK
+from .tolerances import CHOLESKY_MARGIN, CLIP_GUARD, NORM_TOL, PSD_TOL, TRACE_TOL, WEIGHT_SLACK
 from .tolerances import HERMITICITY_TOL as HERM_TOL, SV_FLOOR as _SV_FLOOR
 
 __all__ = [
@@ -63,6 +63,12 @@ class InvariantViolation(ValueError):
 
 # The most rows a state's matrix may have: d_a * d_b, or d * d for a family.
 MAX_MATRIX_SIDE = 1024
+# The most bytes a ``*_stack`` builder may return, 256 MiB: sixteen complex
+# matrices of the largest side, or about a million two-qubit ones.
+MAX_STACK_BYTES = 2**28
+
+_EPS = np.finfo(float).eps
+_SUBNORMAL = np.finfo(float).smallest_subnormal
 
 
 def _dims(*dims) -> tuple[int, ...]:
@@ -123,11 +129,28 @@ _MIXING = (0.0, 1.0, "mixing weight")
 _QUTRIT = (2.0, 5.0, "parameter")
 
 
-def _parameters(values, lo: float, hi: float, name: str) -> np.ndarray:
-    """Family parameters as a 1-d float array, each inside ``[lo, hi]``."""
+def _stack_fits(count: int, side: int) -> None:
+    """Refuse ``count`` complex ``side x side`` matrices above ``MAX_STACK_BYTES``.
+
+    Called before the matrices are allocated.
+    """
+    size = 16 * count * side * side
+    if size > MAX_STACK_BYTES:
+        raise ValueError(
+            f"{count} matrices of side {side} take {size} bytes, more than {MAX_STACK_BYTES}"
+        )
+
+
+def _parameters(values, lo: float, hi: float, name: str, side: int = 0) -> np.ndarray:
+    """Family parameters as a 1-d float array, each inside ``[lo, hi]``.
+
+    A ``*_stack`` builder passes the ``side`` of the matrices it sizes from
+    them; their count meets ``MAX_STACK_BYTES`` before the domain is checked.
+    """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise ValueError(f"{name} values must form a 1-d sequence, got shape {values.shape}")
+    _stack_fits(values.size, side)
     return _in_domain(values, lo, hi, name)
 
 
@@ -163,6 +186,46 @@ def _check_invariant(invariant: str, residual: np.ndarray, failed: np.ndarray) -
         raise InvariantViolation(invariant, np.ravel(residual)[first[0]])
 
 
+def _certify_psd(m: np.ndarray, tol_psd: float) -> bool:
+    """Whether one Cholesky proves ``lambda_min > -tol_psd`` for every matrix of ``m``.
+
+    ``m`` is a Hermitian ``(..., n, n)`` stack of unit trace.  The Cholesky
+    factor ``R`` computed for ``A = m + shift I`` satisfies
+    ``R^H R = A + E`` with ``|E| <= g |R^H| |R|`` and ``g = gamma_{n+2}``
+    for complex arithmetic (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., Thm 10.3 and Sec. 3.6).  Since
+    ``|| |R^H| |R| ||_2 <= ||R||_F^2 = tr(A + E)``, this gives
+    ``||E||_2 <= g / (1 - g) tr(A)`` (Rump, "Verification of positive
+    definiteness", BIT 46 (2006) 433-452), which Rump extends by an
+    underflow term ``4 n (2 (n + 1) + max a_ii) eta`` for the smallest
+    subnormal ``eta``.  With ``tr(A)`` and ``max a_ii`` at most
+    ``1 + n tol_psd`` and ``u = eps / 2``, the margin
+    ``CHOLESKY_MARGIN (n + 2) eps (1 + n tol_psd)`` plus that underflow term
+    covers this bound and the rounding of the shifted diagonal, about
+    ``(n + 3) u (1 + n tol_psd)`` together, at least three times over.  With
+    ``shift = tol_psd - margin``, a factorization that runs to completion
+    makes ``A + E`` positive definite, so by Weyl's inequality
+    ``lambda_min(m) > -shift - ||E||_2 >= -tol_psd``.
+
+    ``False`` proves nothing: the shift is not positive, or some matrix of
+    the stack has ``lambda_min`` within about ``margin`` of ``-tol_psd`` or
+    below it; the caller then measures ``lambda_min`` itself.
+    """
+    n = m.shape[-1]
+    trace = 1.0 + n * tol_psd  # bounds tr(A) and max a_ii
+    shift = tol_psd - (CHOLESKY_MARGIN * (n + 2) * _EPS * trace
+                       + 4 * n * (2 * (n + 1) + trace) * _SUBNORMAL)
+    if shift <= 0.0:
+        return False
+    shifted = m.copy()
+    shifted.reshape(m.shape[:-2] + (n * n,))[..., :: n + 1] += shift
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 class _Bipartite:
     """Immutable object on ``C^{d_a} (x) C^{d_b}``; subclasses set their slots in ``__init__``."""
 
@@ -188,7 +251,16 @@ class DensityOperator(_Bipartite):
     and frozen read-only.  The first matrix failing an invariant raises
     :class:`InvariantViolation` with its residual; invariants are checked in
     that order over the whole stack.  Both tolerances must be finite and
-    nonnegative.  The criteria take one state or a stack and return one
+    nonnegative.
+
+    Positive semidefiniteness, ``lambda_min >= -tol_psd``, is first
+    certified by one Cholesky factorization of the stack shifted by just
+    under ``tol_psd``; its success proves ``lambda_min > -tol_psd`` for every
+    matrix (see :func:`_certify_psd`), rank-deficient ones included.  Only
+    when it fails, or when ``tol_psd`` is too small to leave a positive
+    shift (``tol_psd = 0``, say), does ``eigvalsh`` measure each
+    ``lambda_min``, which then decides acceptance and is the refused
+    matrix's residual.  The criteria take one state or a stack and return one
     value per state.
     """
 
@@ -224,8 +296,9 @@ class DensityOperator(_Bipartite):
         _check_invariant("unit_trace", deviation, deviation > TRACE_TOL)
         m = m / trace[..., None, None]
 
-        min_eig = np.linalg.eigvalsh(m)[..., 0]
-        _check_invariant("positive_semidefinite", min_eig, min_eig < -tol_psd)
+        if not _certify_psd(m, tol_psd):
+            min_eig = np.linalg.eigvalsh(m)[..., 0]
+            _check_invariant("positive_semidefinite", min_eig, min_eig < -tol_psd)
 
         m.setflags(write=False)
         object.__setattr__(self, "dim_a", dim_a)
@@ -347,7 +420,8 @@ def fhat_operator(d: int) -> np.ndarray:
 
 # The ``*_stack`` builders take a 1-d sequence of parameters (spectra for
 # the Bell-diagonal family) and return the unvalidated matrices as one
-# ``(k, n, n)`` array; pass it to ``DensityOperator``.  The scalar
+# ``(k, n, n)`` array; pass it to ``DensityOperator``.  A result above
+# ``MAX_STACK_BYTES`` is refused before it is allocated.  The scalar
 # constructors are the builders applied to one parameter.
 
 
@@ -358,7 +432,7 @@ def werner_stack(d: int, f) -> np.ndarray:
     ``tr(rho F) = f`` for the swap operator ``F``.
     """
     d = _local_dim(d)
-    f = _parameters(f, *_FLIP)[:, None, None]
+    f = _parameters(f, *_FLIP, side=d * d)[:, None, None]
     return (
         (d - f) * np.eye(d * d, dtype=complex) + (d * f - 1.0) * flip_operator(d)
     ) / (d**3 - d)
@@ -372,7 +446,7 @@ def werner_state(d: int, f: float) -> DensityOperator:
 def isotropic_stack(d: int, F) -> np.ndarray:
     """Isotropic matrices for each maximally entangled fidelity in ``F``."""
     d = _local_dim(d)
-    F = _parameters(F, *_FIDELITY)[:, None, None]
+    F = _parameters(F, *_FIDELITY, side=d * d)[:, None, None]
     psi = _max_entangled_amplitudes(d)
     proj = np.outer(psi, psi.conj())
     return (1.0 - F) / (d * d - 1.0) * (np.eye(d * d, dtype=complex) - proj) + F * proj
@@ -405,6 +479,9 @@ _BELL_VECTORS = np.array([psi.amplitudes for psi in bell_basis()])
 
 def bell_diagonal_stack(lams) -> np.ndarray:
     """Two-qubit matrices diagonal in the Bell basis, one per row of ``(k, 4)`` weights."""
+    lams = np.asarray(lams, dtype=float)
+    if lams.ndim == 2:  # sized before bell_spectrum passes over the weights
+        _stack_fits(len(lams), 4)
     lams = bell_spectrum(lams)
     if lams.ndim != 2:
         raise ValueError(f"spectra must form a (k, 4) array, got shape {lams.shape}")
@@ -427,7 +504,7 @@ def qubit_family_stack(p) -> np.ndarray:
 
     ``|Phi> = (|01> + |10>) / sqrt(2)``; entangled for every ``p < 1``.
     """
-    p = _parameters(p, *_MIXING)[:, None, None]
+    p = _parameters(p, *_MIXING, side=4)[:, None, None]
     s = 1.0 / math.sqrt(2.0)
     e00 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     phi = np.array([0.0, s, s, 0.0], dtype=complex)
@@ -446,7 +523,7 @@ def qutrit_family_stack(alpha) -> np.ndarray:
     with ``sigma_plus`` the uniform mixture of ``|01>, |12>, |20>`` and
     ``sigma_minus`` of ``|10>, |21>, |02>``; defined for ``2 <= alpha <= 5``.
     """
-    alpha = _parameters(alpha, *_QUTRIT)[:, None, None]
+    alpha = _parameters(alpha, *_QUTRIT, side=9)[:, None, None]
     psi = _max_entangled_amplitudes(3)
     proj = np.outer(psi, psi.conj())
     sigma_plus = np.zeros((9, 9), dtype=complex)

@@ -3,6 +3,7 @@
 HERMITICITY_TOL = 1e-10  # hermiticity checks: max|h - h^dag| <= tol (1 + max|h|), per matrix
 TRACE_TOL = 1e-10  # DensityOperator: |tr(rho) - 1| <= tol
 PSD_TOL = 1e-10  # DensityOperator: smallest eigenvalue >= -tol
+CHOLESKY_MARGIN = 2.0  # DensityOperator: chol(rho + (tol - this (n+2) eps (1+n tol)) I) => eig > -tol
 NORM_TOL = 1e-12  # PureState: | ||psi|| - 1 | <= tol
 SV_FLOOR = 1e-12  # schmidt_decompose, operator_schmidt: singular values <= floor are zeros
 VIOLATION_GUARD = 1e-9  # verdicts: a criterion is violated past its threshold by more than this

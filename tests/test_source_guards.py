@@ -1,7 +1,8 @@
 """One owner per decision: each is written once in ``src/ccnr``.
 
-A family domain, the verdict guard and the Hermitian part of a matrix each
-have one place in the source; a second copy would drift from the first.
+A family domain, the verdict guard, the PSD certificate and the Hermitian part
+of a matrix each have one place in the source; a second copy would drift from
+the first.
 """
 
 import ast
@@ -64,6 +65,13 @@ def test_the_violation_guard_is_defined_once_and_read_only_by_the_verdict_rule()
 def test_the_matrix_side_cap_is_defined_and_read_only_where_arrays_are_sized():
     assert _files_naming("MAX_MATRIX_SIDE") == {"states.py"}
     assert _files_assigning("MAX_MATRIX_SIDE") == ["states.py"]
+
+
+def test_the_psd_certificate_is_one_cholesky_in_the_states_module():
+    # Validation is the one Cholesky; its margin is read where it runs.
+    assert _files_naming("cholesky") == {"states.py"}
+    assert _files_naming("CHOLESKY_MARGIN") == {"states.py", "tolerances.py"}
+    assert _files_assigning("CHOLESKY_MARGIN") == ["tolerances.py"]
 
 
 def _symmetrisations(tree: ast.AST) -> list[int]:

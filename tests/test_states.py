@@ -17,21 +17,26 @@ from ccnr.states import (
     bell_spectrum,
     fhat_operator,
     flip_operator,
+    isotropic_stack,
     isotropic_state,
     max_entangled,
     partial_trace_a,
     partial_trace_b,
     pure_from_schmidt,
     qubit_family,
+    qubit_family_stack,
     qutrit_family,
+    qutrit_family_stack,
     random_density,
     random_pure,
     schmidt_decompose,
     twirl_uu,
     twirl_uubar,
     validate_stack,
+    werner_stack,
     werner_state,
 )
+from ccnr.tolerances import PSD_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +63,97 @@ def test_density_operator_requires_psd():
     with pytest.raises(InvariantViolation) as excinfo:
         DensityOperator(m, 2, 2)
     assert excinfo.value.invariant == "positive_semidefinite"
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """The stacks passed to ``np.linalg.eigvalsh`` while a test runs."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def _rank_one_stack(n, k, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    return np.einsum("ki,kj->kij", psi, psi.conj())
+
+
+@pytest.mark.parametrize("build", [
+    lambda: random_density(12, 12, seed=0),
+    lambda: random_density(12, 12, rank=1, seed=1),
+    lambda: random_pure(12, 12, seed=2).projector(),
+    lambda: DensityOperator(_rank_one_stack(144, 3, seed=3), 12, 12),
+    lambda: DensityOperator(_rank_one_stack(144, 2, seed=4), 6, 24),
+    lambda: werner_state(3, 1.0),
+    lambda: werner_state(3, -1.0),
+    lambda: werner_state(12, -1.0),
+    lambda: isotropic_state(4, 1.0),
+    lambda: isotropic_state(12, 1.0),
+    lambda: DensityOperator(werner_stack(3, np.linspace(-1.0, 1.0, 21)), 3, 3),
+    lambda: DensityOperator(isotropic_stack(4, np.linspace(0.0, 1.0, 11)), 4, 4),
+    lambda: DensityOperator(bell_diagonal_stack(np.eye(4)), 2, 2),
+    lambda: DensityOperator(qubit_family_stack([0.0, 1.0]), 2, 2),
+    lambda: DensityOperator(qutrit_family_stack([2.0, 5.0]), 3, 3),
+], ids=["random-n144", "rank1-n144", "pure-n144", "rank1-stack-n144", "rank1-stack-6x24",
+        "werner-3-plus1", "werner-3-minus1", "werner-12-minus1", "isotropic-4-F1",
+        "isotropic-12-F1", "werner-stack", "isotropic-stack", "bell-pure-stack",
+        "qubit-stack", "qutrit-stack"])
+def test_accepting_a_state_runs_no_eigendecomposition(build, eigvalsh_calls):
+    # The Cholesky certificate accepts rank-deficient states too: its shift
+    # just under tol_psd makes them positive definite.
+    build()
+    assert eigvalsh_calls == []
+
+
+def test_refusing_a_state_runs_one_eigendecomposition(eigvalsh_calls):
+    with pytest.raises(InvariantViolation, match="positive_semidefinite"):
+        DensityOperator(np.diag([0.75, 0.75, -0.25, -0.25]), 2, 2)
+    assert eigvalsh_calls == [(4, 4)]
+    stack = werner_stack(3, [0.5, -1.0, 1.0])
+    stack[1] = np.diag([1.5, -0.5] + [0.0] * 7)
+    with pytest.raises(InvariantViolation) as excinfo:
+        DensityOperator(stack, 3, 3)
+    assert excinfo.value.residual == -0.5
+    assert eigvalsh_calls == [(4, 4), (3, 9, 9)]
+
+
+@pytest.mark.parametrize("n", [4, 144])
+@pytest.mark.parametrize("offset", [-1e-3, 1e-3], ids=["inside", "outside"])
+def test_states_at_the_psd_tolerance_keep_their_outcome(n, offset, eigvalsh_calls):
+    # lambda_min = -tol_psd (1 + offset): accepted just inside, refused just
+    # outside, as by the smallest eigenvalue alone.
+    weights = np.full(n, (1.0 + PSD_TOL * (1.0 + offset)) / (n - 1))
+    weights[0] = -PSD_TOL * (1.0 + offset)
+    matrix = np.diag(weights).astype(complex)
+    normalized = matrix / np.real(np.trace(matrix))
+    smallest = np.linalg.eigvalsh(normalized)[0]
+    del eigvalsh_calls[:]
+    if smallest >= -PSD_TOL:
+        assert offset < 0
+        np.testing.assert_array_equal(DensityOperator(matrix).matrix, normalized)
+        assert eigvalsh_calls == []
+    else:
+        assert offset > 0
+        with pytest.raises(InvariantViolation) as excinfo:
+            DensityOperator(matrix)
+        assert excinfo.value.invariant == "positive_semidefinite"
+        assert excinfo.value.residual == smallest
+        assert eigvalsh_calls == [(n, n)]
+
+
+def test_a_zero_psd_tolerance_is_decided_by_the_eigenvalues(eigvalsh_calls):
+    # No positive shift is left to certify with, so eigvalsh decides.
+    rho = DensityOperator(np.diag([1.0, 0.0, 0.0, 0.0]), tol_psd=0.0)
+    assert eigvalsh_calls == [(4, 4)]
+    assert rho.matrix[0, 0] == 1.0
 
 
 def test_density_operator_symmetrizes_and_renormalizes():
@@ -554,14 +650,15 @@ def test_fractional_dims_are_refused_not_truncated(state, data, dims):
 
 
 _LIBRARY_REFUSALS = """
-import resource, tracemalloc
+import resource, sys, tracemalloc
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-from ccnr.states import flip_operator, random_density, random_pure, werner_state
-for call in (lambda: random_pure(10**6, 10**6), lambda: flip_operator(10**4),
-             lambda: werner_state(10**3, 0.5), lambda: random_density(10**4, 10**4)):
+import numpy as np
+from ccnr.linalg import random_unitary
+from ccnr.states import *
+for call in sys.argv[1:]:
     tracemalloc.start()
     try:
-        call()
+        eval(call)
     except ValueError as exc:
         print(exc)
     print(tracemalloc.get_traced_memory()[1])
@@ -569,9 +666,12 @@ for call in (lambda: random_pure(10**6, 10**6), lambda: flip_operator(10**4),
 """
 
 
-def test_library_builders_refuse_oversized_dims_without_allocating():
-    # A 1 GiB address-space limit in a child process: a builder that tried
-    # the allocation would end there in a MemoryError, not here.
+def _refusals_in_a_child(calls):
+    """The ``ValueError`` message and the ``tracemalloc`` peak of each call.
+
+    A 1 GiB address-space limit in a child process: a builder that tried
+    the allocation would end there in a MemoryError, not here.
+    """
     import os
     import subprocess
     import sys
@@ -581,14 +681,54 @@ def test_library_builders_refuse_oversized_dims_without_allocating():
 
     env = {**os.environ, "PYTHONPATH": str(Path(ccnr.__file__).resolve().parents[1]),
            "OPENBLAS_NUM_THREADS": "1"}
-    done = subprocess.run([sys.executable, "-c", _LIBRARY_REFUSALS], capture_output=True,
-                          text=True, env=env, timeout=60)
+    done = subprocess.run([sys.executable, "-c", _LIBRARY_REFUSALS, *calls],
+                          capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 8, done.stdout
-    for message, peak in zip(lines[::2], lines[1::2]):
+    assert len(lines) == 2 * len(calls), done.stdout
+    return [(message, int(peak)) for message, peak in zip(lines[::2], lines[1::2])]
+
+
+def test_library_builders_refuse_oversized_dims_without_allocating():
+    refusals = _refusals_in_a_child([
+        "random_pure(10**6, 10**6)", "flip_operator(10**4)", "werner_state(10**3, 0.5)",
+        "random_density(10**4, 10**4)",
+    ])
+    for message, peak in refusals:
         assert "more than 1024 rows" in message
-        assert int(peak) < 2**20
+        assert peak < 2**20
+
+
+def test_stack_builders_refuse_an_oversized_result_without_allocating():
+    # One past the cap each; the parameters are broadcast views, so the
+    # caller's input takes no memory either.
+    from ccnr.states import MAX_MATRIX_SIDE, MAX_STACK_BYTES, _stack_fits
+
+    calls = {
+        "werner_stack(32, [0.5] * 17)": (17, 1024),
+        "isotropic_stack(32, [0.5] * 17)": (17, 1024),
+        "bell_diagonal_stack(np.broadcast_to([1.0, 0, 0, 0], (2**20 + 1, 4)))": (2**20 + 1, 4),
+        "qubit_family_stack(np.broadcast_to(0.5, 2**20 + 1))": (2**20 + 1, 4),
+        "qutrit_family_stack(np.broadcast_to(3.0, 2**28 // 1296 + 1))": (2**28 // 1296 + 1, 9),
+    }
+    for (message, peak), (count, side) in zip(_refusals_in_a_child(list(calls)), calls.values()):
+        assert message == (f"{count} matrices of side {side} take {16 * count * side**2} "
+                           f"bytes, more than {MAX_STACK_BYTES}")
+        assert peak < 2**20
+    # One state of the largest side fits, and so does the largest stack tier-1 builds.
+    _stack_fits(1, MAX_MATRIX_SIDE)
+    _stack_fits(202, 36)
+
+
+def test_random_unitary_meets_the_dims_rule_without_allocating():
+    (fractional, peak_a), (text, peak_b), (huge, peak_c) = _refusals_in_a_child(
+        ["random_unitary(2.5)", "random_unitary('3')", "random_unitary(10**5)"])
+    assert fractional == "dims must be integers, got (2.5,)"
+    assert text == "dims must be integers, got ('3',)"
+    assert huge == "dims (100000,) give more than 1024 rows"
+    assert max(peak_a, peak_b, peak_c) < 2**20
+    with pytest.raises(ValueError, match="must be positive"):
+        random_unitary(0)
 
 
 @pytest.mark.parametrize("build", [werner_state, isotropic_state])

@@ -13,6 +13,7 @@ PINNED = {
     "HERMITICITY_TOL": 1e-10,
     "TRACE_TOL": 1e-10,
     "PSD_TOL": 1e-10,
+    "CHOLESKY_MARGIN": 2.0,
     "NORM_TOL": 1e-12,
     "SV_FLOOR": 1e-12,
     "VIOLATION_GUARD": 1e-9,

@@ -64,12 +64,11 @@ from .tolerances import GRID_SLACK, HERMITICITY_TOL, PSD_TOL
 
 CSV_HEADER = "param,tau_numeric,tau_closed,gamma_closed,ppt_floor,reduction_floor,verdict"
 
-# Sweeps evaluate their grid this many points at a time: one validation and
-# one report per block.  Larger blocks stop paying off well before 32 points
-# at d <= 4, while the stacks' memory grows with the block, so blocks of
-# large matrices shrink to keep one stack within SWEEP_BLOCK_BYTES.
-SWEEP_BLOCK = 32
-SWEEP_BLOCK_BYTES = 2**22
+# Sweeps evaluate their grid in blocks of as many points as fit one stack of
+# matrices in SWEEP_BLOCK_BYTES (at least one): one validation and one report
+# per block.  That is 1024 points at d = 2, 202 at d = 3 and 64 at d = 4; the
+# block's transient arrays cost a few times its bytes in peak memory.
+SWEEP_BLOCK_BYTES = 2**18
 # Grids with more points are refused before any point is generated.
 MAX_SWEEP_POINTS = 10**6
 
@@ -388,7 +387,7 @@ def cmd_sweep(args) -> int:
     gamma = None if family.gamma is None else family.gamma(d, params)
     # "%.12g" renders a float as _fmt does; a family without gamma leaves its field empty.
     row = "%.12g,%.12g,%.12g," + ("%s" if gamma is None else "%.12g") + ",%.12g,%.12g,%s"
-    size = max(1, min(SWEEP_BLOCK, SWEEP_BLOCK_BYTES // (16 * d**4)))
+    size = max(1, SWEEP_BLOCK_BYTES // (16 * d**4))
     lines = [CSV_HEADER]
     for first in range(0, len(grid), size):
         part = slice(first, first + size)

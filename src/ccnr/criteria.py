@@ -6,7 +6,8 @@ only certified through a closed-form cross norm equal to 1.
 
 Every criterion accepts a :class:`~ccnr.states.DensityOperator` of one state
 or of a stack; :func:`report_stack` evaluates either with one decomposition
-call per criterion, and :func:`full_report` is its report of one state.
+call per criterion, and a second reduction call only on the states whose two
+reduction operators differ bit for bit; :func:`full_report` is its report of one state.
 Both return the one report type, :class:`CriteriaReport`: arrays indexed like
 the stack from ``report_stack``, Python values from ``full_report``.  The
 criteria rely on the exactly Hermitian matrices ``DensityOperator`` stores:
@@ -103,13 +104,16 @@ def reduction_min_eigenvalue(rho: DensityOperator) -> float:
     # Kronecker products written on the (i, k, j, l) view of each matrix.
     first = partial_trace_b(rho)[..., :, None, :, None] * eye_b[:, None, :] - four
     second = eye_a[:, None, :, None] * partial_trace_a(rho)[..., None, :, None, :] - four
-    shape = rho.matrix.shape
-    return _per_state(
-        np.minimum(
-            np.linalg.eigvalsh(first.reshape(shape))[..., 0],
-            np.linalg.eigvalsh(second.reshape(shape))[..., 0],
-        )
-    )
+    first, second = first.reshape(rho.matrix.shape), second.reshape(rho.matrix.shape)
+    floor = np.linalg.eigvalsh(first)[..., 0]
+    # Swap-symmetric states often give both operators the same bits, and min(a, a) = a;
+    # comparing bits, not values, keeps -0.0 and 0.0 apart.
+    differ = (first.view(np.int64) != second.view(np.int64)).any(axis=(-2, -1))
+    if differ.all():  # a masked copy of every state slowed n=144 reports by 2%
+        return _per_state(np.minimum(floor, np.linalg.eigvalsh(second)[..., 0]))
+    if differ.any():
+        floor[differ] = np.minimum(floor[differ], np.linalg.eigvalsh(second[differ])[..., 0])
+    return _per_state(floor)
 
 
 def report_stack(rhos: DensityOperator, gamma: GammaValue | None = None) -> CriteriaReport:

@@ -6,6 +6,8 @@ blocked sweep must write the same rows as a point-by-point rebuild.
 """
 
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -118,7 +120,10 @@ def test_validate_stack_names_the_first_failing_state():
 def test_blocked_sweep_matches_point_by_point_rebuild(tmp_path, monkeypatch, name):
     args, d, _, scalar, tau, gamma = FAMILIES[name]
     lo, hi = DOMAINS[name]
-    monkeypatch.setattr(cli, "SWEEP_BLOCK_BYTES", SMALL_BLOCK_BYTES)
+    # Each worker's share of the budget is SMALL_BLOCK_BYTES, whatever the
+    # worker count, and every worker runs however few states a share holds.
+    monkeypatch.setattr(cli, "SWEEP_BLOCK_BYTES", cli.SWEEP_WORKERS * SMALL_BLOCK_BYTES)
+    monkeypatch.setattr(cli, "SWEEP_MIN_SHARE", 1)
     count = 2 * 32 + 5
     size = SMALL_BLOCK_BYTES // (16 * d**4)  # 32 points at d = 2, 6 at d = 3, 2 at d = 4
     assert count // size >= 2 and count % size  # two or more full blocks and a partial one
@@ -204,6 +209,8 @@ def _record_validations(monkeypatch):
 
 
 def test_sweep_validates_each_block_through_the_density_operator(tmp_path, monkeypatch):
+    # One worker validates the blocks in grid order.
+    monkeypatch.setattr(cli, "SWEEP_WORKERS", 1)
     monkeypatch.setattr(cli, "SWEEP_BLOCK_BYTES", SMALL_BLOCK_BYTES)
     shapes = _record_validations(monkeypatch)
     assert main(["sweep", "werner", "--d", "2", "--range=0:1:0.01",
@@ -211,23 +218,126 @@ def test_sweep_validates_each_block_through_the_density_operator(tmp_path, monke
     assert shapes == 3 * [(32, 4, 4)] + [(5, 4, 4)]  # 101 points in blocks of 32
 
 
-@pytest.mark.parametrize("args, n, sizes", [
-    (["werner", "--d", "2", "--range=-1:1:0.001"], 4, [1024, 977]),
-    (["werner", "--d", "3", "--range=-1:1:0.001"], 9, 9 * [202] + [183]),
-    (["isotropic", "--d", "4", "--range=0:1:0.0005"], 16, 31 * [64] + [17]),
-    (["werner", "--d", "12", "--range=-1:-0.9:0.05"], 144, 3 * [1]),
-], ids=["d2", "d3", "d4", "d12"])
-def test_sweep_blocks_hold_as_many_states_as_fit_the_block_bytes(tmp_path, monkeypatch, args, n,
-                                                                  sizes):
+# name -> (sweep arguments, matrix side, block sizes with one worker, with two).
+# From d = 5 a worker's share holds fewer than SWEEP_MIN_SHARE states, so two
+# workers fall back to one.
+_BLOCKED_SWEEPS = {
+    "d2": (["werner", "--d", "2", "--range=-1:1:0.001"], 4, [1024, 977], 3 * [512] + [465]),
+    "d3": (["werner", "--d", "3", "--range=-1:1:0.001"], 9, 9 * [202] + [183], 19 * [101] + [82]),
+    "d4": (["isotropic", "--d", "4", "--range=0:1:0.0005"], 16, 31 * [64] + [17],
+           62 * [32] + [17]),
+    "d5": (["werner", "--d", "5", "--range=-1:1:0.05"], 25, [26, 15], [26, 15]),
+    "d8": (["werner", "--d", "8", "--range=-1:-0.9:0.01"], 64, [4, 4, 3], [4, 4, 3]),
+    "d12": (["werner", "--d", "12", "--range=-1:-0.9:0.05"], 144, 3 * [1], 3 * [1]),
+}
+
+
+def _validated_shapes(tmp_path, monkeypatch, name, workers):
+    args, n, *sizes = _BLOCKED_SWEEPS[name]
+    monkeypatch.setattr(cli, "SWEEP_WORKERS", workers)
     shapes = _record_validations(monkeypatch)
     assert main(["sweep", *args, "--out", str(tmp_path / "sweep.csv")]) == 0
-    assert shapes == [(size, n, n) for size in sizes]
+    return shapes, [(size, n, n) for size in sizes[workers - 1]]
+
+
+@pytest.mark.parametrize("name", _BLOCKED_SWEEPS)
+def test_sweep_blocks_hold_as_many_states_as_fit_the_block_bytes(tmp_path, monkeypatch, name):
+    shapes, expected = _validated_shapes(tmp_path, monkeypatch, name, 1)
+    assert shapes == expected
+
+
+@pytest.mark.parametrize("name", _BLOCKED_SWEEPS)
+def test_two_sweep_workers_split_the_block_bytes(tmp_path, monkeypatch, name):
+    # Threads validate in no fixed order; the rows keep grid order (see the
+    # point-by-point rebuild and the tests below).
+    shapes, expected = _validated_shapes(tmp_path, monkeypatch, name, 2)
+    assert sorted(shapes) == sorted(expected)
+
+
+@pytest.mark.parametrize("args", [
+    ["werner", "--d", "3", "--range=-1:1:0.001"],  # 19 blocks of 101 and one of 82
+    ["isotropic", "--d", "4", "--range=0:1:0.0005"],
+    ["bell", "--range=0:1:0.5"],  # one block, fewer than the workers
+    ["qubit", "--range=0:1:0.0005"],
+    ["qutrit", "--range=2:5:0.0015"],
+    ["werner", "--d", "12", "--range=-1:1:0.25"],  # one state per block
+    ["isotropic", "--d", "12", "--range=0:1:0.5"],
+], ids=["werner-d3", "isotropic-d4", "bell", "qubit", "qutrit", "werner-d12", "isotropic-d12"])
+def test_any_worker_count_writes_the_bytes_of_one_worker(tmp_path, monkeypatch, args):
+    # Every worker runs, even on one-state blocks; four workers outnumber the
+    # cores, and a short switch interval interleaves the threads finely.
+    monkeypatch.setattr(cli, "SWEEP_MIN_SHARE", 1)
+    written = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(cli, "SWEEP_WORKERS", workers)
+            out_file = tmp_path / f"{workers}.csv"
+            assert main(["sweep", *args, "--out", str(out_file)]) == 0
+            written[workers] = out_file.read_bytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert written[2] == written[1]
+    assert written[4] == written[1]
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["1-worker", "2-workers"])
+@pytest.mark.parametrize("k", [0, 5], ids=["block0", "block5"])
+def test_the_first_failing_sweep_block_stops_the_sweep(tmp_path, monkeypatch, capsys, k, workers):
+    # Werner d = 2 in blocks of 4 points: 101 points make 26 blocks.  Block k
+    # and block k + 2 fail; with two workers, block k fails only after block
+    # k + 2 has failed on the other thread.
+    monkeypatch.setattr(cli, "SWEEP_WORKERS", workers)
+    monkeypatch.setattr(cli, "SWEEP_BLOCK_BYTES", workers * 4 * 16 * 2**4)
+    monkeypatch.setattr(cli, "SWEEP_MIN_SHARE", 1)
+    grid = cli._parse_range("0:1:0.01")
+    failing = {grid[4 * k]: k, grid[4 * (k + 2)]: k + 2}
+    later_failed = threading.Event()
+    built = []
+
+    def build(d, f):
+        built.append(f[0])
+        block = failing.get(f[0])
+        if block == k + 2:
+            later_failed.set()
+        elif block == k and workers > 1:
+            assert later_failed.wait(timeout=30)
+        if block is not None:
+            raise InvariantViolation("test", 0.0, f"block {block} fails")
+        return werner_stack(d, f)
+
+    monkeypatch.setattr(cli, "werner_stack", build)
+    out_file = tmp_path / "werner.csv"
+    assert main(["sweep", "werner", "--d", "2", "--range=0:1:0.01",
+                 "--out", str(out_file)]) == 3
+    assert capsys.readouterr().err == f"error: block {k} fails\n"
+    assert not out_file.exists()
+    assert len(built) <= k + 1 + 2 * workers
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    # concurrent.futures imports logging, 5-7 ms in all; the sweep pool imports it itself.
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import ccnr
+
+    script = ("import sys, ccnr, ccnr.cli\n"
+              "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(ccnr.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.stdout == "[]\n", done.stderr
 
 
 def test_a_full_sweep_peaks_within_a_few_blocks_of_memory(tmp_path):
-    # Measured at 1.56 MB, 5.96 blocks of 2**18 bytes: the block's stack, its
-    # validation and report transients, and the grid, closed forms and CSV rows
-    # of all 2001 points.  The bound leaves 25% headroom.
+    # Measured at 1.62-1.68 MB, 6.2-6.4 blocks of 2**18 bytes: two workers'
+    # half-size blocks with their validation and report transients, and the
+    # grid, closed forms and CSV rows of all 2001 points.  The first sweep of a
+    # process also imports concurrent.futures, 0.1 MB with logging loaded (as
+    # under pytest) and 0.6 MB without.  The bound leaves ~15% headroom.
     tracemalloc.start()
     try:
         assert main(["sweep", "isotropic", "--d", "4", "--range=0:1:0.0005",

@@ -25,7 +25,7 @@ import math
 import os
 import sys
 from collections import deque
-from pathlib import Path
+from itertools import islice
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -48,6 +48,7 @@ from .realign import (
     tau_werner_closed,
 )
 from .states import (
+    MAX_STATE_FILE_BYTES,
     DensityOperator,
     InvariantViolation,
     PureState,
@@ -192,13 +193,28 @@ def _dim_entry(value) -> int:
     raise ValueError(f"dims entries must be integers, got {value!r}")
 
 
+def _read_state_text(path) -> str:
+    """A state file's text, refused past ``MAX_STATE_FILE_BYTES`` before it is decoded."""
+    chunk = 1 << 20  # one read of the cap would allocate all of it up front
+    with open(path, "rb") as fh:
+        # stat cannot size a pipe, and a file may grow after the stat, so the
+        # reads also stop within a chunk past the cap.
+        fits = os.fstat(fh.fileno()).st_size <= MAX_STATE_FILE_BYTES
+        reads = islice(iter(lambda: fh.read(chunk), b""), MAX_STATE_FILE_BYTES // chunk + 1)
+        raw = b"".join(reads) if fits else b""
+    if not fits or len(raw) > MAX_STATE_FILE_BYTES:
+        raise ValueError(f"{path}: a state file may hold at most {MAX_STATE_FILE_BYTES} bytes")
+    return raw.decode("utf-8")
+
+
 def load_state_file(path, dims_override=None, *, tol_psd=PSD_TOL, tol_herm=HERMITICITY_TOL):
     """Parse a JSON state file into a (kind, state) pair.
 
     Malformed content raises ``ValueError``; a well-formed matrix that fails
-    a state invariant raises :class:`InvariantViolation`.
+    a state invariant raises :class:`InvariantViolation`, and a file longer
+    than ``MAX_STATE_FILE_BYTES`` raises ``ValueError`` before it is parsed.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_state_text(path)
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -241,68 +257,47 @@ def load_state_file(path, dims_override=None, *, tol_psd=PSD_TOL, tol_herm=HERMI
     return kind, PureState(values, *dims)
 
 
-def _json_layout(shape: tuple[int, ...], depth: int = 1, slot: str = "%r") -> str:
-    """``json.dumps(a.tolist(), indent=1)`` for ``a`` of ``shape``, a ``slot`` per number:
-    json writes a finite float as ``%r`` does, but its indenting encoder is pure Python."""
+def _json_layout(shape: tuple[int, ...], depth: int = 1) -> str:
+    """``json.dumps(a.tolist(), indent=1)`` for ``a`` of ``shape``, a ``%s`` per number:
+    json writes a finite float as ``repr`` does, but its indenting encoder is pure Python."""
     pad = "\n" + " " * (depth + 1)
-    item = slot if len(shape) == 1 else _json_layout(shape[1:], depth + 1, slot)
+    item = "%s" if len(shape) == 1 else _json_layout(shape[1:], depth + 1)
     return "[" + pad + ("," + pad).join([item] * shape[0]) + "\n" + " " * depth + "]"
 
 
-def _density_pieces(m: np.ndarray) -> Iterator[str]:
-    """The ``[re, im]`` layout of a density matrix, a row at a time, from a
-    ``repr`` per number of its upper half (see :func:`write_state_file`)."""
-    n = m.shape[0]
-    row, col = np.triu_indices(n)
-    upper, mirror = row * n + col, col * n + row  # flat indices of (i, j) and (j, i), i <= j
-    re, im = m.real.ravel(), m.imag.ravel()
-    re_upper, im_upper = re[upper], im[upper]
-    re_text = list(map(repr, re_upper.tolist()))
-    im_text = list(map(repr, im_upper.tolist()))
-    flipped = [s[1:] if s[0] == "-" else "-" + s for s in im_text]
-    # The strings of flat entry k sit at 2k (real part) and 2k + 1 (imaginary part).
-    text = [""] * (2 * n * n)
-    put = text.__setitem__
-    for slots, strings in ((2 * mirror, re_text), (2 * mirror + 1, flipped),
-                           (2 * upper, re_text), (2 * upper + 1, im_text)):
-        list(map(put, slots.tolist(), strings))
-    own_re = mirror[(re[mirror] != re_upper) | (re_upper == 0)]
-    own_im = mirror[(im[mirror] != -im_upper) | (im_upper == 0)]
-    list(map(put, (2 * own_re).tolist(), map(repr, re[own_re].tolist())))
-    list(map(put, (2 * own_im + 1).tolist(), map(repr, im[own_im].tolist())))
-    layout = _json_layout((n, 2), 2, "%s")
-    yield "[\n  "
-    for k in range(0, 2 * n * n, 2 * n):
-        yield (",\n  " if k else "") + layout % tuple(text[k:k + 2 * n])
+def _json_rows(values: np.ndarray) -> Iterator[str]:
+    """``json.dumps(values.tolist(), indent=1)`` of finite floats, indented as the
+    value of a top-level key, a row at a time (see :func:`write_state_file`)."""
+    magnitudes, inverse = np.unique(np.abs(values), return_inverse=True)
+    text = np.array(list(map(repr, magnitudes.tolist())), dtype=object)
+    index = inverse.reshape(len(values), -1)
+    negative = np.signbit(values).reshape(len(values), -1)
+    layout = _json_layout(values.shape[1:], 2)
+    for k in range(len(values)):
+        row, sign = text[index[k]], negative[k]
+        row[sign] = "-" + row[sign]
+        yield (",\n  " if k else "[\n  ") + layout % tuple(row.tolist())
     yield "\n ]"
 
 
 def write_state_file(path, state) -> None:
     """Serialize a DensityOperator or PureState as ``json.dumps(payload, indent=1)`` would.
 
-    A density matrix is formatted from its diagonal and upper triangle.  Below
-    the diagonal, entry ``(j, i)`` takes the real string of ``(i, j)`` and its
-    imaginary string with the sign flipped (a leading ``-`` dropped or added).
-    Zeros and any entry that is not the exact conjugate of its mirror take
-    their own ``repr``.  Zeros are exempt because ``==`` cannot tell ``-0.0``
-    from ``0.0`` and the signs of mirrored zeros need not mirror: both
-    imaginary zeros of ``x - x`` are ``+0.0``, and the division by the trace
-    can turn one of two real ``-0.0`` into ``+0.0``.  The bytes are those of
-    ``repr`` on every number.
+    Each distinct magnitude is formatted once by ``repr``, with a ``-`` put before
+    it wherever the sign bit is set: ``repr(-x) == "-" + repr(x)`` for every finite
+    ``x >= 0``, zero included.  A Hermitian matrix formats about half its numbers.
     """
     if isinstance(state, DensityOperator):
         _one_state(state, "write_state_file")
-        kind, pieces = "density", _density_pieces(state.matrix)
+        kind, values = "density", state.matrix
     elif isinstance(state, PureState):
-        values = state.amplitudes
-        pairs = np.stack([values.real, values.imag], -1)
-        kind, pieces = "pure", [_json_layout(pairs.shape) % tuple(pairs.ravel().tolist())]
+        kind, values = "pure", state.amplitudes
     else:
         raise ValueError(f"cannot serialize {type(state).__name__}")
     head = f'{{\n "kind": "{kind}",\n "dims": [\n  {state.dim_a},\n  {state.dim_b}\n ],\n'
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f'{head} "matrix": ')
-        fh.writelines(pieces)
+        fh.writelines(_json_rows(np.stack([values.real, values.imag], -1)))
         fh.write("\n}\n")
 
 

@@ -66,6 +66,12 @@ MAX_MATRIX_SIDE = 1024
 # The most bytes a ``*_stack`` builder may return, 256 MiB: sixteen complex
 # matrices of the largest side, or about a million two-qubit ones.
 MAX_STACK_BYTES = 2**28
+# The most bytes a state file may hold, checked before it is parsed.  The
+# largest file ``cli.write_state_file`` emits, a density matrix of
+# MAX_MATRIX_SIDE rows, holds at most 70 bytes per entry (two 24-character
+# numbers at a 4-space indent), 73.4 MB; the next power of two, 2**27 bytes,
+# leaves ~1.8x headroom.
+MAX_STATE_FILE_BYTES = 1 << (70 * MAX_MATRIX_SIDE**2).bit_length()
 
 _EPS = np.finfo(float).eps
 _SUBNORMAL = np.finfo(float).smallest_subnormal

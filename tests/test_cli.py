@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -615,18 +616,18 @@ def test_density_file_text_is_json_dumps_on_signed_zeros_and_subnormals(tmp_path
 
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(1, 4), data=st.data())
-def test_density_layout_takes_its_own_repr_off_the_mirror(n, data):
-    from ccnr.cli import _density_pieces
+def test_json_rows_text_is_json_dumps_with_or_without_a_mirror(n, data):
+    from ccnr.cli import _json_rows
 
     values = data.draw(st.lists(_FILE_VALUES, min_size=2 * n * n, max_size=2 * n * n))
     pairs = np.array(values).reshape(n, n, 2)
     if data.draw(st.booleans()):  # exact conjugates below the diagonal, zeros included
         lower = np.tril_indices(n, -1)
         pairs[lower] = pairs.transpose(1, 0, 2)[lower] * [1.0, -1.0]
-    m = np.empty((n, n), dtype=complex)
-    m.real, m.imag = pairs[..., 0], pairs[..., 1]
-    want = json.dumps(pairs.tolist(), indent=1).replace("\n", "\n ")
-    assert "".join(_density_pieces(m)) == want
+    vector = pairs.reshape(-1, 2)  # the [re, im] pairs of a pure state
+    for array in (pairs, vector):
+        want = json.dumps(array.tolist(), indent=1).replace("\n", "\n ")
+        assert "".join(_json_rows(array)) == want
 
 
 _ONE = [[[1.0, 0.0]]]  # the 1x1 density matrix of dims [1, 1]
@@ -721,6 +722,76 @@ def test_a_state_file_whose_own_dims_pass_the_cap_is_refused(tmp_path, capsys):
     assert main(["schmidt", str(state_file)]) == 2
     err = capsys.readouterr().err
     assert "more than 1024 rows" in err and "Traceback" not in err
+
+
+def test_a_state_file_over_the_byte_cap_is_refused_before_it_is_read(tmp_path):
+    from ccnr.states import MAX_STATE_FILE_BYTES
+
+    sparse = tmp_path / "sparse.json"
+    with open(sparse, "wb") as fh:
+        fh.truncate(MAX_STATE_FILE_BYTES + 1)
+    # /dev/zero has no size to stat and no end: only the bounded read stops it.
+    done = _run_under_1_gib(f"check {sparse}", "check /dev/zero")
+    assert done.stdout.split() == ["2", "2"], done.stderr
+    assert done.stderr.count(f"at most {MAX_STATE_FILE_BYTES} bytes") == 2
+    assert "Traceback" not in done.stderr
+
+
+def test_a_written_state_of_the_largest_side_fits_the_byte_cap(tmp_path):
+    from ccnr.states import MAX_STATE_FILE_BYTES
+
+    path = tmp_path / "werner.json"
+    state = werner_state(32, 0.1)
+    write_state_file(path, state)
+    assert path.stat().st_size < MAX_STATE_FILE_BYTES // 2
+    kind, loaded = load_state_file(path)
+    assert kind == "density" and np.array_equal(loaded.matrix, state.matrix)
+
+
+def test_reading_a_small_state_file_allocates_far_less_than_the_cap(tmp_path):
+    import tracemalloc
+
+    from ccnr.states import MAX_STATE_FILE_BYTES
+
+    path = tmp_path / "bell.json"
+    _write_max_entangled_density(path)
+    tracemalloc.start()
+    try:
+        load_state_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < MAX_STATE_FILE_BYTES // 16
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_the_byte_cap_binds_a_pipe_as_it_binds_a_file(tmp_path, monkeypatch, capsys):
+    import threading
+
+    import ccnr.cli
+
+    text = json.dumps({"kind": "density", "dims": [1, 1], "matrix": _ONE}).encode("utf-8")
+    monkeypatch.setattr(ccnr.cli, "MAX_STATE_FILE_BYTES", len(text))
+
+    def check(data, pipe):
+        path = tmp_path / ("pipe" if pipe else "file")
+        if pipe:  # stat reads size 0 on a pipe; only the read can meet the cap
+            os.mkfifo(path)
+            writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+            writer.start()
+        else:
+            path.write_bytes(data)
+        code = main(["check", str(path)])
+        if pipe:
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+        path.unlink()
+        return code, capsys.readouterr().err
+
+    for pipe in (False, True):
+        assert check(text, pipe) == (0, "")
+        code, err = check(text + b" ", pipe)
+        assert code == 2 and f"at most {len(text)} bytes" in err
 
 
 _NUMBERS = st.one_of(

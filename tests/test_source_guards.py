@@ -92,6 +92,27 @@ def test_the_symmetrisation_scan_sees_one():
     assert _symmetrisations(ast.parse("m = (m + adjoint) / 2.0")) == [1]
 
 
+def _repr_renderings(tree: ast.AST) -> list[int]:
+    """Lines naming ``repr`` or holding a ``%r`` format."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == "repr"
+                  or isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and "%r" in node.value)
+
+
+def test_state_file_numbers_are_rendered_by_repr_in_one_place():
+    # f"{x!r}" in messages is not a number of a state file, and not a hit.
+    tree = ast.parse((Path(ccnr.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    helper = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_json_rows")
+    lines = _repr_renderings(tree)
+    assert len(lines) == 1 and helper.lineno <= lines[0] <= helper.end_lineno
+
+
+def test_the_repr_scan_sees_one():
+    assert _repr_renderings(ast.parse("a = list(map(repr, x))\nb = '%r' % y")) == [1, 2]
+
+
 # The public API is stated once: each module's ``__all__``, re-exported by the package.
 API_MODULES = [importlib.import_module(f"ccnr.{name}")
                for name in ("linalg", "states", "realign", "crossnorm", "criteria")]

@@ -98,13 +98,15 @@ def _bell_weights(t) -> np.ndarray:
 class Family(NamedTuple):
     """A closed-form state family as ``gen`` and ``sweep`` use it.
 
-    ``build(d, params)`` returns the unvalidated ``(k, n, n)`` stack for a
-    sequence of family parameters; ``tau(d, params)`` and ``gamma(d, params)``
-    are the closed forms, one value per member; the closed ``tau`` refuses a
-    parameter outside the family's domain.  A sweep maps its grid of scalars
-    to family parameters by ``point``.  ``dim`` fixes the local dimension;
-    ``None`` means ``--d`` is required.  ``arity`` is the number of values
-    ``gen --param`` takes.
+    Each function takes the family's leading arguments ``fixed`` (``(d,)``
+    where ``--d`` picks the local dimension, ``()`` where the family fixes it)
+    and then a sequence of family parameters: ``build(*fixed, params)`` returns
+    the unvalidated ``(k, n, n)`` stack, and ``tau(*fixed, params)`` and
+    ``gamma(*fixed, params)`` are the closed forms, one value per member; the
+    closed ``tau`` refuses a parameter outside the family's domain.  A sweep
+    maps its grid of scalars to family parameters by ``point``.  ``dim`` fixes
+    the local dimension; ``None`` means ``--d`` is required.  ``arity`` is the
+    number of values ``gen --param`` takes.
     """
 
     build: Callable
@@ -115,42 +117,20 @@ class Family(NamedTuple):
     arity: int = 1
 
 
-# Entries look their functions up by name at call time, so a function
-# replaced on its module (a test double, a timing wrapper) is the one called.
-FAMILIES = {
-    "werner": Family(
-        build=lambda d, f: werner_stack(d, f),
-        tau=lambda d, f: tau_werner_closed(d, f),
-        gamma=lambda d, f: gamma_werner_closed(d, f),
-    ),
-    "isotropic": Family(
-        build=lambda d, F: isotropic_stack(d, F),
-        tau=lambda d, F: tau_isotropic_closed(d, F),
-        gamma=lambda d, F: gamma_isotropic_closed(d, F),
-    ),
-    "bell": Family(
-        build=lambda d, lams: bell_diagonal_stack(lams),
-        tau=lambda d, lam: tau_bell_diagonal_closed(lam),
-        gamma=lambda d, lam: gamma_bell_diagonal_closed(lam),
-        dim=2,
-        point=_bell_weights,
-        arity=4,
-    ),
-    "qubit": Family(
-        build=lambda d, p: qubit_family_stack(p),
-        tau=lambda d, p: tau_qubit_family_closed(p),
-        gamma=None,
-        dim=2,
-    ),
-    "qutrit": Family(
-        build=lambda d, alpha: qutrit_family_stack(alpha),
-        tau=lambda d, alpha: tau_qutrit_family_closed(alpha),
-        gamma=None,
-        dim=3,
-    ),
-}
+def _families() -> dict[str, Family]:
+    """The families by name, built from this module's names at each call, so a
+    function replaced on the module (a test double, a timing wrapper) is the one called."""
+    return {
+        "werner": Family(werner_stack, tau_werner_closed, gamma_werner_closed),
+        "isotropic": Family(isotropic_stack, tau_isotropic_closed, gamma_isotropic_closed),
+        "bell": Family(bell_diagonal_stack, tau_bell_diagonal_closed, gamma_bell_diagonal_closed,
+                       dim=2, point=_bell_weights, arity=4),
+        "qubit": Family(qubit_family_stack, tau_qubit_family_closed, None, dim=2),
+        "qutrit": Family(qutrit_family_stack, tau_qutrit_family_closed, None, dim=3),
+    }
 
-SWEEP_FAMILIES = tuple(FAMILIES)
+
+SWEEP_FAMILIES = tuple(_families())
 GEN_FAMILIES = SWEEP_FAMILIES + ("random",)
 
 
@@ -301,16 +281,18 @@ def write_state_file(path, state) -> None:
         fh.write("\n}\n")
 
 
-def _family_dim(name: str, d: int | None) -> int:
-    """Local dimension of family ``name`` given the ``--d`` option."""
-    fixed = FAMILIES[name].dim
-    if fixed is None:
+def _family(name: str, d: int | None) -> tuple[Family, int, tuple]:
+    """Family ``name``, its local dimension given the ``--d`` option, and the
+    leading arguments its functions take: ``(d,)`` where ``--d`` picks it, else ``()``."""
+    family = _families()[name]
+    if family.dim is None:
         if d is None:
             raise ValueError(f"family {name!r} needs --d")
-        return _local_dim(d)
-    if d not in (None, fixed):
-        raise ValueError(f"family {name!r} is fixed at local dimension {fixed}")
-    return fixed
+        d = _local_dim(d)
+        return family, d, (d,)
+    if d not in (None, family.dim):
+        raise ValueError(f"family {name!r} is fixed at local dimension {family.dim}")
+    return family, family.dim, ()
 
 
 def cmd_check(args) -> int:
@@ -369,16 +351,16 @@ def cmd_gen(args) -> int:
         dim_a, dim_b = args.dims
         state = random_density(dim_a, dim_b, rank=args.rank, seed=args.seed)
     else:
-        family = FAMILIES[args.family]
         if args.param is None:
             raise ValueError(f"family {args.family!r} needs --param")
         values = [float(p) for p in args.param.split(",")]
-        if len(values) != family.arity:
-            wanted = "a single parameter" if family.arity == 1 else "four comma-separated weights"
+        arity = _families()[args.family].arity
+        if len(values) != arity:
+            wanted = "a single parameter" if arity == 1 else "four comma-separated weights"
             raise ValueError(f"family {args.family!r} needs {wanted}")
-        d = _family_dim(args.family, args.d)
-        param = values if family.arity > 1 else values[0]
-        state = DensityOperator(family.build(d, [param])[0], d, d)
+        family, d, fixed = _family(args.family, args.d)
+        param = values if arity > 1 else values[0]
+        state = DensityOperator(family.build(*fixed, [param])[0], d, d)
     write_state_file(args.out, state)
     print(f"wrote {args.out}")
     return 0
@@ -415,13 +397,12 @@ def _map_in_order(fn: Callable, items, workers: int) -> list:
 def cmd_sweep(args) -> int:
     if args.out is None:
         raise ValueError("sweep needs --out")
-    family = FAMILIES[args.family]
     grid = _parse_range(args.range)
-    d = _family_dim(args.family, args.d)
+    family, d, fixed = _family(args.family, args.d)
     # The closed tau refuses the first value outside the domain before any state is built.
     params = family.point(np.array(grid))
-    taus = family.tau(d, params).tolist()
-    gamma = None if family.gamma is None else family.gamma(d, params)
+    taus = family.tau(*fixed, params).tolist()
+    gamma = None if family.gamma is None else family.gamma(*fixed, params)
     # "%.12g" renders a float as _fmt does; a family without gamma leaves its field empty.
     row = "%.12g,%.12g,%.12g," + ("%s" if gamma is None else "%.12g") + ",%.12g,%.12g,%s\n"
     state_bytes = 16 * d**4
@@ -433,7 +414,7 @@ def cmd_sweep(args) -> int:
         """The CSV rows of the block of points that starts at ``first``."""
         part = slice(first, first + size)
         closed = None if gamma is None else GammaValue(gamma.value[part], gamma.family)
-        report = report_stack(DensityOperator(family.build(d, params[part]), d, d), closed)
+        report = report_stack(DensityOperator(family.build(*fixed, params[part]), d, d), closed)
         gammas = [""] * len(report) if gamma is None else report.gamma_closed.tolist()
         columns = (grid[part], report.tau.tolist(), taus[part], gammas,
                    report.ppt_floor.tolist(), report.reduction_floor.tolist(),

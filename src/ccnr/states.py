@@ -77,10 +77,17 @@ _EPS = np.finfo(float).eps
 _SUBNORMAL = np.finfo(float).smallest_subnormal
 
 
+def _index(value) -> int:
+    """``operator.index(value)``, refusing ``True`` and ``False``, which it takes as 1 and 0."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return index(value)
+
+
 def _dims(*dims) -> tuple[int, ...]:
     """Positive integer ``dims`` of at most ``MAX_MATRIX_SIDE`` rows, checked before any sizing."""
     try:
-        checked = tuple(map(index, dims))
+        checked = tuple(map(_index, dims))
     except TypeError:
         raise ValueError(f"dims must be integers, got {dims!r}") from None
     if min(checked) < 1:
@@ -111,7 +118,7 @@ def _infer_dims(n: int, dim_a, dim_b) -> tuple[int, int]:
 def _local_dim(d) -> int:
     """A local dimension of a symmetric family: an integer of at least 2, ``d * d`` rows in all."""
     try:
-        d = index(d)
+        d = _index(d)
     except TypeError:
         raise ValueError(f"local dimension must be an integer, got {d!r}") from None
     if d < 2:
@@ -637,7 +644,7 @@ def random_density(dim_a: int, dim_b: int, rank: int | None = None, seed=None) -
     dim_a, dim_b = _dims(dim_a, dim_b)
     n = dim_a * dim_b
     try:
-        rank = n if rank is None else index(rank)
+        rank = n if rank is None else _index(rank)
     except TypeError:
         raise ValueError(f"rank must be an integer, got {rank!r}") from None
     if not 1 <= rank <= n:

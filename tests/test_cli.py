@@ -1,5 +1,6 @@
 """Tests for the command-line interface and the state-file format."""
 
+import collections
 import contextlib
 import io
 import json
@@ -283,6 +284,68 @@ def test_gen_refuses_options_its_family_does_not_take(tmp_path, capsys, argv, st
     assert main(["gen", *argv, "--out", str(tmp_path / "x.json")]) == 2
     assert f"takes no {stray}\n" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+# gen checks --param and its arity before the local dimension.
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "werner"], "family 'werner' needs --param"),
+    (["gen", "werner", "--param", "0.5"], "family 'werner' needs --d"),
+    (["gen", "bell", "--d", "3", "--param", "0.5"],
+     "family 'bell' needs four comma-separated weights"),
+    (["gen", "qutrit", "--d", "2"], "family 'qutrit' needs --param"),
+    (["sweep", "werner", "--range=0:2:0.5"], "family 'werner' needs --d"),
+    (["sweep", "qutrit", "--d", "2", "--range=0:2:0.5"],
+     "family 'qutrit' is fixed at local dimension 3"),
+])
+def test_family_options_are_refused_in_order(tmp_path, capsys, argv, message):
+    assert main([*argv, "--out", str(tmp_path / "F")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+# Per family: --d, a gen --param, a 21-point sweep grid, and the functions
+# ccnr.cli binds for it: the builder, the closed tau and the closed gamma.
+_FAMILY_RUNS = {
+    "werner": (["--d", "3"], "0.2", "-1:1:0.1",
+               ["werner_stack", "tau_werner_closed", "gamma_werner_closed"]),
+    "isotropic": (["--d", "3"], "0.5", "0:1:0.05",
+                  ["isotropic_stack", "tau_isotropic_closed", "gamma_isotropic_closed"]),
+    "bell": ([], "0.7,0.1,0.1,0.1", "0:1:0.05",
+             ["bell_diagonal_stack", "tau_bell_diagonal_closed", "gamma_bell_diagonal_closed"]),
+    "qubit": ([], "0.3", "0:1:0.05", ["qubit_family_stack", "tau_qubit_family_closed"]),
+    "qutrit": ([], "4", "2:5:0.15", ["qutrit_family_stack", "tau_qutrit_family_closed"]),
+}
+
+
+def _family_outputs(directory) -> dict:
+    """The bytes that gen and a 21-point sweep of each family write, by file name."""
+    directory.mkdir()
+    written = {}
+    for family, (fixed, param, grid, _) in _FAMILY_RUNS.items():
+        for command, argv in [("gen", ["--param", param]), ("sweep", [f"--range={grid}"])]:
+            out = directory / f"{command}-{family}"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([command, family, *fixed, *argv, "--out", str(out)]) == 0
+            written[out.name] = out.read_bytes()
+    return written
+
+
+def test_gen_and_sweep_call_each_family_function_by_its_name_on_the_cli(tmp_path, monkeypatch):
+    import ccnr.cli
+
+    plain = _family_outputs(tmp_path / "plain")
+    calls, expected = collections.Counter(), collections.Counter()
+    for *_, (build, *closed) in _FAMILY_RUNS.values():
+        expected.update([build, build, *closed])  # gen, and the sweep's one block
+        for name in (build, *closed):
+            def forward(*args, fn=getattr(ccnr.cli, name), name=name):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(ccnr.cli, name, forward)
+    assert _family_outputs(tmp_path / "forwarded") == plain
+    assert len(expected) == 13
+    assert calls == expected
 
 
 def test_gen_file_round_trips_exactly(tmp_path):

@@ -649,6 +649,26 @@ def test_fractional_dims_are_refused_not_truncated(state, data, dims):
     assert state(data, np.int64(2), np.int64(2)).dims == (2, 2)  # numpy integers still pass
 
 
+# operator.index takes True and False as 1 and 0; the dims rule and the rank check do not.
+@pytest.mark.parametrize("call, text", [
+    (lambda: DensityOperator(np.eye(4) / 4, True, 4), "dims must be integers, got (True, 4)"),
+    (lambda: DensityOperator(np.eye(4) / 4, None, False), "dims must be integers, got (False,)"),
+    (lambda: PureState([1, 0, 0, 0], True, 4), "dims must be integers, got (True, 4)"),
+    (lambda: random_density(True, 2), "dims must be integers, got (True, 2)"),
+    (lambda: random_pure(2, False), "dims must be integers, got (2, False)"),
+    (lambda: pure_from_schmidt([1.0], True, 2), "dims must be integers, got (True, 2)"),
+    (lambda: random_unitary(True), "dims must be integers, got (True,)"),
+    (lambda: random_density(2, 2, rank=True), "rank must be an integer, got True"),
+    (lambda: random_density(2, 2, rank=False), "rank must be an integer, got False"),
+    (lambda: werner_state(True, 0.5), "local dimension must be an integer, got True"),
+], ids=["density", "density-inferred", "pure", "random_density", "random_pure",
+        "pure_from_schmidt", "random_unitary", "rank-true", "rank-false", "werner"])
+def test_booleans_are_refused_as_dims_and_ranks(call, text):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == text
+
+
 _LIBRARY_REFUSALS = """
 import resource, sys, tracemalloc
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))

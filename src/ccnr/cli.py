@@ -31,7 +31,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .crossnorm import (
-    GammaValue,
+    _checked_gamma,
     gamma_bell_diagonal_closed,
     gamma_isotropic_closed,
     gamma_pure,
@@ -319,7 +319,7 @@ def cmd_schmidt(args) -> int:
         raise ValueError("schmidt needs a pure-state file")
     coefficients = schmidt_decompose(state).coefficients
     print("schmidt_coefficients = " + " ".join(_fmt(p) for p in coefficients))
-    print(f"gamma = {_fmt(gamma_pure(state).value)}")
+    print(f"gamma = {_fmt(_checked_gamma(gamma_pure(state))[0])}")
     print(f"robustness = {_fmt(robustness_pure_exact(state))}")
     return 0
 
@@ -402,9 +402,8 @@ def cmd_sweep(args) -> int:
     # The closed tau refuses the first value outside the domain before any state is built.
     params = family.point(np.array(grid))
     taus = family.tau(*fixed, params).tolist()
-    gamma = None if family.gamma is None else family.gamma(*fixed, params)
     # "%.12g" renders a float as _fmt does; a family without gamma leaves its field empty.
-    row = "%.12g,%.12g,%.12g," + ("%s" if gamma is None else "%.12g") + ",%.12g,%.12g,%s\n"
+    row = "%.12g,%.12g,%.12g," + ("%s" if family.gamma is None else "%.12g") + ",%.12g,%.12g,%s\n"
     state_bytes = 16 * d**4
     share = SWEEP_BLOCK_BYTES // SWEEP_WORKERS // state_bytes
     workers = SWEEP_WORKERS if share >= SWEEP_MIN_SHARE else 1
@@ -413,8 +412,8 @@ def cmd_sweep(args) -> int:
     def block(first: int) -> str:
         """The CSV rows of the block of points that starts at ``first``."""
         part = slice(first, first + size)
-        closed = None if gamma is None else GammaValue(gamma.value[part], gamma.family)
-        report = report_stack(DensityOperator(family.build(*fixed, params[part]), d, d), closed)
+        gamma = None if family.gamma is None else family.gamma(*fixed, params[part])
+        report = report_stack(DensityOperator(family.build(*fixed, params[part]), d, d), gamma)
         gammas = [""] * len(report) if gamma is None else report.gamma_closed.tolist()
         columns = (grid[part], report.tau.tolist(), taus[part], gammas,
                    report.ppt_floor.tolist(), report.reduction_floor.tolist(),
@@ -494,6 +493,9 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 2
     except (ValueError, OSError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

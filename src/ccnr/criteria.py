@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .crossnorm import GammaValue
+from .crossnorm import GammaValue, _checked_gamma
 from .realign import ccnr_tau
 from .states import (
     DensityOperator,
@@ -31,7 +31,7 @@ from .states import (
     partial_trace_a,
     partial_trace_b,
 )
-from .tolerances import GAMMA_EQUALITY_TOL, VIOLATION_GUARD
+from .tolerances import VIOLATION_GUARD
 
 __all__ = [
     "VIOLATION_GUARD",
@@ -128,9 +128,9 @@ def report_stack(rhos: DensityOperator, gamma: GammaValue | None = None) -> Crit
     if not single and rhos.matrix.ndim != 3:
         raise ValueError(f"need one state or a (k, n, n) stack, got shape {rhos.matrix.shape}")
     count = 1 if single else len(rhos.matrix)
-    values = np.full(count, np.nan) if gamma is None else np.asarray(gamma.value, dtype=float)
+    values, separable = (np.full(count, np.nan), False) if gamma is None else _checked_gamma(gamma)
     if single:
-        values = values.reshape(-1)
+        values, separable = values.reshape(-1), np.reshape(separable, -1)
     if values.shape != (count,):
         raise ValueError(f"need one gamma per state, shape ({count},), got {values.shape}")
     family = None if gamma is None else gamma.family
@@ -141,7 +141,6 @@ def report_stack(rhos: DensityOperator, gamma: GammaValue | None = None) -> Crit
     ppt_violated = ppt_floor < -VIOLATION_GUARD
     reduction_violated = reduction_floor < -VIOLATION_GUARD
     entangled = tau_violated | ppt_violated | reduction_violated | (values > 1.0 + VIOLATION_GUARD)
-    separable = np.abs(values - 1.0) <= GAMMA_EQUALITY_TOL
     verdict = np.where(
         entangled,
         "entangled_certified",

@@ -7,6 +7,11 @@ rank-one operators admit closed forms.  For arbitrary states the realignment
 trace norm (:func:`ccnr.realign.ccnr_tau`) is a computable lower bound.  The
 family closed forms map an array of parameters to one :class:`GammaValue`
 whose ``value`` is an array.
+
+Every state has ``gamma >= 1``.  The verdicts of ``report_stack``,
+:func:`robustness_lower_bound` and :func:`is_separable_closed` read a closed
+form by one rule: NaN, infinities and values below ``1 - GAMMA_EQUALITY_TOL``
+are refused, and ``|gamma - 1| <= GAMMA_EQUALITY_TOL`` certifies separability.
 """
 
 from __future__ import annotations
@@ -79,13 +84,18 @@ def gamma_bell_diagonal_closed(lam) -> GammaValue:
     return GammaValue(_per_state(np.where(peak > 0.5, 2.0 * peak, 1.0)), "bell_diagonal")
 
 
+def _checked_gamma(gamma: GammaValue) -> tuple[np.ndarray, np.ndarray]:
+    """``gamma.value`` as floats and where each is 1; NaN, inf and values below 1 are refused."""
+    value = np.asarray(gamma.value, dtype=float)
+    bad = ~np.isfinite(value) | (value < 1.0 - SEPARABILITY_TOL)
+    if bad.any():
+        raise ValueError(f"a cross norm must be finite and at least 1, got {value[bad][0]}")
+    return value, np.abs(value - 1.0) <= SEPARABILITY_TOL
+
+
 def robustness_lower_bound(gamma: GammaValue) -> float | np.ndarray:
     """Lower bound ``gamma - 1`` on the robustness of entanglement (elementwise)."""
-    value = np.asarray(gamma.value, dtype=float)
-    below = value < 1.0 - SEPARABILITY_TOL
-    if below.any():
-        raise ValueError(f"cross norm of a state cannot fall below 1, got {value[below][0]}")
-    return _per_state(value - 1.0)
+    return _per_state(_checked_gamma(gamma)[0] - 1.0)
 
 
 def robustness_pure_exact(psi: PureState) -> float:
@@ -95,4 +105,4 @@ def robustness_pure_exact(psi: PureState) -> float:
 
 def is_separable_closed(gamma: GammaValue) -> bool | np.ndarray:
     """Separability verdict from a closed-form cross norm (ties count as separable, elementwise)."""
-    return _per_state(np.asarray(gamma.value) <= 1.0 + SEPARABILITY_TOL, bool)
+    return _per_state(_checked_gamma(gamma)[1], bool)

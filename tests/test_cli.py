@@ -996,3 +996,49 @@ def test_gen_ends_in_an_exit_code_on_any_options_its_family_takes(tmp_path_facto
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         assert main([out if arg == "OUT" else arg for arg in argv]) in {0, 2, 3}
     assert "takes no" not in err.getvalue()
+
+
+# Input errors, each pinned by its message.
+def test_check_refuses_a_state_file_that_is_not_an_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]", encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: expected a JSON object\n"
+
+
+def test_gen_random_needs_dims(tmp_path, capsys):
+    assert main(["gen", "random", "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "error: family 'random' needs --dims\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_write_state_file_refuses_what_is_not_a_state(tmp_path):
+    with pytest.raises(ValueError, match="^cannot serialize object$"):
+        write_state_file(tmp_path / "x", object())
+    assert not list(tmp_path.iterdir())
+
+
+def _raises(exc):
+    """A stand-in for a function of ``ccnr.cli`` that raises ``exc``."""
+    def call(*args, **kwargs):
+        raise exc
+    return call
+
+
+def test_check_reports_running_out_of_memory_in_one_line(tmp_path, capsys, monkeypatch):
+    import ccnr.cli
+
+    message = "Unable to allocate 8.00 EiB for an array with shape (2**60,)"
+    monkeypatch.setattr(ccnr.cli, "load_state_file", _raises(MemoryError(message)))
+    assert main(["check", str(tmp_path / "any.json")]) == 2
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+
+
+def test_sweep_reports_running_out_of_memory_and_writes_no_csv(tmp_path, capsys, monkeypatch):
+    import ccnr.cli
+
+    monkeypatch.setattr(ccnr.cli, "werner_stack", _raises(MemoryError()))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "werner", "--d", "3", "--range=-1:1:0.01", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+    assert not list(tmp_path.iterdir())

@@ -54,3 +54,9 @@ def test_state_file_demo_removes_its_temporary_directory(tmp_path):
     assert done.returncode == 0, done.stderr
     assert "ccnr_demo_" in done.stdout  # the demo did write under TMPDIR
     assert not list(tmpdir.glob("ccnr_demo_*"))
+
+
+def test_the_package_runs_as_a_module(tmp_path):
+    done = _run(["-m", "ccnr", "--help"], tmp_path, tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: ccnr ")

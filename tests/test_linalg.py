@@ -48,6 +48,8 @@ def test_kron_matrix_units():
 def test_kron_rejects_non_matrix():
     with pytest.raises(ValueError):
         kron(np.zeros(3), np.eye(2))
+    with pytest.raises(ValueError, match=r"^matrix dimensions must be positive, got shape \(0, "):
+        kron(np.zeros((0, 2)), np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +200,8 @@ def test_trace_norm_unitary_invariance():
 def test_hs_norm_examples():
     assert hs_norm(np.eye(2)) == pytest.approx(np.sqrt(2), abs=1e-12)
     assert hs_norm(np.zeros((3, 3))) == 0.0
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        hs_norm([[np.nan]])
 
 
 def test_hs_norm_matches_gram_trace():
@@ -277,3 +281,4 @@ def test_random_unitary_is_unitary_and_deterministic():
     u2 = random_unitary(4, seed=9)
     np.testing.assert_array_equal(u1, u2)
     np.testing.assert_allclose(u1 @ u1.conj().T, np.eye(4), atol=1e-12)
+

@@ -1,8 +1,11 @@
 """Decisions made in one place: the array-valued gamma of ``report_stack``, the
-local-dimension check of the closed forms and the shared Hermiticity check."""
+rule that reads a closed-form gamma, the local-dimension check of the closed
+forms and the shared Hermiticity check."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ccnr.criteria import full_report, report_stack
 from ccnr.crossnorm import (
@@ -10,6 +13,8 @@ from ccnr.crossnorm import (
     gamma_bell_diagonal_closed,
     gamma_isotropic_closed,
     gamma_werner_closed,
+    is_separable_closed,
+    robustness_lower_bound,
 )
 from ccnr.linalg import hermitian_eigensystem
 from ccnr.realign import tau_isotropic_closed, tau_werner_closed
@@ -23,7 +28,7 @@ from ccnr.states import (
     werner_stack,
     werner_state,
 )
-from ccnr.tolerances import HERMITICITY_TOL
+from ccnr.tolerances import GAMMA_EQUALITY_TOL, HERMITICITY_TOL
 
 
 def _bell_grid(t):
@@ -122,3 +127,55 @@ def test_both_hermiticity_checks_share_one_band():
     with pytest.raises(ValueError, match="matrix is not Hermitian") as excinfo:
         hermitian_eigensystem(_skewed(1.01))
     assert type(excinfo.value) is ValueError
+
+
+# werner_state(3, 0.5) is separable and flagged by no criterion, so its verdict
+# is decided by the closed gamma alone.
+UNFLAGGED = werner_state(3, 0.5)
+LOW, HIGH = 1.0 - GAMMA_EQUALITY_TOL, 1.0 + GAMMA_EQUALITY_TOL
+
+
+def _each_reader(value, after=1.5):
+    """The outcome of each reader of a closed gamma on ``value``, a result or an error
+    text; ``report_stack`` reads it between 1 and ``after``."""
+    readers = {
+        "full_report": lambda: full_report(UNFLAGGED, GammaValue(value, "werner")).verdict,
+        "report_stack": lambda: report_stack(
+            validate_stack(werner_stack(3, [0.5, 0.5, 0.5]), 3, 3),
+            GammaValue(np.array([1.0, value, after]), "werner")).verdict[1],
+        "robustness_lower_bound": lambda: robustness_lower_bound(GammaValue(value, "werner")),
+        "is_separable_closed": lambda: is_separable_closed(GammaValue(value, "werner")),
+    }
+    outcomes = {}
+    for name, read in readers.items():
+        try:
+            outcomes[name] = read()
+        except ValueError as exc:
+            outcomes[name] = str(exc)
+    return outcomes
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.5, 1.0 - 2 * GAMMA_EQUALITY_TOL,
+                                   np.nextafter(LOW, 0.0)])
+def test_every_reader_refuses_an_impossible_gamma_with_one_message(value):
+    message = f"a cross norm must be finite and at least 1, got {np.float64(value)}"
+    assert _each_reader(value, after=0.25) == dict.fromkeys(
+        ["full_report", "report_stack", "robustness_lower_bound", "is_separable_closed"], message)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=st.one_of(st.floats(LOW, 1.0 + 4 * GAMMA_EQUALITY_TOL),
+                       st.floats(LOW, 1e300)))
+@example(value=LOW)
+@example(value=np.nextafter(LOW, 2.0))
+@example(value=1.0)
+@example(value=np.nextafter(HIGH, 0.0))
+@example(value=HIGH)
+@example(value=np.nextafter(HIGH, 2.0))
+def test_the_verdict_certifies_separability_exactly_where_is_separable_closed_does(value):
+    outcomes = _each_reader(value)
+    separable = outcomes["is_separable_closed"]
+    assert type(separable) is bool
+    assert (outcomes["full_report"] == "separable_certified") is separable
+    assert (outcomes["report_stack"] == "separable_certified") is separable
+    assert outcomes["robustness_lower_bound"] == value - 1.0

@@ -1,8 +1,8 @@
 """One owner per decision: each is written once in ``src/ccnr``.
 
-A family domain, the verdict guard, the PSD certificate and the Hermitian part
-of a matrix each have one place in the source; a second copy would drift from
-the first.
+A family domain, the verdict guard, the reading of a closed-form gamma, the
+PSD certificate and the Hermitian part of a matrix each have one place in the
+source; a second copy would drift from the first.
 """
 
 import ast
@@ -60,6 +60,23 @@ def _files_assigning(name: str) -> list[str]:
 def test_the_violation_guard_is_defined_once_and_read_only_by_the_verdict_rule():
     assert _files_naming("VIOLATION_GUARD") == {"criteria.py", "tolerances.py"}
     assert _files_assigning("VIOLATION_GUARD") == ["tolerances.py"]
+
+
+def _attributes_read(tree: ast.AST) -> set[str]:
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_a_closed_gamma_is_read_by_one_rule_in_the_crossnorm_module():
+    # Verdicts, robustness and separability convert GammaValue.value in one place.
+    assert _files_naming("GAMMA_EQUALITY_TOL") == {"crossnorm.py", "tolerances.py"}
+    assert _files_assigning("GAMMA_EQUALITY_TOL") == ["tolerances.py"]
+    readers = {path.name for path in SOURCES
+               if "value" in _attributes_read(ast.parse(path.read_text(encoding="utf-8")))}
+    assert readers == {"crossnorm.py"}
+
+
+def test_the_attribute_scan_sees_one():
+    assert _attributes_read(ast.parse("closed = gamma.value[part]")) == {"value"}
 
 
 def test_the_matrix_side_cap_is_defined_and_read_only_where_arrays_are_sized():

@@ -1,5 +1,7 @@
 """Tests for the state families, Schmidt machinery and twirling."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -458,6 +460,8 @@ def test_pure_from_schmidt_rejects_bad_input():
         pure_from_schmidt([0.5, 0.25, 0.25], 2, 2)
     with pytest.raises(ValueError):
         pure_from_schmidt([0.5, 0.4], 2, 2)
+    with pytest.raises(ValueError, match="^coefficients must be nonnegative$"):
+        pure_from_schmidt([1.5, -0.5], 2, 2)
 
 
 def test_schmidt_decompose_examples():
@@ -757,3 +761,22 @@ def test_family_constructors_reject_non_integer_dimension(build):
         build(3.5, 0.1)
     with pytest.raises(ValueError, match="at least 2"):
         build(1, 0.1)
+
+
+# Malformed input is an input error named by its message, not an invariant violation.
+@pytest.mark.parametrize("make, message", [
+    (lambda: DensityOperator(np.eye(6) / 6, 2, 2),
+     "dims (2, 2) do not factor total dimension 6"),
+    (lambda: DensityOperator(np.ones((2, 3))), "density matrix must be square, got shape (2, 3)"),
+    (lambda: werner_stack(2, [[0.1]]),
+     "flip expectation values must form a 1-d sequence, got shape (1, 1)"),
+    (lambda: PureState([np.nan, 0, 0, 0]), "amplitudes must be finite"),
+], ids=["dims-do-not-factor", "not-square", "stack-of-rows", "nan-amplitude"])
+def test_constructors_refuse_malformed_input_by_name(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as excinfo:
+        make()
+    assert not isinstance(excinfo.value, InvariantViolation)
+
+
+def test_a_state_repr_names_its_type_and_dims():
+    assert repr(werner_state(2, 0.1)) == "DensityOperator(dim_a=2, dim_b=2)"

@@ -140,10 +140,11 @@ def _fmt(x: float) -> str:
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"dims must look like 'A,B', got {text!r}")
-    return tuple(map(int, parts))
+    try:
+        dim_a, dim_b = map(int, text.split(","))
+    except ValueError:  # a part that is no integer, or not two parts
+        raise argparse.ArgumentTypeError(f"dims must look like 'A,B', got {text!r}") from None
+    return dim_a, dim_b
 
 
 def _parse_range(text: str) -> list[float]:
@@ -165,9 +166,7 @@ def _parse_range(text: str) -> list[float]:
 
 
 def _dim_entry(value) -> int:
-    """A ``dims`` entry of a state file: an integral number."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
+    """A ``dims`` entry of a state file: an integral number (JSON numbers are read as floats)."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"dims entries must be integers, got {value!r}")
@@ -195,8 +194,14 @@ def load_state_file(path, dims_override=None, *, tol_psd=PSD_TOL, tol_herm=HERMI
     than ``MAX_STATE_FILE_BYTES`` raises ``ValueError`` before it is parsed.
     """
     text = _read_state_text(path)
+
+    def integer(digits: str) -> float:  # a JSON integer, read as the float it spells
+        if math.isinf(value := float(digits)):
+            raise ValueError(f"{path}: an integer overflows a float")
+        return value
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=integer)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
@@ -217,21 +222,16 @@ def load_state_file(path, dims_override=None, *, tol_psd=PSD_TOL, tol_herm=HERMI
         pairs = np.array(payload)
     except ValueError:  # ragged nesting, refused with the wrong shapes below
         pairs = np.array(None)
-    if pairs.dtype == object and all(isinstance(x, (int, float)) for x in pairs.flat):
-        try:  # integers past 64 bits stay Python objects until converted
-            pairs = pairs.astype(float)
-        except OverflowError:
-            raise ValueError(f"{path}: a matrix entry overflows a float") from None
     form, depth = ("rows", 3) if kind == "density" else ("a list", 2)
     # The array reads JSON true/false among numbers as 1/0.  Only a text with
     # an "l" or a "u" can spell one (numbers and keys hold none but the "u" of
     # "pure"), and a one-letter test costs far less than a search for "true".
-    if pairs.dtype.kind not in "biuf" or pairs.ndim != depth or pairs.shape[-1] != 2 or (
+    if pairs.dtype != np.float64 or pairs.ndim != depth or pairs.shape[-1] != 2 or (
         ("u" in text or "l" in text) and bool in map(type, np.array(payload, dtype=object).flat)
     ):
         raise ValueError(f"{path}: a {kind} matrix must be {form} of [re, im] number pairs")
     # In C order, each pair of float64 holds the bytes of one complex entry.
-    values = np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
+    values = pairs.view(complex)[..., 0]
     if kind == "density":
         return kind, DensityOperator(values, *dims, tol_psd=tol_psd, tol_herm=tol_herm)
     return kind, PureState(values, *dims)
@@ -339,8 +339,6 @@ def cmd_oschmidt(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.out is None:
-        raise ValueError("gen needs --out")
     options = ("d", "param") if args.family == "random" else ("dims", "rank", "seed")
     stray = [f"--{name}" for name in options if getattr(args, name) is not None]
     if stray:
@@ -395,8 +393,6 @@ def _map_in_order(fn: Callable, items, workers: int) -> list:
 
 
 def cmd_sweep(args) -> int:
-    if args.out is None:
-        raise ValueError("sweep needs --out")
     grid = _parse_range(args.range)
     family, d, fixed = _family(args.family, args.d)
     # The closed tau refuses the first value outside the domain before any state is built.
@@ -440,22 +436,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol-herm", type=float, default=HERMITICITY_TOL, dest="tol_herm",
                        help="hermiticity tolerance (default %(default)s)")
 
-    check = sub.add_parser("check", help="criteria report for a state file")
-    check.add_argument("path", help="JSON state file")
-    check.add_argument("--dims", type=_parse_dims, default=None,
+    def add_state_file(p):
+        p.add_argument("path", help="JSON state file")
+        p.add_argument("--dims", type=_parse_dims, default=None,
                        help="override the bipartition, e.g. 2,3")
+
+    check = sub.add_parser("check", help="criteria report for a state file")
+    add_state_file(check)
     check.add_argument("--json", action="store_true", help="emit one JSON object")
     add_tolerances(check)
     check.set_defaults(func=cmd_check)
 
     schmidt = sub.add_parser("schmidt", help="Schmidt data of a pure-state file")
-    schmidt.add_argument("path")
-    schmidt.add_argument("--dims", type=_parse_dims, default=None)
+    add_state_file(schmidt)
     schmidt.set_defaults(func=cmd_schmidt)
 
     oschmidt = sub.add_parser("oschmidt", help="operator Schmidt data of a density file")
-    oschmidt.add_argument("path")
-    oschmidt.add_argument("--dims", type=_parse_dims, default=None)
+    add_state_file(oschmidt)
     add_tolerances(oschmidt)
     oschmidt.set_defaults(func=cmd_oschmidt)
 
@@ -468,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="bipartition for family 'random'")
     gen.add_argument("--rank", type=int, default=None, help="rank for family 'random'")
     gen.add_argument("--seed", type=int, default=None, help="seed for family 'random'")
-    gen.add_argument("--out", default=None, help="output state file")
+    gen.add_argument("--out", required=True, help="output state file")
     gen.set_defaults(func=cmd_gen)
 
     sweep = sub.add_parser("sweep", help="CSV sweep over a one-parameter family")
@@ -476,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--d", type=int, default=None, help="local dimension")
     sweep.add_argument("--range", required=True,
                        help="grid as start:stop:step (use --range=-1:1:0.05)")
-    sweep.add_argument("--out", default=None, help="output CSV path")
+    sweep.add_argument("--out", required=True, help="output CSV path")
     sweep.set_defaults(func=cmd_sweep)
 
     return parser

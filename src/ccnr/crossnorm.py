@@ -100,7 +100,7 @@ def robustness_lower_bound(gamma: GammaValue) -> float | np.ndarray:
 
 def robustness_pure_exact(psi: PureState) -> float:
     """Exact robustness of entanglement of a pure state: ``(sum_i sqrt(p_i))^2 - 1``."""
-    return _sqrt_coefficient_sum(psi) ** 2 - 1.0
+    return robustness_lower_bound(gamma_pure(psi))
 
 
 def is_separable_closed(gamma: GammaValue) -> bool | np.ndarray:

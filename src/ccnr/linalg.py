@@ -127,8 +127,8 @@ def ferrers_determinant(a) -> complex:
     a = np.asarray(a, dtype=complex).ravel()
     if a.size < 1:
         raise ValueError("need at least one coefficient")
-    if np.any(a == 0):
-        raise ValueError("all coefficients must be nonzero")
+    if not np.all(np.isfinite(a) & (a != 0)):
+        raise ValueError("all coefficients must be finite and nonzero")
     return complex(np.prod(a) * (1.0 + np.sum(1.0 / a)))
 
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from .linalg import singular_values
 from .states import _FIDELITY, _FLIP, _MIXING, _QUTRIT, DensityOperator, _bipartite_tensor
-from .states import _in_domain, _local_dim, _one_state, _per_state, bell_spectrum
-from .tolerances import SV_FLOOR
+from .states import _in_domain, _local_dim, _one_state, _per_state, _square_dim, _thin_svd
+from .states import bell_spectrum
 
 __all__ = [
     "RealignedMatrix",
@@ -82,15 +82,12 @@ def realign(rho: DensityOperator) -> RealignedMatrix:
 def operator_schmidt(rho: DensityOperator) -> OperatorSchmidt:
     """Operator Schmidt decomposition via the SVD of the realigned matrix."""
     _one_state(rho, "operator_schmidt")
-    u, s, vh = np.linalg.svd(
-        realign_matrix(rho.matrix, rho.dim_a, rho.dim_b), full_matrices=False
-    )
-    keep = s > SV_FLOOR
+    u, s, vh = _thin_svd(realign_matrix(rho.matrix, rho.dim_a, rho.dim_b))
     # Left operators unvectorize the left singular vectors; the rows of vh
     # already carry the conjugation that makes rho = sum_i s_i E_i (x) F_i.
-    left = u[:, keep].T.reshape(-1, rho.dim_a, rho.dim_a)
-    right = vh[keep].reshape(-1, rho.dim_b, rho.dim_b)
-    return OperatorSchmidt(coefficients=s[keep], left_ops=left, right_ops=right)
+    left = u.T.reshape(-1, rho.dim_a, rho.dim_a)
+    right = vh.reshape(-1, rho.dim_b, rho.dim_b)
+    return OperatorSchmidt(coefficients=s, left_ops=left, right_ops=right)
 
 
 def ccnr_tau(rho: DensityOperator) -> float:
@@ -162,7 +159,5 @@ def realign_trace(rho: DensityOperator) -> complex:
     Equals ``d`` times the maximally entangled fidelity of the state, hence
     ``dF`` for isotropic states and ``(f + 1)/(d + 1)`` for Werner states.
     """
-    _one_state(rho, "realign_trace")
-    if rho.dim_a != rho.dim_b:
-        raise ValueError("realigned matrix is square only for equal local dimensions")
+    _square_dim(rho, "realign_trace")
     return complex(np.trace(realign_matrix(rho.matrix, rho.dim_a, rho.dim_b)))

@@ -192,6 +192,14 @@ def _one_state(rho: DensityOperator, caller: str) -> None:
         raise ValueError(f"{caller} needs one state, got shape {rho.matrix.shape}")
 
 
+def _square_dim(rho: DensityOperator, caller: str) -> int:
+    """The local dimension ``d`` of one state on ``C^d (x) C^d``, which ``caller`` needs."""
+    _one_state(rho, caller)
+    if rho.dim_a != rho.dim_b:
+        raise ValueError(f"{caller} needs equal local dimensions, got dims {rho.dims}")
+    return rho.dim_a
+
+
 def _check_invariant(invariant: str, residual: np.ndarray, failed: np.ndarray) -> None:
     """Raise for the first state of a stack whose invariant ``failed``."""
     first = np.flatnonzero(failed)
@@ -254,6 +262,12 @@ class _Bipartite:
     def dims(self) -> tuple[int, int]:
         return (self.dim_a, self.dim_b)
 
+    def _freeze(self, dim_a: int, dim_b: int, data: np.ndarray) -> None:
+        """Close ``__init__``: make ``data`` read-only and set the three slots, in order."""
+        data.setflags(write=False)
+        for name, value in zip(self.__slots__, (dim_a, dim_b, data)):
+            object.__setattr__(self, name, value)
+
 
 class DensityOperator(_Bipartite):
     """Density operator on ``C^{d_a} (x) C^{d_b}``, or a stack of them validated together.
@@ -313,10 +327,7 @@ class DensityOperator(_Bipartite):
             min_eig = np.linalg.eigvalsh(m)[..., 0]
             _check_invariant("positive_semidefinite", min_eig, min_eig < -tol_psd)
 
-        m.setflags(write=False)
-        object.__setattr__(self, "dim_a", dim_a)
-        object.__setattr__(self, "dim_b", dim_b)
-        object.__setattr__(self, "matrix", m)
+        self._freeze(dim_a, dim_b, m)
 
 
 # The name stack callers use; the constructor is the one validation.
@@ -337,11 +348,7 @@ class PureState(_Bipartite):
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_TOL:
             raise InvariantViolation("unit_norm", abs(norm - 1.0))
-        amps = amps / norm
-        amps.setflags(write=False)
-        object.__setattr__(self, "dim_a", dim_a)
-        object.__setattr__(self, "dim_b", dim_b)
-        object.__setattr__(self, "amplitudes", amps)
+        self._freeze(dim_a, dim_b, amps / norm)
 
     def coefficient_matrix(self) -> np.ndarray:
         """The ``d_a x d_b`` matrix ``c`` with ``c[a, b] = <a (x) b|psi>``."""
@@ -564,7 +571,7 @@ def pure_from_schmidt(p, dim_a: int, dim_b: int) -> PureState:
         raise ValueError(
             f"{p.size} coefficients do not fit local dimensions ({dim_a}, {dim_b})"
         )
-    if float(np.min(p)) < 0.0:
+    if float(np.min(p, initial=0.0)) < 0.0:
         raise ValueError("coefficients must be nonnegative")
     if abs(float(np.sum(p)) - 1.0) > WEIGHT_SLACK:
         raise ValueError(f"coefficients must sum to 1, got {np.sum(p)}")
@@ -574,27 +581,31 @@ def pure_from_schmidt(p, dim_a: int, dim_b: int) -> PureState:
     return PureState(amps, dim_a, dim_b)
 
 
+def _thin_svd(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``u, s, vh`` of the thin SVD of ``matrix``, without the singular values ``<= SV_FLOOR``."""
+    u, s, vh = np.linalg.svd(matrix, full_matrices=False)
+    keep = s > _SV_FLOOR
+    return u[:, keep], s[keep], vh[keep]
+
+
 def schmidt_decompose(psi: PureState) -> SchmidtForm:
     """Schmidt decomposition via the SVD of the coefficient matrix."""
-    u, s, vh = np.linalg.svd(psi.coefficient_matrix(), full_matrices=False)
-    keep = s > _SV_FLOOR
+    u, s, vh = _thin_svd(psi.coefficient_matrix())
     # Right vectors are the rows of vh: psi reconstructs as
     # sum_i s_i u_i (x) vh[i].
-    return SchmidtForm(
-        coefficients=s[keep] ** 2,
-        left_basis=u[:, keep],
-        right_basis=vh[keep].T,
-    )
+    return SchmidtForm(coefficients=s**2, left_basis=u, right_basis=vh.T)
 
 
 def _expectation(rho: DensityOperator, operator: np.ndarray) -> float:
     return float(np.real(np.einsum("ij,ji->", rho.matrix, operator)))
 
 
-def _clip_to(value: float, lo: float, hi: float) -> float:
-    if value < lo - CLIP_GUARD or value > hi + CLIP_GUARD:
-        raise ValueError(f"value {value} falls outside [{lo}, {hi}]")
-    return min(max(value, lo), hi)
+def _clip_to(value: float, lo: float, hi: float, name: str) -> float:
+    """Clip ``value`` into ``[lo, hi]`` from within ``CLIP_GUARD``; ``_in_domain`` refuses others."""
+    if lo - CLIP_GUARD <= value <= hi + CLIP_GUARD:
+        value = min(max(value, lo), hi)
+    _in_domain(value, lo, hi, name)
+    return value
 
 
 def twirl_uu(sigma: DensityOperator) -> DensityOperator:
@@ -603,21 +614,15 @@ def twirl_uu(sigma: DensityOperator) -> DensityOperator:
     Matches the flip expectation of the input, so the result is the Werner
     state with ``f = tr(sigma F)``.
     """
-    _one_state(sigma, "twirl_uu")
-    if sigma.dim_a != sigma.dim_b:
-        raise ValueError("twirl requires equal local dimensions")
-    d = sigma.dim_a
-    f = _clip_to(_expectation(sigma, flip_operator(d)), *_FLIP[:2])
+    d = _square_dim(sigma, "twirl_uu")
+    f = _clip_to(_expectation(sigma, flip_operator(d)), *_FLIP)
     return werner_state(d, f)
 
 
 def twirl_uubar(sigma: DensityOperator) -> DensityOperator:
     """Projection onto the isotropic family (average over ``U (x) conj(U)``)."""
-    _one_state(sigma, "twirl_uubar")
-    if sigma.dim_a != sigma.dim_b:
-        raise ValueError("twirl requires equal local dimensions")
-    d = sigma.dim_a
-    fidelity = _clip_to(_expectation(sigma, fhat_operator(d)) / d, *_FIDELITY[:2])
+    d = _square_dim(sigma, "twirl_uubar")
+    fidelity = _clip_to(_expectation(sigma, fhat_operator(d)) / d, *_FIDELITY)
     return isotropic_state(d, fidelity)
 
 

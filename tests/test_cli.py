@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -303,6 +304,37 @@ def test_family_options_are_refused_in_order(tmp_path, capsys, argv, message):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "werner", "--d", "2", "--param", "0.5"],
+    ["gen", "random", "--dims", "2,2"],
+    ["sweep", "werner", "--d", "2", "--range=0:1:0.5"],
+], ids=["gen", "gen-random", "sweep"])
+def test_a_missing_out_is_refused_by_argparse_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                                 argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert "the following arguments are required: --out" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["check", "schmidt", "oschmidt"])
+@pytest.mark.parametrize("dims", ["1,2,3", "a,b", "2"])
+def test_dims_option_refuses_anything_but_two_integers_by_its_own_message(capsys, command, dims):
+    assert main([command, "state.json", "--dims", dims]) == 2
+    err = capsys.readouterr().err
+    assert f"argument --dims: dims must look like 'A,B', got '{dims}'\n" in err
+    assert "_parse_dims" not in err
+
+
+def test_check_of_a_state_file_holding_nan_exits_2(tmp_path, capsys):
+    state_file = tmp_path / "nan.json"
+    matrix = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [math.nan, 0.0]]]
+    state_file.write_text(json.dumps({"kind": "density", "dims": [1, 2], "matrix": matrix}),
+                          encoding="utf-8")
+    assert main(["check", str(state_file)]) == 2
+    assert capsys.readouterr().err == "error: density matrix entries must be finite\n"
+
+
 # Per family: --d, a gen --param, a 21-point sweep grid, and the functions
 # ccnr.cli binds for it: the builder, the closed tau and the closed gamma.
 _FAMILY_RUNS = {
@@ -460,6 +492,41 @@ def test_state_file_with_overflowing_integer_exits_2(tmp_path, capsys):
                           encoding="utf-8")
     assert main(["check", str(state_file)]) == 2
     assert "overflows" in capsys.readouterr().err
+
+
+_HUGE = "1" + "0" * 400  # an integer past the float range
+
+
+@pytest.mark.parametrize("dims, entry", [
+    (f"[2, {_HUGE}]", "0.25"), ("[2, 2]", f"-{_HUGE}"),
+], ids=["in-dims", "negative-in-matrix"])
+def test_an_integer_past_the_float_range_overflows_wherever_it_stands(tmp_path, capsys, dims,
+                                                                      entry):
+    state_file = tmp_path / "huge.json"
+    rows = [[[entry if i == j == 0 else "0.25" if i == j else "0", "0"] for j in range(4)]
+            for i in range(4)]
+    matrix = json.dumps(rows).replace('"', "")
+    state_file.write_text(f'{{"kind": "density", "dims": {dims}, "matrix": {matrix}}}',
+                          encoding="utf-8")
+    assert main(["check", str(state_file)]) == 2
+    assert capsys.readouterr().err == f"error: {state_file}: an integer overflows a float\n"
+
+
+# JSON integers are read as the floats they spell, "-0" as -0.0 included.
+@pytest.mark.parametrize("kind, dims, matrix", [
+    ("pure", "[2, 2]", "[[1, 0], [0, -0], [-0, 0], [0, -0]]"),
+    ("density", "[1, 2]", "[[[1, 0], [0, -0]], [[-0, 0], [0, 0]]]"),
+], ids=["pure", "density"])
+def test_an_all_integer_matrix_file_loads_the_bits_of_its_float_spelling(tmp_path, kind, dims,
+                                                                         matrix):
+    loaded = []
+    for text in (matrix, re.sub(r"(\d+)", r"\1.0", matrix)):
+        state_file = tmp_path / "state.json"
+        state_file.write_text(f'{{"kind": "{kind}", "dims": {dims}, "matrix": {text}}}',
+                              encoding="utf-8")
+        state = load_state_file(state_file)[1]
+        loaded.append((state.matrix if kind == "density" else state.amplitudes).tobytes())
+    assert loaded[0] == loaded[1]
 
 
 def _run_under_1_gib(*argvs):

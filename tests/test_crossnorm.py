@@ -105,6 +105,18 @@ def test_robustness_pure_exact():
     )
 
 
+def test_robustness_pure_exact_is_the_bound_of_the_pure_gamma(monkeypatch):
+    from ccnr import crossnorm
+
+    for seed in range(5):
+        psi = random_pure(3, 4, seed=seed)
+        assert robustness_pure_exact(psi) == robustness_lower_bound(gamma_pure(psi))
+    # The pure gamma reaches the robustness through the bound's rule, which refuses it below 1.
+    monkeypatch.setattr(crossnorm, "gamma_pure", lambda psi: GammaValue(0.5, "pure"))
+    with pytest.raises(ValueError, match="got 0.5$"):
+        robustness_pure_exact(psi)
+
+
 def test_is_separable_closed():
     assert is_separable_closed(gamma_werner_closed(5, 0.3))
     assert not is_separable_closed(gamma_isotropic_closed(2, 0.9))

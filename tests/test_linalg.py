@@ -244,6 +244,14 @@ def test_ferrers_rejects_zero():
         ferrers_determinant([])
 
 
+@pytest.mark.parametrize("coeffs", [[np.nan, 1.0], [1.0, np.inf], [2.0, complex(1.0, np.nan)]],
+                         ids=["nan", "inf", "complex-nan"])
+def test_ferrers_refuses_non_finite_coefficients(coeffs):
+    # Refused before numpy computes with them, so no warning precedes the error.
+    with pytest.raises(ValueError, match="^all coefficients must be finite and nonzero$"):
+        ferrers_determinant(coeffs)
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(
     coeffs=st.lists(

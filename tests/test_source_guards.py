@@ -1,8 +1,10 @@
 """One owner per decision: each is written once in ``src/ccnr``.
 
 A family domain, the verdict guard, the reading of a closed-form gamma, the
-PSD certificate and the Hermitian part of a matrix each have one place in the
-source; a second copy would drift from the first.
+PSD certificate, the Hermitian part of a matrix, the singular-value floor, the
+equal-dimension refusal, the freezing of a state and the command line's
+arguments each have one place in the source; a second copy would drift from
+the first.
 """
 
 import ast
@@ -128,6 +130,79 @@ def test_state_file_numbers_are_rendered_by_repr_in_one_place():
 
 def test_the_repr_scan_sees_one():
     assert _repr_renderings(ast.parse("a = list(map(repr, x))\nb = '%r' % y")) == [1, 2]
+
+
+def _tree(path: Path) -> ast.AST:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_the_singular_value_floor_is_read_by_one_thin_svd_in_the_states_module():
+    # schmidt_decompose and operator_schmidt drop the same small singular values.
+    assert _files_naming("SV_FLOOR") == {"states.py", "tolerances.py"}
+    assert _files_assigning("SV_FLOOR") == ["tolerances.py"]
+    assert _files_naming("svd") == {"linalg.py", "states.py"}
+
+
+def _dim_comparisons(tree: ast.AST) -> list[int]:
+    """Lines comparing a ``dim_a`` with a ``dim_b``."""
+    def name(node):
+        return getattr(node, "attr", getattr(node, "id", None))
+
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            and {"dim_a", "dim_b"} <= {name(side) for side in [node.left, *node.comparators]}]
+
+
+def test_equal_local_dimensions_are_required_in_one_place():
+    # The twirls and realign_trace take C^d (x) C^d only, refused by one helper.
+    hits = [path.name for path in SOURCES for _ in _dim_comparisons(_tree(path))]
+    assert hits == ["states.py"]
+
+
+def test_the_dimension_comparison_scan_sees_one():
+    tree = ast.parse("if rho.dim_a != rho.dim_b:\n    ok = dim_a == dim_b")
+    assert _dim_comparisons(tree) == [1, 2]
+
+
+def _attribute_setters(tree: ast.AST) -> list[str]:
+    """The name of the function around each ``object.__setattr__`` call."""
+    return [func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "__setattr__"
+            and getattr(node.func.value, "id", None) == "object"]
+
+
+def test_a_state_is_frozen_by_one_method():
+    # DensityOperator and PureState close __init__ by the same lines.
+    assert [name for path in SOURCES for name in _attribute_setters(_tree(path))] == ["_freeze"]
+
+
+def test_the_setter_scan_sees_one():
+    assert _attribute_setters(ast.parse("def f(s):\n    object.__setattr__(s, 'a', 1)")) == ["f"]
+
+
+def _none_tests(tree: ast.AST, attr: str) -> list[int]:
+    """Lines comparing an attribute ``attr`` with ``None``."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            and getattr(node.left, "attr", None) == attr
+            and any(isinstance(c, ast.Constant) and c.value is None for c in node.comparators)]
+
+
+def test_the_command_line_declares_each_argument_once_and_argparse_requires_out():
+    tree = _tree(Path(ccnr.__file__).parent / "cli.py")
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) == "add_argument"]
+    declared = [call.args[0].value for call in calls]
+    assert declared.count("path") == 1 and declared.count("--dims") == 2  # and gen random
+    outs = [call for call in calls if call.args[0].value == "--out"]
+    assert len(outs) == 2 and not _none_tests(tree, "out")  # gen and sweep
+    assert all(any(k.arg == "required" and k.value.value is True for k in call.keywords)
+               for call in outs)
+    # JSON numbers arrive as floats, so no array of Python objects is converted.
+    assert "astype" not in _attributes_read(tree)
+
+
+def test_the_none_test_scan_sees_one():
+    assert _none_tests(ast.parse("if args.out is None:\n    pass"), "out") == [1]
 
 
 # The public API is stated once: each module's ``__all__``, re-exported by the package.

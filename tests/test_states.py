@@ -462,6 +462,8 @@ def test_pure_from_schmidt_rejects_bad_input():
         pure_from_schmidt([0.5, 0.4], 2, 2)
     with pytest.raises(ValueError, match="^coefficients must be nonnegative$"):
         pure_from_schmidt([1.5, -0.5], 2, 2)
+    with pytest.raises(ValueError, match=r"^coefficients must sum to 1, got 0\.0$"):
+        pure_from_schmidt([], 2, 2)
 
 
 def test_schmidt_decompose_examples():
@@ -763,6 +765,13 @@ def test_family_constructors_reject_non_integer_dimension(build):
         build(1, 0.1)
 
 
+def _poisoned(value, *stack):
+    """The maximally mixed two-qubit matrix, or a stack of it, with ``value`` as its last entry."""
+    m = np.tile(np.eye(4, dtype=complex) / 4, stack + (1, 1))
+    m[(..., 3, 3)] = value
+    return m
+
+
 # Malformed input is an input error named by its message, not an invariant violation.
 @pytest.mark.parametrize("make, message", [
     (lambda: DensityOperator(np.eye(6) / 6, 2, 2),
@@ -771,7 +780,12 @@ def test_family_constructors_reject_non_integer_dimension(build):
     (lambda: werner_stack(2, [[0.1]]),
      "flip expectation values must form a 1-d sequence, got shape (1, 1)"),
     (lambda: PureState([np.nan, 0, 0, 0]), "amplitudes must be finite"),
-], ids=["dims-do-not-factor", "not-square", "stack-of-rows", "nan-amplitude"])
+    (lambda: DensityOperator(_poisoned(np.nan)), "density matrix entries must be finite"),
+    (lambda: DensityOperator(_poisoned(np.inf)), "density matrix entries must be finite"),
+    (lambda: DensityOperator(_poisoned(np.nan, 3), 2, 2), "density matrix entries must be finite"),
+    (lambda: DensityOperator(_poisoned(-np.inf, 2, 3)), "density matrix entries must be finite"),
+], ids=["dims-do-not-factor", "not-square", "stack-of-rows", "nan-amplitude",
+        "nan-entry", "inf-entry", "nan-entry-in-a-stack", "inf-entry-in-a-stack"])
 def test_constructors_refuse_malformed_input_by_name(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as excinfo:
         make()
@@ -780,3 +794,41 @@ def test_constructors_refuse_malformed_input_by_name(make, message):
 
 def test_a_state_repr_names_its_type_and_dims():
     assert repr(werner_state(2, 0.1)) == "DensityOperator(dim_a=2, dim_b=2)"
+
+
+# A twirl reads its expectation by the family's own domain; the guard only clips.
+def _coherent(pair: tuple[int, int], c: float, tol_psd: float) -> DensityOperator:
+    """``I/4 + c (|i><j| + |j><i|)`` for ``pair = (i, j)``, of smallest eigenvalue ``1/4 - |c|``.
+
+    The pair ``(1, 2)`` gives flip expectation ``1/2 + 2c`` and ``(0, 3)`` fidelity ``1/4 + c``.
+    """
+    m = np.eye(4, dtype=complex) / 4
+    m[pair] = m[pair[::-1]] = c
+    return DensityOperator(m, 2, 2, tol_psd=tol_psd)
+
+
+@pytest.mark.parametrize("twirl, pair, c, message", [
+    (twirl_uu, (1, 2), 1.0, "flip expectation must lie in [-1, 1], got 2.5"),
+    (twirl_uu, (1, 2), -1.0, "flip expectation must lie in [-1, 1], got -1.5"),
+    (twirl_uubar, (0, 3), 1.0, "fidelity must lie in [0, 1], got 1.25"),
+], ids=["flip-above", "flip-below", "fidelity-above"])
+def test_a_twirl_refuses_an_expectation_outside_the_family_domain_by_name(twirl, pair, c, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        twirl(_coherent(pair, c, 1.0))
+
+
+def test_a_twirl_clips_an_expectation_within_the_guard_onto_the_domain():
+    # A flip expectation and a fidelity of 1 + 4e-9, within CLIP_GUARD of 1, twirl as 1.
+    assert np.array_equal(twirl_uu(_coherent((1, 2), 0.25 + 2e-9, 1e-8)).matrix,
+                          werner_state(2, 1.0).matrix)
+    assert np.array_equal(twirl_uubar(_coherent((0, 3), 0.75 + 4e-9, 1.0)).matrix,
+                          isotropic_state(2, 1.0).matrix)
+
+
+@pytest.mark.parametrize("name", ["twirl_uu", "twirl_uubar", "realign_trace"])
+def test_a_square_bipartition_function_refuses_unequal_dims_naming_itself_and_them(name):
+    import ccnr
+
+    message = rf"^{name} needs equal local dimensions, got dims \(2, 3\)$"
+    with pytest.raises(ValueError, match=message):
+        getattr(ccnr, name)(random_density(2, 3, seed=0))

@@ -52,6 +52,7 @@ from .states import (
     DensityOperator,
     InvariantViolation,
     PureState,
+    _dims,
     _local_dim,
     _one_state,
     _parameters,
@@ -69,21 +70,22 @@ CSV_HEADER = "param,tau_numeric,tau_closed,gamma_closed,ppt_floor,reduction_floo
 
 # Sweeps evaluate their grid in blocks, one validation and one report per
 # block, on up to SWEEP_WORKERS threads; the LAPACK calls of a block release
-# the interpreter lock.  The workers split SWEEP_BLOCK_BYTES, so the stacks of
-# all blocks in flight fit in it together: with two workers a block holds 512
-# points at d = 2, 101 at d = 3 and 32 at d = 4.  Where a worker's share would
-# hold fewer than SWEEP_MIN_SHARE states, one worker takes the whole budget:
-# 26 points at d = 5, 4 at d = 8, one from d = 10.  A block's transient arrays
-# cost a few times its bytes in peak memory.  Each worker calls BLAS; pin it to
-# one thread (OPENBLAS_NUM_THREADS=1) so that two workers do not oversubscribe
-# the CPUs.
+# the interpreter lock.  Every block holds SWEEP_BLOCK_BYTES of states whatever
+# the worker count: 1024 points at d = 2, 202 at d = 3, 64 at d = 4, 26 at
+# d = 5, 4 at d = 8 and one from d = 10.  Halving the block for two workers
+# would make every numpy call short, and the two threads would hand the
+# interpreter lock back and forth three times as often.  Blocks of fewer than
+# SWEEP_MIN_SHARE states run on one worker.  A block's transient arrays cost a
+# few times its bytes in peak memory, so two workers hold about twice the
+# memory of one.  Each worker calls BLAS; pin it to one thread
+# (OPENBLAS_NUM_THREADS=1) so that two workers do not oversubscribe the CPUs.
 SWEEP_BLOCK_BYTES = 2**18
 # The CPUs this process may use, capped at 2, the largest count measured.
 SWEEP_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                     else os.cpu_count() or 1)
-# On a 2-CPU Xeon VM, two workers beat one at d <= 4 (shares of 32 or more
-# states) and lose x1.14-1.32 at d = 5 to 8 (shares of 13 or fewer).
-SWEEP_MIN_SHARE = 16
+# On a 2-CPU Xeon VM, two workers beat one at d <= 4 (blocks of 64 or more
+# states) and lose x1.14-1.32 at d = 5 to 8 (blocks of 26 or fewer).
+SWEEP_MIN_SHARE = 32
 # Grids with more points are refused before any point is generated.
 MAX_SWEEP_POINTS = 10**6
 
@@ -214,7 +216,10 @@ def load_state_file(path, dims_override=None, *, tol_psd=PSD_TOL, tol_herm=HERMI
         raw_dims = data.get("dims")
         if not isinstance(raw_dims, (list, tuple)) or len(raw_dims) != 2:
             raise ValueError(f"{path}: dims must be a pair [d_a, d_b]")
-        dims = (_dim_entry(raw_dims[0]), _dim_entry(raw_dims[1]))
+        entries = [_dim_entry(entry) for entry in raw_dims]
+        # A refusal names the entries as the file spells them, not as integers
+        # of up to 309 digits.
+        dims = _dims(*entries, shown="(" + ", ".join(map(_fmt, raw_dims)) + ")")
     payload = data.get("matrix")
     if payload is None:
         raise ValueError(f"{path}: missing 'matrix'")
@@ -400,10 +405,8 @@ def cmd_sweep(args) -> int:
     taus = family.tau(*fixed, params).tolist()
     # "%.12g" renders a float as _fmt does; a family without gamma leaves its field empty.
     row = "%.12g,%.12g,%.12g," + ("%s" if family.gamma is None else "%.12g") + ",%.12g,%.12g,%s\n"
-    state_bytes = 16 * d**4
-    share = SWEEP_BLOCK_BYTES // SWEEP_WORKERS // state_bytes
-    workers = SWEEP_WORKERS if share >= SWEEP_MIN_SHARE else 1
-    size = max(1, SWEEP_BLOCK_BYTES // workers // state_bytes)
+    size = max(1, SWEEP_BLOCK_BYTES // (16 * d**4))
+    workers = SWEEP_WORKERS if size >= SWEEP_MIN_SHARE else 1
 
     def block(first: int) -> str:
         """The CSV rows of the block of points that starts at ``first``."""

@@ -84,16 +84,21 @@ def _index(value) -> int:
     return index(value)
 
 
-def _dims(*dims) -> tuple[int, ...]:
-    """Positive integer ``dims`` of at most ``MAX_MATRIX_SIDE`` rows, checked before any sizing."""
+def _dims(*dims, shown: str | None = None) -> tuple[int, ...]:
+    """Positive integer ``dims`` of at most ``MAX_MATRIX_SIDE`` rows, checked before any sizing.
+
+    A refusal names them as ``shown`` spells them, if given (a state file's
+    ``1e+300`` rather than its 301 digits), else as the integers they are.
+    """
     try:
         checked = tuple(map(_index, dims))
     except TypeError:
         raise ValueError(f"dims must be integers, got {dims!r}") from None
+    shown = str(checked) if shown is None else shown
     if min(checked) < 1:
-        raise ValueError(f"dims {checked} must be positive")
+        raise ValueError(f"dims {shown} must be positive")
     if math.prod(checked) > MAX_MATRIX_SIDE:
-        raise ValueError(f"dims {checked} give more than {MAX_MATRIX_SIDE} rows")
+        raise ValueError(f"dims {shown} give more than {MAX_MATRIX_SIDE} rows")
     return checked
 
 
@@ -567,6 +572,8 @@ def pure_from_schmidt(p, dim_a: int, dim_b: int) -> PureState:
     """Vector ``sum_i sqrt(p_i) |i (x) i>`` built on the canonical bases."""
     dim_a, dim_b = _dims(dim_a, dim_b)
     p = np.asarray(p, dtype=float).ravel()
+    if not np.isfinite(p).all():
+        raise ValueError("coefficients must be finite")
     if p.size > min(dim_a, dim_b):
         raise ValueError(
             f"{p.size} coefficients do not fit local dimensions ({dim_a}, {dim_b})"

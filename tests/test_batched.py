@@ -120,9 +120,9 @@ def test_validate_stack_names_the_first_failing_state():
 def test_blocked_sweep_matches_point_by_point_rebuild(tmp_path, monkeypatch, name):
     args, d, _, scalar, tau, gamma = FAMILIES[name]
     lo, hi = DOMAINS[name]
-    # Each worker's share of the budget is SMALL_BLOCK_BYTES, whatever the
-    # worker count, and every worker runs however few states a share holds.
-    monkeypatch.setattr(cli, "SWEEP_BLOCK_BYTES", cli.SWEEP_WORKERS * SMALL_BLOCK_BYTES)
+    # Blocks of SMALL_BLOCK_BYTES, whatever the worker count, and every worker
+    # runs however few states a block holds.
+    monkeypatch.setattr(cli, "SWEEP_BLOCK_BYTES", SMALL_BLOCK_BYTES)
     monkeypatch.setattr(cli, "SWEEP_MIN_SHARE", 1)
     count = 2 * 32 + 5
     size = SMALL_BLOCK_BYTES // (16 * d**4)  # 32 points at d = 2, 6 at d = 3, 2 at d = 4
@@ -218,44 +218,57 @@ def test_sweep_validates_each_block_through_the_density_operator(tmp_path, monke
     assert shapes == 3 * [(32, 4, 4)] + [(5, 4, 4)]  # 101 points in blocks of 32
 
 
-# name -> (sweep arguments, matrix side, block sizes with one worker, with two).
-# From d = 5 a worker's share holds fewer than SWEEP_MIN_SHARE states, so two
-# workers fall back to one.
+# name -> (sweep arguments, matrix side, block sizes, workers where two are
+# available).  From d = 5 a block holds fewer than SWEEP_MIN_SHARE states, so
+# two workers fall back to one.
 _BLOCKED_SWEEPS = {
-    "d2": (["werner", "--d", "2", "--range=-1:1:0.001"], 4, [1024, 977], 3 * [512] + [465]),
-    "d3": (["werner", "--d", "3", "--range=-1:1:0.001"], 9, 9 * [202] + [183], 19 * [101] + [82]),
-    "d4": (["isotropic", "--d", "4", "--range=0:1:0.0005"], 16, 31 * [64] + [17],
-           62 * [32] + [17]),
-    "d5": (["werner", "--d", "5", "--range=-1:1:0.05"], 25, [26, 15], [26, 15]),
-    "d8": (["werner", "--d", "8", "--range=-1:-0.9:0.01"], 64, [4, 4, 3], [4, 4, 3]),
-    "d12": (["werner", "--d", "12", "--range=-1:-0.9:0.05"], 144, 3 * [1], 3 * [1]),
+    "d2": (["werner", "--d", "2", "--range=-1:1:0.001"], 4, [1024, 977], 2),
+    "d3": (["werner", "--d", "3", "--range=-1:1:0.001"], 9, 9 * [202] + [183], 2),
+    "d4": (["isotropic", "--d", "4", "--range=0:1:0.0005"], 16, 31 * [64] + [17], 2),
+    "d5": (["werner", "--d", "5", "--range=-1:1:0.05"], 25, [26, 15], 1),
+    "d8": (["werner", "--d", "8", "--range=-1:-0.9:0.01"], 64, [4, 4, 3], 1),
+    "d12": (["werner", "--d", "12", "--range=-1:-0.9:0.05"], 144, 3 * [1], 1),
 }
 
 
 def _validated_shapes(tmp_path, monkeypatch, name, workers):
-    args, n, *sizes = _BLOCKED_SWEEPS[name]
+    """The shapes validated by a sweep on up to ``workers`` threads, the shapes
+    expected, and the worker counts the sweep ran on."""
+    args, n, sizes, _ = _BLOCKED_SWEEPS[name]
     monkeypatch.setattr(cli, "SWEEP_WORKERS", workers)
     shapes = _record_validations(monkeypatch)
+    ran_on = []
+    map_in_order = cli._map_in_order
+
+    def recorded(fn, items, workers):
+        ran_on.append(workers)
+        return map_in_order(fn, items, workers)
+
+    monkeypatch.setattr(cli, "_map_in_order", recorded)
     assert main(["sweep", *args, "--out", str(tmp_path / "sweep.csv")]) == 0
-    return shapes, [(size, n, n) for size in sizes[workers - 1]]
+    return shapes, [(size, n, n) for size in sizes], ran_on
 
 
 @pytest.mark.parametrize("name", _BLOCKED_SWEEPS)
 def test_sweep_blocks_hold_as_many_states_as_fit_the_block_bytes(tmp_path, monkeypatch, name):
-    shapes, expected = _validated_shapes(tmp_path, monkeypatch, name, 1)
+    shapes, expected, ran_on = _validated_shapes(tmp_path, monkeypatch, name, 1)
     assert shapes == expected
+    assert ran_on == [1]
 
 
 @pytest.mark.parametrize("name", _BLOCKED_SWEEPS)
 def test_two_sweep_workers_split_the_block_bytes(tmp_path, monkeypatch, name):
-    # Threads validate in no fixed order; the rows keep grid order (see the
+    # Two workers split the sweep into the blocks one worker runs, each of the
+    # full SWEEP_BLOCK_BYTES, and from d = 5 one worker runs them all.  Threads
+    # validate in no fixed order; the rows keep grid order (see the
     # point-by-point rebuild and the tests below).
-    shapes, expected = _validated_shapes(tmp_path, monkeypatch, name, 2)
+    shapes, expected, ran_on = _validated_shapes(tmp_path, monkeypatch, name, 2)
     assert sorted(shapes) == sorted(expected)
+    assert ran_on == [_BLOCKED_SWEEPS[name][-1]]
 
 
 @pytest.mark.parametrize("args", [
-    ["werner", "--d", "3", "--range=-1:1:0.001"],  # 19 blocks of 101 and one of 82
+    ["werner", "--d", "3", "--range=-1:1:0.001"],  # 9 blocks of 202 and one of 183
     ["isotropic", "--d", "4", "--range=0:1:0.0005"],
     ["bell", "--range=0:1:0.5"],  # one block, fewer than the workers
     ["qubit", "--range=0:1:0.0005"],
@@ -289,7 +302,7 @@ def test_the_first_failing_sweep_block_stops_the_sweep(tmp_path, monkeypatch, ca
     # and block k + 2 fail; with two workers, block k fails only after block
     # k + 2 has failed on the other thread.
     monkeypatch.setattr(cli, "SWEEP_WORKERS", workers)
-    monkeypatch.setattr(cli, "SWEEP_BLOCK_BYTES", workers * 4 * 16 * 2**4)
+    monkeypatch.setattr(cli, "SWEEP_BLOCK_BYTES", 4 * 16 * 2**4)
     monkeypatch.setattr(cli, "SWEEP_MIN_SHARE", 1)
     grid = cli._parse_range("0:1:0.01")
     failing = {grid[4 * k]: k, grid[4 * (k + 2)]: k + 2}
@@ -332,19 +345,25 @@ def test_importing_the_cli_loads_no_thread_pool():
     assert done.stdout == "[]\n", done.stderr
 
 
-def test_a_full_sweep_peaks_within_a_few_blocks_of_memory(tmp_path):
-    # Measured at 6.1-6.5 blocks of 2**18 bytes: two workers' half-size
-    # blocks with their validation and report transients, and the grid, closed
-    # forms and CSV rows of all 2001 points.  A short sweep runs first, so the
-    # one-time import of concurrent.futures (0.6 MB when logging is not yet
-    # loaded) falls outside the measurement.  The bound leaves ~15% headroom.
+def test_a_full_sweep_peaks_within_a_few_blocks_of_memory(tmp_path, monkeypatch):
+    # Each worker holds a full block of 2**18 bytes with its validation and
+    # report transients, and the grid, closed forms and CSV rows of all 2001
+    # points are held besides.  Measured at 5.29-5.32 blocks with one worker
+    # and 9.06-9.44 with two (4.53-4.72 per block in flight).  A short
+    # two-worker sweep runs first, so the one-time import of concurrent.futures
+    # (0.6 MB when logging is not yet loaded) falls outside the measurement.
+    # The bound per block in flight leaves ~17% headroom at one worker and ~32%
+    # at two.
+    monkeypatch.setattr(cli, "SWEEP_WORKERS", 2)
     assert main(["sweep", "isotropic", "--d", "4", "--range=0:1:0.05",
                  "--out", str(tmp_path / "warm-up.csv")]) == 0
-    tracemalloc.start()
-    try:
-        assert main(["sweep", "isotropic", "--d", "4", "--range=0:1:0.0005",
-                     "--out", str(tmp_path / "isotropic.csv")]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 7.5 * cli.SWEEP_BLOCK_BYTES
+    for workers in (1, 2):
+        monkeypatch.setattr(cli, "SWEEP_WORKERS", workers)
+        tracemalloc.start()
+        try:
+            assert main(["sweep", "isotropic", "--d", "4", "--range=0:1:0.0005",
+                         "--out", str(tmp_path / "isotropic.csv")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.25 * workers * cli.SWEEP_BLOCK_BYTES, workers

@@ -512,6 +512,18 @@ def test_an_integer_past_the_float_range_overflows_wherever_it_stands(tmp_path, 
     assert capsys.readouterr().err == f"error: {state_file}: an integer overflows a float\n"
 
 
+@pytest.mark.parametrize("entry, shown", [("1e300", "1e+300"), ("1e20", "1e+20")])
+def test_a_huge_dims_entry_is_named_as_the_file_spells_it(tmp_path, capsys, entry, shown):
+    state_file = tmp_path / "huge.json"
+    matrix = json.dumps([[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)])
+    state_file.write_text(f'{{"kind": "density", "dims": [2, {entry}], "matrix": {matrix}}}',
+                          encoding="utf-8")
+    assert main(["check", str(state_file)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: dims (2, {shown}) give more than 1024 rows\n"
+    assert len(err.encode()) < 120
+
+
 # JSON integers are read as the floats they spell, "-0" as -0.0 included.
 @pytest.mark.parametrize("kind, dims, matrix", [
     ("pure", "[2, 2]", "[[1, 0], [0, -0], [-0, 0], [0, -0]]"),

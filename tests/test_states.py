@@ -464,6 +464,10 @@ def test_pure_from_schmidt_rejects_bad_input():
         pure_from_schmidt([1.5, -0.5], 2, 2)
     with pytest.raises(ValueError, match=r"^coefficients must sum to 1, got 0\.0$"):
         pure_from_schmidt([], 2, 2)
+    # Refused by name before the count, sign and sum rules, which NaN passes.
+    for p in ([np.nan, 0.5], [np.inf, 0.5], [-np.inf, 1.0], [0.5, 0.5, np.nan]):
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            pure_from_schmidt(p, 2, 2)
 
 
 def test_schmidt_decompose_examples():

@@ -67,6 +67,8 @@ from .states import (
 from .tolerances import GRID_SLACK, HERMITICITY_TOL, PSD_TOL
 
 CSV_HEADER = "param,tau_numeric,tau_closed,gamma_closed,ppt_floor,reduction_floor,verdict"
+# Every number the command line prints, in a report or a sweep row: 12 significant digits.
+_NUMBER = "%.12g"
 
 # Sweeps evaluate their grid in blocks, one validation and one report per
 # block, on up to SWEEP_WORKERS threads; the LAPACK calls of a block release
@@ -137,8 +139,8 @@ GEN_FAMILIES = SWEEP_FAMILIES + ("random",)
 
 
 def _fmt(x: float) -> str:
-    """Locale-free decimal rendering with 12 significant digits."""
-    return f"{float(x):.12g}"
+    """Locale-free decimal rendering of ``x`` in ``_NUMBER``."""
+    return _NUMBER % float(x)
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
@@ -403,8 +405,9 @@ def cmd_sweep(args) -> int:
     # The closed tau refuses the first value outside the domain before any state is built.
     params = family.point(np.array(grid))
     taus = family.tau(*fixed, params).tolist()
-    # "%.12g" renders a float as _fmt does; a family without gamma leaves its field empty.
-    row = "%.12g,%.12g,%.12g," + ("%s" if family.gamma is None else "%.12g") + ",%.12g,%.12g,%s\n"
+    # The columns of CSV_HEADER; a family without gamma leaves its field empty.
+    fields = [_NUMBER] * 3 + ["%s" if family.gamma is None else _NUMBER] + [_NUMBER] * 2 + ["%s"]
+    row = ",".join(fields) + "\n"
     size = max(1, SWEEP_BLOCK_BYTES // (16 * d**4))
     workers = SWEEP_WORKERS if size >= SWEEP_MIN_SHARE else 1
 

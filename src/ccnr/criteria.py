@@ -23,14 +23,8 @@ import numpy as np
 
 from .crossnorm import GammaValue, _checked_gamma
 from .realign import ccnr_tau
-from .states import (
-    DensityOperator,
-    _bipartite_tensor,
-    _one_state,
-    _per_state,
-    partial_trace_a,
-    partial_trace_b,
-)
+from .states import DensityOperator, _matrix, _one_state, _per_state, _raw_tensor, _state_tensor
+from .states import partial_trace_a, partial_trace_b
 from .tolerances import VIOLATION_GUARD
 
 __all__ = [
@@ -77,19 +71,22 @@ class CriteriaReport:
         return asdict(self)
 
 
+def _transposed_b(four: np.ndarray) -> np.ndarray:
+    """The partial transpose on B of a bipartite view, as a matrix."""
+    return _matrix(np.swapaxes(four, -3, -1))
+
+
 def partial_transpose_b(matrix, dim_a: int, dim_b: int) -> np.ndarray:
     """Transpose on the B factor: ``PT[(i,k),(j,l)] = M[(i,l),(j,k)]``.
 
-    A ``(..., n, n)`` stack is transposed matrix by matrix.
+    A ``(..., n, n)`` stack is transposed matrix by matrix; non-finite entries are refused.
     """
-    four = _bipartite_tensor(matrix, dim_a, dim_b)
-    return np.swapaxes(four, -3, -1).reshape(four.shape[:-4] + 2 * (dim_a * dim_b,))
+    return _transposed_b(_raw_tensor(matrix, dim_a, dim_b))
 
 
 def ppt_min_eigenvalue(rho: DensityOperator) -> float:
     """Minimum eigenvalue of the partial transpose; negative means entangled."""
-    pt = partial_transpose_b(rho.matrix, rho.dim_a, rho.dim_b)
-    return _per_state(np.linalg.eigvalsh(pt)[..., 0])
+    return _per_state(np.linalg.eigvalsh(_transposed_b(_state_tensor(rho)))[..., 0])
 
 
 def reduction_min_eigenvalue(rho: DensityOperator) -> float:
@@ -98,13 +95,13 @@ def reduction_min_eigenvalue(rho: DensityOperator) -> float:
     Tests ``rho_A (x) I - rho`` and ``I (x) rho_B - rho``; a negative value
     certifies entanglement (and distillability).
     """
-    four = _bipartite_tensor(rho.matrix, rho.dim_a, rho.dim_b)
+    four = _state_tensor(rho)
     eye_a = np.eye(rho.dim_a, dtype=complex)
     eye_b = np.eye(rho.dim_b, dtype=complex)
     # Kronecker products written on the (i, k, j, l) view of each matrix.
     first = partial_trace_b(rho)[..., :, None, :, None] * eye_b[:, None, :] - four
     second = eye_a[:, None, :, None] * partial_trace_a(rho)[..., None, :, None, :] - four
-    first, second = first.reshape(rho.matrix.shape), second.reshape(rho.matrix.shape)
+    first, second = _matrix(first), _matrix(second)
     floor = np.linalg.eigvalsh(first)[..., 0]
     # Swap-symmetric states often give both operators the same bits, and min(a, a) = a;
     # comparing bits, not values, keeps -0.0 and 0.0 apart.

@@ -60,22 +60,11 @@ def kron(a, b) -> np.ndarray:
 
 
 def hermitian_eigensystem(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a numerically Hermitian matrix.
+    """Eigenvalues (ascending) and orthonormal eigenvectors (columns) of a Hermitian matrix.
 
-    Parameters
-    ----------
-    h : array_like
-        Square matrix with ``||h - h^dag||_inf`` within
-        ``HERMITICITY_TOL * (1 + ||h||_inf)``.  Inputs inside the band are
-        symmetrized as ``(h + h^dag) / 2`` before factorization.
-
-    Returns
-    -------
-    eigenvalues : ndarray
-        Real eigenvalues in ascending order.
-    eigenvectors : ndarray
-        Matrix whose k-th column is the orthonormal eigenvector belonging to
-        ``eigenvalues[k]``.
+    The square matrix ``h`` must have ``||h - h^dag||_inf`` within
+    ``HERMITICITY_TOL * (1 + ||h||_inf)``; it is symmetrized as
+    ``(h + h^dag) / 2`` before factorization.
     """
     h = _as_matrix(h)
     if h.shape[0] != h.shape[1]:

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import singular_values
-from .states import _FIDELITY, _FLIP, _MIXING, _QUTRIT, DensityOperator, _bipartite_tensor
-from .states import _in_domain, _local_dim, _one_state, _per_state, _square_dim, _thin_svd
-from .states import bell_spectrum
+from .states import _FIDELITY, _FLIP, _MIXING, _QUTRIT, DensityOperator, _in_domain, _local_dim
+from .states import _matrix, _one_state, _per_state, _raw_tensor, _square_dim, _state_tensor
+from .states import _thin_svd, bell_spectrum
 
 __all__ = [
     "RealignedMatrix",
@@ -61,28 +61,31 @@ class OperatorSchmidt:
     right_ops: np.ndarray
 
 
+def _realigned(four: np.ndarray) -> np.ndarray:
+    """The realignment of a bipartite view: the A pair leads, then the B pair."""
+    return np.swapaxes(four, -3, -2)
+
+
 def realign_matrix(matrix, dim_a: int, dim_b: int) -> np.ndarray:
     """Realign a raw ``(d_a d_b) x (d_a d_b)`` matrix (no state validation).
 
     This is the diagnostic entry point: it accepts arbitrary square inputs of
     the right shape, e.g. rank-one operators ``|psi><omega|`` that are not
-    states.  A ``(..., d_a d_b, d_a d_b)`` stack realigns matrix by matrix.
+    states, and refuses non-finite entries.  A ``(..., d_a d_b, d_a d_b)``
+    stack realigns matrix by matrix.
     """
-    four = _bipartite_tensor(matrix, dim_a, dim_b)
-    return np.swapaxes(four, -3, -2).reshape(four.shape[:-4] + (dim_a * dim_a, dim_b * dim_b))
+    return _matrix(_realigned(_raw_tensor(matrix, dim_a, dim_b)))
 
 
 def realign(rho: DensityOperator) -> RealignedMatrix:
     """Realignment of a validated density operator."""
-    return RealignedMatrix(
-        rho.dim_a, rho.dim_b, realign_matrix(rho.matrix, rho.dim_a, rho.dim_b)
-    )
+    return RealignedMatrix(rho.dim_a, rho.dim_b, _matrix(_realigned(_state_tensor(rho))))
 
 
 def operator_schmidt(rho: DensityOperator) -> OperatorSchmidt:
     """Operator Schmidt decomposition via the SVD of the realigned matrix."""
     _one_state(rho, "operator_schmidt")
-    u, s, vh = _thin_svd(realign_matrix(rho.matrix, rho.dim_a, rho.dim_b))
+    u, s, vh = _thin_svd(realign(rho).matrix)
     # Left operators unvectorize the left singular vectors; the rows of vh
     # already carry the conjugation that makes rho = sum_i s_i E_i (x) F_i.
     left = u.T.reshape(-1, rho.dim_a, rho.dim_a)
@@ -100,10 +103,9 @@ def ccnr_tau(rho: DensityOperator) -> float:
     # X[(i,j),(k,l)] = Re R[(j,i),(k,l)] - Im R[(i,j),(k,l)] = U_A R U_B^T, where
     # U = (w I + conj(w) S)/sqrt(2), w = e^{i pi/4} and S swaps the two A (or
     # B) indices; X is real because rho is Hermitian.
-    realigned = np.swapaxes(_bipartite_tensor(rho.matrix, rho.dim_a, rho.dim_b), -3, -2)
+    realigned = _realigned(_state_tensor(rho))
     real = np.swapaxes(realigned, -4, -3).real - realigned.imag
-    shape = real.shape[:-4] + (rho.dim_a * rho.dim_a, rho.dim_b * rho.dim_b)
-    return _per_state(np.sum(singular_values(real.reshape(shape)), axis=-1))
+    return _per_state(np.sum(singular_values(_matrix(real)), axis=-1))
 
 
 def tau_werner_closed(d: int, f) -> float | np.ndarray:
@@ -160,4 +162,4 @@ def realign_trace(rho: DensityOperator) -> complex:
     ``dF`` for isotropic states and ``(f + 1)/(d + 1)`` for Werner states.
     """
     _square_dim(rho, "realign_trace")
-    return complex(np.trace(realign_matrix(rho.matrix, rho.dim_a, rho.dim_b)))
+    return complex(np.trace(realign(rho).matrix))

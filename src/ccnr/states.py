@@ -1,7 +1,8 @@
 """Bipartite state families, Schmidt machinery and analytic twirling.
 
 Composite systems use the row-major index convention: the basis vector
-``|a> (x) |b>`` of ``C^{d_a} (x) C^{d_b}`` sits at component ``a * d_b + b``.
+``|a> (x) |b>`` of ``C^{d_a} (x) C^{d_b}`` sits at component ``a * d_b + b``,
+which only :func:`_bipartite_tensor` spells out.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from operator import index
 
 import numpy as np
 
-from .linalg import _hermitian_part
+from .linalg import _as_matrix, _hermitian_part
 from .tolerances import CHOLESKY_MARGIN, CLIP_GUARD, NORM_TOL, PSD_TOL, TRACE_TOL, WEIGHT_SLACK
 from .tolerances import HERMITICITY_TOL as HERM_TOL, SV_FLOOR as _SV_FLOOR
 
@@ -55,10 +56,8 @@ class InvariantViolation(ValueError):
     def __init__(self, invariant: str, residual: float, message: str | None = None):
         self.invariant = invariant
         self.residual = float(residual)
-        super().__init__(
-            message
-            or f"invariant '{invariant}' violated: residual {self.residual:.6e}"
-        )
+        default = f"invariant '{invariant}' violated: residual {self.residual:.6e}"
+        super().__init__(message or default)
 
 
 # The most rows a state's matrix may have: d_a * d_b, or d * d for a family.
@@ -172,18 +171,32 @@ def _parameters(values, lo: float, hi: float, name: str, side: int = 0) -> np.nd
     return _in_domain(values, lo, hi, name)
 
 
-def _bipartite_tensor(matrix, dim_a: int, dim_b: int) -> np.ndarray:
+def _bipartite_tensor(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     """View a ``(..., d_a d_b, d_a d_b)`` stack as ``(..., d_a, d_b, d_a, d_b)``.
 
-    Axes ``-4, -3`` index the row's A and B factors, ``-2, -1`` the column's.
+    The one reshape of the composite index: axes ``-4, -3`` index the row's A
+    and B factors, ``-2, -1`` the column's.
     """
-    m = np.asarray(matrix, dtype=complex)
-    n = dim_a * dim_b
-    if m.ndim < 2 or m.shape[-2:] != (n, n):
-        raise ValueError(
-            f"matrix shape {m.shape} does not match bipartition ({dim_a}, {dim_b})"
-        )
     return m.reshape(m.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
+
+
+def _matrix(four: np.ndarray) -> np.ndarray:
+    """The ``(..., p q, r s)`` matrix of a ``(..., p, q, r, s)`` permuted bipartite view."""
+    *lead, p, q, r, s = four.shape
+    return four.reshape((*lead, p * q, r * s))
+
+
+def _state_tensor(rho: DensityOperator) -> np.ndarray:
+    """The bipartite view of a validated state or stack, read as it was stored."""
+    return _bipartite_tensor(rho.matrix, rho.dim_a, rho.dim_b)
+
+
+def _raw_tensor(matrix, dim_a: int, dim_b: int) -> np.ndarray:
+    """The bipartite view of a raw matrix or stack, admitted as ``linalg`` admits raw input."""
+    m = _as_matrix(matrix, stack=True)
+    if m.shape[-2:] != (dim_a * dim_b,) * 2:
+        raise ValueError(f"matrix shape {m.shape} does not match bipartition ({dim_a}, {dim_b})")
+    return _bipartite_tensor(m, dim_a, dim_b)
 
 
 def _per_state(values, scalar=float):
@@ -406,22 +419,25 @@ def bell_spectrum(lam) -> np.ndarray:
     return (rows.clip(0.0, None) / total[:, None]).reshape(lam.shape)
 
 
-def flip_operator(d: int) -> np.ndarray:
-    """Swap operator on ``C^d (x) C^d``: maps ``|i (x) j>`` to ``|j (x) i>``."""
+def _swapped_identity(d, axis1: int, axis2: int) -> np.ndarray:
+    """The identity of ``C^d (x) C^d`` with two axes of its bipartite view swapped."""
     d = _local_dim(d)
-    f = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            f[i * d + j, j * d + i] = 1.0
-    return f
+    identity = _bipartite_tensor(np.eye(d * d, dtype=complex), d, d)
+    return _matrix(np.swapaxes(identity, axis1, axis2))
+
+
+def flip_operator(d: int) -> np.ndarray:
+    """Swap operator on ``C^d (x) C^d``: maps ``|i (x) j>`` to ``|j (x) i>``.
+
+    Built as the identity with the column's two factors swapped.
+    """
+    return _swapped_identity(d, -2, -1)
 
 
 def max_entangled(d: int) -> PureState:
-    """Maximally entangled vector ``sum_i |i (x) i> / sqrt(d)``."""
+    """Maximally entangled vector ``sum_i |i (x) i> / sqrt(d)``: coefficients ``I / sqrt(d)``."""
     d = _local_dim(d)
-    amps = np.zeros(d * d, dtype=complex)
-    amps[:: d + 1] = 1.0 / math.sqrt(d)
-    return PureState(amps, d, d)
+    return PureState(np.eye(d) / math.sqrt(d), d, d)
 
 
 @functools.lru_cache(maxsize=8)
@@ -433,14 +449,11 @@ def _max_entangled_amplitudes(d: int) -> np.ndarray:
 def fhat_operator(d: int) -> np.ndarray:
     """Rank-one operator ``sum_ij |i (x) i><j (x) j|`` (trace ``d``).
 
-    Coincides with the partial transpose of the swap operator on one factor
-    and with ``d`` times the maximally entangled projector.
+    Coincides with the partial transpose of the swap operator on one factor,
+    with ``d`` times the maximally entangled projector, and with the
+    realignment of the identity, as which it is built.
     """
-    d = _local_dim(d)
-    m = np.zeros((d * d, d * d), dtype=complex)
-    diag = np.arange(d) * (d + 1)
-    m[np.ix_(diag, diag)] = 1.0
-    return m
+    return _swapped_identity(d, -3, -2)
 
 
 # The ``*_stack`` builders take a 1-d sequence of parameters (spectra for
@@ -458,9 +471,7 @@ def werner_stack(d: int, f) -> np.ndarray:
     """
     d = _local_dim(d)
     f = _parameters(f, *_FLIP, side=d * d)[:, None, None]
-    return (
-        (d - f) * np.eye(d * d, dtype=complex) + (d * f - 1.0) * flip_operator(d)
-    ) / (d**3 - d)
+    return ((d - f) * np.eye(d * d, dtype=complex) + (d * f - 1.0) * flip_operator(d)) / (d**3 - d)
 
 
 def werner_state(d: int, f: float) -> DensityOperator:
@@ -519,7 +530,7 @@ def bell_diagonal_stack(lams) -> np.ndarray:
 def bell_diagonal_state(lam) -> DensityOperator:
     """Two-qubit state diagonal in the Bell basis with weights ``lam``."""
     spectrum = bell_spectrum(lam)  # refused under the shape the caller passed
-    if spectrum.size != 4:
+    if spectrum.shape != (4,):
         raise ValueError(f"one spectrum needs shape (4,), got {spectrum.shape}")
     return DensityOperator(bell_diagonal_stack(np.reshape(lam, (1, 4)))[0], 2, 2)
 
@@ -551,16 +562,11 @@ def qutrit_family_stack(alpha) -> np.ndarray:
     alpha = _parameters(alpha, *_QUTRIT, side=9)[:, None, None]
     psi = _max_entangled_amplitudes(3)
     proj = np.outer(psi, psi.conj())
-    sigma_plus = np.zeros((9, 9), dtype=complex)
-    sigma_minus = np.zeros((9, 9), dtype=complex)
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        sigma_plus[a * 3 + b, a * 3 + b] = 1.0 / 3.0
-        sigma_minus[b * 3 + a, b * 3 + a] = 1.0 / 3.0
-    return (
-        (2.0 / 7.0) * proj
-        + (alpha / 7.0) * sigma_plus
-        + ((5.0 - alpha) / 7.0) * sigma_minus
-    )
+    # The weights of sigma_plus on |a (x) a+1 mod 3> as a coefficient layout;
+    # sigma_minus weighs the transposed layout.
+    cycle = np.roll(np.eye(3), 1, axis=1) / 3.0
+    sigma_plus, sigma_minus = np.diag(cycle.ravel()), np.diag(cycle.T.ravel())
+    return (2.0 / 7.0) * proj + (alpha / 7.0) * sigma_plus + ((5.0 - alpha) / 7.0) * sigma_minus
 
 
 def qutrit_family(alpha: float) -> DensityOperator:
@@ -575,17 +581,14 @@ def pure_from_schmidt(p, dim_a: int, dim_b: int) -> PureState:
     if not np.isfinite(p).all():
         raise ValueError("coefficients must be finite")
     if p.size > min(dim_a, dim_b):
-        raise ValueError(
-            f"{p.size} coefficients do not fit local dimensions ({dim_a}, {dim_b})"
-        )
+        raise ValueError(f"{p.size} coefficients do not fit local dimensions ({dim_a}, {dim_b})")
     if float(np.min(p, initial=0.0)) < 0.0:
         raise ValueError("coefficients must be nonnegative")
     if abs(float(np.sum(p)) - 1.0) > WEIGHT_SLACK:
         raise ValueError(f"coefficients must sum to 1, got {np.sum(p)}")
-    amps = np.zeros(dim_a * dim_b, dtype=complex)
-    for i, weight in enumerate(p):
-        amps[i * dim_b + i] = math.sqrt(weight)
-    return PureState(amps, dim_a, dim_b)
+    coefficients = np.zeros((dim_a, dim_b), dtype=complex)
+    coefficients[np.diag_indices(p.size)] = np.sqrt(p)
+    return PureState(coefficients, dim_a, dim_b)
 
 
 def _thin_svd(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -635,12 +638,12 @@ def twirl_uubar(sigma: DensityOperator) -> DensityOperator:
 
 def partial_trace_a(rho: DensityOperator) -> np.ndarray:
     """Trace out the A factor, returning the ``d_b x d_b`` marginal (one per state of a stack)."""
-    return np.trace(_bipartite_tensor(rho.matrix, rho.dim_a, rho.dim_b), axis1=-4, axis2=-2)
+    return np.trace(_state_tensor(rho), axis1=-4, axis2=-2)
 
 
 def partial_trace_b(rho: DensityOperator) -> np.ndarray:
     """Trace out the B factor, returning the ``d_a x d_a`` marginal (one per state of a stack)."""
-    return np.trace(_bipartite_tensor(rho.matrix, rho.dim_a, rho.dim_b), axis1=-3, axis2=-1)
+    return np.trace(_state_tensor(rho), axis1=-3, axis2=-1)
 
 
 def random_pure(dim_a: int, dim_b: int, seed=None) -> PureState:

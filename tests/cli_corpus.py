@@ -1,0 +1,132 @@
+"""The command-line byte corpus: commands, the files they read, and their recorded output.
+
+``tests/golden_cli.json`` holds, for each command below, its exit code, its
+stdout and stderr, and the SHA-256 of each state file it writes.  The
+``gen`` commands cover the Werner and isotropic families at d = 2, 3 and 5,
+each at its domain ends and at f = 1/d or F = 1/d, three members each of the
+Bell-diagonal, qubit and qutrit families, and seeded random states; each
+file is then read by ``check``, ``check --json`` and ``oschmidt``.  Three
+pure-state files written by ``write_state_file`` are read by ``schmidt``, and
+a set of refusals records its exit code and message.
+
+Commands run in-process in the current directory, with relative paths, so
+the output holds no directory name.  After a change that is meant to alter
+the output, regenerate the corpus from the repository root with::
+
+    python tests/cli_corpus.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+CORPUS = Path(__file__).with_name("golden_cli.json")
+
+# (family, --d, parameters); 1/d is passed as repr(1 / d), the float it names.
+_FAMILY_FILES = [
+    *(("werner", d, ["-1", repr(1 / d), "1"]) for d in (2, 3, 5)),
+    *(("isotropic", d, ["0", repr(1 / d), "1"]) for d in (2, 3, 5)),
+    ("bell", None, ["0.25,0.25,0.25,0.25", "0.7,0.1,0.1,0.1", "1,0,0,0"]),
+    ("qubit", None, ["0", "0.5", "1"]),
+    ("qutrit", None, ["2", "3.5", "5"]),
+]
+_RANDOM_FILES = [("2,3", None, 1), ("3,3", 2, 5), ("2,4", 1, 11)]
+_READERS = (["check"], ["check", "--json"], ["oschmidt"])
+
+
+def _gen_commands() -> list[list[str]]:
+    commands = []
+    for family, d, params in _FAMILY_FILES:
+        for k, param in enumerate(params):
+            name = f"{family}{d or ''}_{k}.json"
+            option = [] if d is None else ["--d", str(d)]
+            commands.append(["gen", family, *option, "--param", param, "--out", name])
+    for dims, rank, seed in _RANDOM_FILES:
+        name = f"random_{dims.replace(',', 'x')}_{seed}.json"
+        option = [] if rank is None else ["--rank", str(rank)]
+        commands.append(["gen", "random", "--dims", dims, *option, "--seed", str(seed),
+                         "--out", name])
+    return commands
+
+
+_PURE_FILES = ("schmidt_3x4.json", "max_entangled_4.json", "random_pure_2x3.json")
+
+_REFUSALS = [
+    ["gen", "werner", "--d", "3", "--param", "1.5", "--out", "refused.json"],
+    ["gen", "isotropic", "--param", "0.5", "--out", "refused.json"],
+    ["gen", "bell", "--param", "0.5,0.5", "--out", "refused.json"],
+    ["gen", "qutrit", "--d", "2", "--param", "3", "--out", "refused.json"],
+    ["gen", "random", "--dims", "2,2", "--param", "0.5", "--out", "refused.json"],
+    ["check", "not_json.json"],
+    ["check", "not_psd.json"],
+    ["check", "werner2_1.json", "--dims", "2,3"],
+    ["schmidt", "werner2_1.json"],
+    ["oschmidt", "schmidt_3x4.json"],
+    ["sweep", "werner", "--d", "3", "--range=1:-1:0.1", "--out", "refused.csv"],
+    ["check", "missing.json"],
+]
+
+
+def commands() -> list[list[str]]:
+    """Every command of the corpus, in the order it runs."""
+    gen = _gen_commands()
+    reads = [[*reader[:1], cmd[-1], *reader[1:]] for cmd in gen for reader in _READERS]
+    return gen + reads + [["schmidt", name] for name in _PURE_FILES] + _REFUSALS
+
+
+def write_inputs() -> dict[str, str]:
+    """Write the files no command writes into the current directory; their SHA-256 by name."""
+    from ccnr.cli import write_state_file
+    from ccnr.states import max_entangled, pure_from_schmidt, random_pure
+
+    pure = (pure_from_schmidt([0.5, 0.3, 0.2], 3, 4), max_entangled(4), random_pure(2, 3, seed=7))
+    for name, state in zip(_PURE_FILES, pure):
+        write_state_file(name, state)
+    Path("not_json.json").write_text("{not json", encoding="utf-8")
+    diagonal = [[[-0.5 if i == j == 0 else 0.5 if i == j else 0.0, 0.0] for j in range(4)]
+                for i in range(4)]
+    Path("not_psd.json").write_text(
+        json.dumps({"kind": "density", "dims": [2, 2], "matrix": diagonal}), encoding="utf-8")
+    return {name: _digest(name) for name in _PURE_FILES}
+
+
+def _digest(name: str) -> str:
+    return hashlib.sha256(Path(name).read_bytes()).hexdigest()
+
+
+def run(argv: list[str]) -> dict:
+    """One command's record: argv, exit code, stdout, stderr and the digest of ``--out``."""
+    from ccnr.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    record = {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    if code == 0 and "--out" in argv:
+        record["out_sha256"] = _digest(argv[argv.index("--out") + 1])
+    return record
+
+
+def record() -> dict:
+    """The corpus, computed in the current directory."""
+    return {"inputs": write_inputs(), "commands": [run(argv) for argv in commands()]}
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            corpus = record()
+        finally:
+            os.chdir(here)
+    CORPUS.write_text(json.dumps(corpus, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(corpus['commands'])} commands to {CORPUS}")

@@ -241,3 +241,103 @@ def test_the_package_init_holds_no_second_list_of_names():
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert set(imported) <= {"*", "linalg", "states", "realign", "crossnorm", "criteria"}
     assert _string_literals(init) == [ccnr.__doc__, ccnr.__version__]
+
+
+# The composite index a * d_b + b is spelt once, by the reshape in
+# states._bipartite_tensor; operators are permutations of its axes.
+LOCAL_DIMS = {"d", "dim_a", "dim_b", "d_a", "d_b"}
+
+
+def _is_local_dim(node: ast.AST) -> bool:
+    return getattr(node, "id", getattr(node, "attr", None)) in LOCAL_DIMS
+
+
+def _index_arithmetic(tree: ast.AST) -> list[int]:
+    """Lines adding to a product inside a subscript or to a local dimension (``i * d + j``,
+    ``:: d + 1``, ``* (d + 1)``)."""
+    subscripted = {id(inner) for node in ast.walk(tree) if isinstance(node, ast.Subscript)
+                   for inner in ast.walk(node.slice)}
+    hits = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+            continue
+        sides = (node.left, node.right)
+        products = [s for s in sides if isinstance(s, ast.BinOp) and isinstance(s.op, ast.Mult)]
+        stride = any(map(_is_local_dim, sides)) and any(getattr(s, "value", 0) == 1 for s in sides)
+        scaled = any(_is_local_dim(factor) for p in products for factor in (p.left, p.right))
+        if stride or scaled or products and id(node) in subscripted:
+            hits.append(node.lineno)
+    return hits
+
+
+def test_no_composite_index_is_computed_in_the_source():
+    assert [(path.name, line) for path in SOURCES for line in _index_arithmetic(_tree(path))] == []
+
+
+@pytest.mark.parametrize("line", [
+    "f[i * d + j, j * d + i] = 1.0", "amps[:: d + 1] = x", "diag = np.arange(d) * (d + 1)",
+    "s[a * 3 + b, a * 3 + b] = 1.0", "amps[i * rho.dim_b + i] = w", "k = row * dim_b + col",
+])
+def test_the_index_arithmetic_scan_sees_one(line):
+    assert set(_index_arithmetic(ast.parse(line))) == {1}
+
+
+def test_the_index_arithmetic_scan_passes_the_psd_shift():
+    assert _index_arithmetic(ast.parse("m.reshape(s + (n * n,))[..., :: n + 1] += x")) == []
+
+
+def _trailing_axes(shape: ast.AST, positional: int) -> int:
+    """How many axes a reshape to ``shape`` names after a leading ``*lead`` or ``shape[:-2]``."""
+    if positional > 1:
+        return positional
+    if isinstance(shape, ast.Tuple):
+        return sum(not isinstance(e, ast.Starred) for e in shape.elts)
+    if isinstance(shape, ast.BinOp) and isinstance(shape.op, ast.Add):
+        return _trailing_axes(shape.right, 1)
+    return 0
+
+
+def _four_axis_reshapes(tree: ast.AST) -> list[str]:
+    """The function around each reshape to four or more named axes."""
+    hits = []
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "reshape":
+                method = getattr(node.func.value, "id", None) != "np"
+                args = node.args if method else node.args[1:]
+                if args and _trailing_axes(args[0], len(args)) >= 4:
+                    hits.append(func.name)
+    return hits
+
+
+def test_the_bipartite_view_is_reshaped_in_one_function():
+    assert [(path.name, name) for path in SOURCES
+            for name in _four_axis_reshapes(_tree(path))] == [("states.py", "_bipartite_tensor")]
+
+
+@pytest.mark.parametrize("body", [
+    "return m.reshape(m.shape[:-2] + (a, b, a, b))", "return m.reshape(a, b, a, b)",
+    "return np.reshape(m, (*lead, a, b, a, b))",
+])
+def test_the_reshape_scan_sees_one(body):
+    assert _four_axis_reshapes(ast.parse(f"def view(m):\n    {body}")) == ["view"]
+    flat = "def flat(m):\n    return m.reshape((*lead, p * q, r * s))"
+    assert _four_axis_reshapes(ast.parse(flat)) == []
+
+
+def _entry_loops(tree: ast.AST) -> list[int]:
+    """Lines of ``for`` loops that assign to an entry of an array."""
+    return [loop.lineno for loop in ast.walk(tree) if isinstance(loop, ast.For)
+            for node in ast.walk(loop) if isinstance(node, (ast.Assign, ast.AugAssign))
+            and any(isinstance(t, ast.Subscript)
+                    for t in getattr(node, "targets", [getattr(node, "target", None)]))]
+
+
+def test_no_loop_writes_state_entries_one_at_a_time():
+    assert _entry_loops(_tree(Path(ccnr.__file__).parent / "states.py")) == []
+
+
+def test_the_entry_loop_scan_sees_one():
+    assert _entry_loops(ast.parse("for i, w in enumerate(p):\n    amps[i] = w")) == [1]

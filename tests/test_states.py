@@ -223,10 +223,8 @@ def test_bell_diagonal_state_names_the_shape_passed():
         bell_diagonal_state([0.5, 0.5, 0.0])
     with pytest.raises(ValueError, match=r"one spectrum needs shape \(4,\), got \(2, 4\)"):
         bell_diagonal_state([[0.25] * 4] * 2)
-    np.testing.assert_array_equal(
-        bell_diagonal_state([[0.4, 0.3, 0.2, 0.1]]).matrix,
-        bell_diagonal_state([0.4, 0.3, 0.2, 0.1]).matrix,
-    )
+    with pytest.raises(ValueError, match=r"one spectrum needs shape \(4,\), got \(1, 4\)"):
+        bell_diagonal_state([[0.4, 0.3, 0.2, 0.1]])
 
 
 @pytest.mark.parametrize("keyword", ["tol_herm", "tol_psd"])

@@ -99,8 +99,10 @@ def reduction_min_eigenvalue(rho: DensityOperator) -> float:
     eye_a = np.eye(rho.dim_a, dtype=complex)
     eye_b = np.eye(rho.dim_b, dtype=complex)
     # Kronecker products written on the (i, k, j, l) view of each matrix.
-    first = partial_trace_b(rho)[..., :, None, :, None] * eye_b[:, None, :] - four
-    second = eye_a[:, None, :, None] * partial_trace_a(rho)[..., None, :, None, :] - four
+    first = partial_trace_b(rho)[..., :, None, :, None] * eye_b[:, None, :]
+    second = eye_a[:, None, :, None] * partial_trace_a(rho)[..., None, :, None, :]
+    first -= four
+    second -= four
     first, second = _matrix(first), _matrix(second)
     floor = np.linalg.eigvalsh(first)[..., 0]
     # Swap-symmetric states often give both operators the same bits, and min(a, a) = a;

@@ -2,7 +2,9 @@
 
 Everything here operates on plain ``numpy`` arrays (promoted to
 ``complex128``, except that :func:`singular_values` keeps a real float64
-input real) and is pure: inputs are never modified.
+input real) and is pure: inputs are never modified.  ``_hermitian_part``
+and ``_singular_values`` also serve ``states`` and ``realign``, on arrays
+those have already admitted.
 """
 
 from __future__ import annotations
@@ -40,11 +42,19 @@ def _as_matrix(a, *, stack: bool = False, keep_real: bool = False) -> np.ndarray
 # Entries near the float limit overflow here silently; the residual then fails its bound.
 @np.errstate(over="ignore", invalid="ignore")
 def _hermitian_part(h, tol: float):
-    """``(h + h^dag) / 2``, ``max|h - h^dag|`` and its bound ``tol (1 + max|h|)``, per matrix."""
+    """``(h + h^dag) / 2``, ``max|h - h^dag|`` and its bound ``tol (1 + max|h|)``, per matrix.
+
+    A stack with ``h == h^dag`` in every entry has residual 0, returned with
+    a bound of 0 and without scanning the moduli.
+    """
     adjoint = np.swapaxes(h.conj(), -2, -1)
-    square = (-2, -1)
-    residual = np.max(np.abs(h - adjoint), axis=square)
-    return (h + adjoint) / 2.0, residual, tol * (1.0 + np.max(np.abs(h), axis=square))
+    if np.array_equal(h, adjoint):
+        residual = bound = np.zeros(h.shape[:-2])
+    else:
+        square = (-2, -1)
+        residual = np.max(np.abs(h - adjoint), axis=square)
+        bound = tol * (1.0 + np.max(np.abs(h), axis=square))
+    return (h + adjoint) / 2.0, residual, bound
 
 
 def kron(a, b) -> np.ndarray:
@@ -79,6 +89,11 @@ def hermitian_eigensystem(h) -> tuple[np.ndarray, np.ndarray]:
     return eigenvalues, eigenvectors
 
 
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """:func:`singular_values` of an array the caller has already admitted, unchecked."""
+    return np.linalg.svd(a, compute_uv=False)
+
+
 def singular_values(a) -> np.ndarray:
     """Singular values of ``a``, descending, of length ``min(rows, cols)``.
 
@@ -86,7 +101,7 @@ def singular_values(a) -> np.ndarray:
     A real float64 input stays real, so LAPACK takes the real SVD, which
     costs less than half the complex one.
     """
-    return np.linalg.svd(_as_matrix(a, stack=True, keep_real=True), compute_uv=False)
+    return _singular_values(_as_matrix(a, stack=True, keep_real=True))
 
 
 def trace_norm(a) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import singular_values
+from .linalg import _singular_values
 from .states import _FIDELITY, _FLIP, _MIXING, _QUTRIT, DensityOperator, _in_domain, _local_dim
 from .states import _matrix, _one_state, _per_state, _raw_tensor, _square_dim, _state_tensor
 from .states import _thin_svd, bell_spectrum
@@ -102,10 +102,12 @@ def ccnr_tau(rho: DensityOperator) -> float:
     # R = realign_matrix(rho) shares its singular values with the real
     # X[(i,j),(k,l)] = Re R[(j,i),(k,l)] - Im R[(i,j),(k,l)] = U_A R U_B^T, where
     # U = (w I + conj(w) S)/sqrt(2), w = e^{i pi/4} and S swaps the two A (or
-    # B) indices; X is real because rho is Hermitian.
+    # B) indices; X is real because rho is Hermitian.  It is written
+    # C-contiguous in matrix order, so _matrix(real) is a view.
     realigned = _realigned(_state_tensor(rho))
-    real = np.swapaxes(realigned, -4, -3).real - realigned.imag
-    return _per_state(np.sum(singular_values(_matrix(real)), axis=-1))
+    real = np.empty(realigned.shape)
+    np.subtract(np.swapaxes(realigned, -4, -3).real, realigned.imag, out=real)
+    return _per_state(np.sum(_singular_values(_matrix(real)), axis=-1))
 
 
 def tau_werner_closed(d: int, f) -> float | np.ndarray:

@@ -192,7 +192,11 @@ def _state_tensor(rho: DensityOperator) -> np.ndarray:
 
 
 def _raw_tensor(matrix, dim_a: int, dim_b: int) -> np.ndarray:
-    """The bipartite view of a raw matrix or stack, admitted as ``linalg`` admits raw input."""
+    """The bipartite view of a raw matrix or stack, admitted as ``linalg`` admits raw input.
+
+    The dims meet the rule of every state constructor (:func:`_dims`) first.
+    """
+    dim_a, dim_b = _dims(dim_a, dim_b)
     m = _as_matrix(matrix, stack=True)
     if m.shape[-2:] != (dim_a * dim_b,) * 2:
         raise ValueError(f"matrix shape {m.shape} does not match bipartition ({dim_a}, {dim_b})")
@@ -228,11 +232,15 @@ def _check_invariant(invariant: str, residual: np.ndarray, failed: np.ndarray) -
 def _certify_psd(m: np.ndarray, tol_psd: float) -> bool:
     """Whether one Cholesky proves ``lambda_min > -tol_psd`` for every matrix of ``m``.
 
-    ``m`` is a Hermitian ``(..., n, n)`` stack of unit trace.  The Cholesky
-    factor ``R`` computed for ``A = m + shift I`` satisfies
-    ``R^H R = A + E`` with ``|E| <= g |R^H| |R|`` and ``g = gamma_{n+2}``
-    for complex arithmetic (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., Thm 10.3 and Sec. 3.6).  Since
+    ``m`` is a Hermitian ``(..., n, n)`` stack of unit trace.  A stack whose
+    imaginary parts are all zero is a real symmetric one, and only its real
+    part is copied and factored, in real arithmetic.  The Cholesky factor
+    ``R`` computed for ``A = m + shift I`` satisfies ``R^H R = A + E`` with
+    ``|E| <= g |R^H| |R|``, where ``g = gamma_{n+1}`` in real arithmetic and
+    ``g = gamma_{n+2}`` in complex arithmetic (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., Thm 10.3 and Sec. 3.6);
+    the real constant is the smaller, so the bound below, written for the
+    complex one, covers both.  Since
     ``|| |R^H| |R| ||_2 <= ||R||_F^2 = tr(A + E)``, this gives
     ``||E||_2 <= g / (1 - g) tr(A)`` (Rump, "Verification of positive
     definiteness", BIT 46 (2006) 433-452), which Rump extends by an
@@ -256,7 +264,7 @@ def _certify_psd(m: np.ndarray, tol_psd: float) -> bool:
                        + 4 * n * (2 * (n + 1) + trace) * _SUBNORMAL)
     if shift <= 0.0:
         return False
-    shifted = m.copy()
+    shifted = (m if m.imag.any() else m.real).copy()
     shifted.reshape(m.shape[:-2] + (n * n,))[..., :: n + 1] += shift
     try:
         np.linalg.cholesky(shifted)
@@ -298,9 +306,16 @@ class DensityOperator(_Bipartite):
     that order over the whole stack.  Both tolerances must be finite and
     nonnegative.
 
+    A stack with ``matrix == matrix^dag`` in every entry, as every builder
+    of this module and ``random_density`` make, has Hermiticity residual 0,
+    found by one comparison without measuring ``max|h - h^dag|``; one matrix
+    that differs in any bit sends the whole stack through that measurement.
+    Either way the stored matrix is ``(h + h^dag) / 2`` over its trace.
+
     Positive semidefiniteness, ``lambda_min >= -tol_psd``, is first
     certified by one Cholesky factorization of the stack shifted by just
-    under ``tol_psd``; its success proves ``lambda_min > -tol_psd`` for every
+    under ``tol_psd``, in real arithmetic for a real-valued stack; its
+    success proves ``lambda_min > -tol_psd`` for every
     matrix (see :func:`_certify_psd`), rank-deficient ones included.  Only
     when it fails, or when ``tol_psd`` is too small to leave a positive
     shift (``tol_psd = 0``, say), does ``eigvalsh`` measure each
@@ -339,7 +354,7 @@ class DensityOperator(_Bipartite):
         trace = np.real(np.trace(m, axis1=-2, axis2=-1))
         deviation = np.abs(trace - 1.0)
         _check_invariant("unit_trace", deviation, deviation > TRACE_TOL)
-        m = m / trace[..., None, None]
+        m /= trace[..., None, None]
 
         if not _certify_psd(m, tol_psd):
             min_eig = np.linalg.eigvalsh(m)[..., 0]

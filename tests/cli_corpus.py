@@ -5,9 +5,11 @@ stdout and stderr, and the SHA-256 of each state file it writes.  The
 ``gen`` commands cover the Werner and isotropic families at d = 2, 3 and 5,
 each at its domain ends and at f = 1/d or F = 1/d, three members each of the
 Bell-diagonal, qubit and qutrit families, and seeded random states; each
-file is then read by ``check``, ``check --json`` and ``oschmidt``.  Three
-pure-state files written by ``write_state_file`` are read by ``schmidt``, and
-a set of refusals records its exit code and message.
+file is then read by ``check``, ``check --json`` and ``oschmidt``.  Two
+seeded random 144-row states, split (12, 12) and (6, 24), are read by
+``check --json``, and a (2, 3) file by ``check --dims`` under both orders of
+its dims.  Three pure-state files written by ``write_state_file`` are read by
+``schmidt``, and a set of refusals records its exit code and message.
 
 Commands run in-process in the current directory, with relative paths, so
 the output holds no directory name.  After a change that is meant to alter
@@ -39,6 +41,15 @@ _FAMILY_FILES = [
 ]
 _RANDOM_FILES = [("2,3", None, 1), ("3,3", 2, 5), ("2,4", 1, 11)]
 _READERS = (["check"], ["check", "--json"], ["oschmidt"])
+# The benchmark's 144-row shapes: written once and read by ``check --json`` only.
+_LARGE_FILES = [("12,12", 21), ("6,24", 22)]
+_DIMS_READS = [["check", "random_2x3_1.json", "--dims", dims] for dims in ("2,3", "3,2")]
+
+
+def _random_command(dims: str, rank, seed: int) -> list[str]:
+    name = f"random_{dims.replace(',', 'x')}_{seed}.json"
+    option = [] if rank is None else ["--rank", str(rank)]
+    return ["gen", "random", "--dims", dims, *option, "--seed", str(seed), "--out", name]
 
 
 def _gen_commands() -> list[list[str]]:
@@ -48,12 +59,7 @@ def _gen_commands() -> list[list[str]]:
             name = f"{family}{d or ''}_{k}.json"
             option = [] if d is None else ["--d", str(d)]
             commands.append(["gen", family, *option, "--param", param, "--out", name])
-    for dims, rank, seed in _RANDOM_FILES:
-        name = f"random_{dims.replace(',', 'x')}_{seed}.json"
-        option = [] if rank is None else ["--rank", str(rank)]
-        commands.append(["gen", "random", "--dims", dims, *option, "--seed", str(seed),
-                         "--out", name])
-    return commands
+    return commands + [_random_command(*spec) for spec in _RANDOM_FILES]
 
 
 _PURE_FILES = ("schmidt_3x4.json", "max_entangled_4.json", "random_pure_2x3.json")
@@ -78,7 +84,10 @@ def commands() -> list[list[str]]:
     """Every command of the corpus, in the order it runs."""
     gen = _gen_commands()
     reads = [[*reader[:1], cmd[-1], *reader[1:]] for cmd in gen for reader in _READERS]
-    return gen + reads + [["schmidt", name] for name in _PURE_FILES] + _REFUSALS
+    large = [_random_command(dims, None, seed) for dims, seed in _LARGE_FILES]
+    large_reads = [["check", cmd[-1], "--json"] for cmd in large]
+    return (gen + reads + [["schmidt", name] for name in _PURE_FILES] + _REFUSALS
+            + large + large_reads + _DIMS_READS)
 
 
 def write_inputs() -> dict[str, str]:

@@ -109,6 +109,19 @@ def test_raw_entry_points_refuse_non_finite_matrices(entry, bad):
         entry(np.full((3, 4, 4), bad), 2, 2)
 
 
+@pytest.mark.parametrize("dims, message", [
+    ((-2, -2), "dims (-2, -2) must be positive"),
+    ((2.0, 2.0), "dims must be integers, got (2.0, 2.0)"),
+    ((True, 4), "dims must be integers, got (True, 4)"),
+    (("2", "2"), "dims must be integers, got ('2', '2')"),
+], ids=["negative", "float", "bool", "str"])
+@pytest.mark.parametrize("entry", [realign_matrix, partial_transpose_b])
+def test_raw_entry_points_refuse_bad_dims_by_the_state_rule(entry, dims, message):
+    with pytest.raises(ValueError) as excinfo:
+        entry(np.eye(4, dtype=complex), *dims)
+    assert str(excinfo.value) == message
+
+
 def test_a_state_is_read_without_the_raw_admission(monkeypatch):
     def refuse(*args):
         raise AssertionError("a validated state went through the raw-matrix admission")

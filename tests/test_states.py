@@ -1,13 +1,14 @@
 """Tests for the state families, Schmidt machinery and twirling."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ccnr.criteria import partial_transpose_b
 from ccnr.crossnorm import gamma_bell_diagonal_closed
-from ccnr.linalg import random_unitary
+from ccnr.linalg import _hermitian_part, random_unitary
 from ccnr.realign import tau_bell_diagonal_closed
 from ccnr.states import (
     DensityOperator,
@@ -38,7 +39,7 @@ from ccnr.states import (
     werner_stack,
     werner_state,
 )
-from ccnr.tolerances import PSD_TOL
+from ccnr.tolerances import HERMITICITY_TOL as HERM_TOL, PSD_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -127,14 +128,30 @@ def test_refusing_a_state_runs_one_eigendecomposition(eigvalsh_calls):
     assert eigvalsh_calls == [(4, 4), (3, 9, 9)]
 
 
-@pytest.mark.parametrize("n", [4, 144])
-@pytest.mark.parametrize("offset", [-1e-3, 1e-3], ids=["inside", "outside"])
-def test_states_at_the_psd_tolerance_keep_their_outcome(n, offset, eigvalsh_calls):
-    # lambda_min = -tol_psd (1 + offset): accepted just inside, refused just
-    # outside, as by the smallest eigenvalue alone.
+def _state_at_the_psd_tolerance(n, offset, turned):
+    """A real ``n x n`` matrix with ``lambda_min = -tol_psd (1 + offset)``.
+
+    It is diagonal unless ``turned``: then its spectrum is rotated by a
+    seeded orthogonal matrix, so the Cholesky factor has entries off the
+    diagonal, and the result is symmetrised exactly.
+    """
     weights = np.full(n, (1.0 + PSD_TOL * (1.0 + offset)) / (n - 1))
     weights[0] = -PSD_TOL * (1.0 + offset)
-    matrix = np.diag(weights).astype(complex)
+    if not turned:
+        return np.diag(weights).astype(complex)
+    q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
+    m = (q * weights) @ q.T
+    return ((m + m.T) / 2.0).astype(complex)
+
+
+@pytest.mark.parametrize("n, turned", [(4, False), (144, False), (4, True), (9, True), (144, True)],
+                         ids=["4", "144", "turned-4", "turned-9", "turned-144"])
+@pytest.mark.parametrize("offset", [-1e-3, 1e-3], ids=["inside", "outside"])
+def test_states_at_the_psd_tolerance_keep_their_outcome(n, turned, offset, eigvalsh_calls):
+    # lambda_min = -tol_psd (1 + offset): accepted just inside, refused just
+    # outside, as by the smallest eigenvalue alone.  Every matrix here is
+    # real-valued, so a real Cholesky certifies it.
+    matrix = _state_at_the_psd_tolerance(n, offset, turned)
     normalized = matrix / np.real(np.trace(matrix))
     smallest = np.linalg.eigvalsh(normalized)[0]
     del eigvalsh_calls[:]
@@ -156,6 +173,85 @@ def test_a_zero_psd_tolerance_is_decided_by_the_eigenvalues(eigvalsh_calls):
     rho = DensityOperator(np.diag([1.0, 0.0, 0.0, 0.0]), tol_psd=0.0)
     assert eigvalsh_calls == [(4, 4)]
     assert rho.matrix[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("build, dtype", [
+    (lambda: werner_stack(3, np.linspace(-1.0, 1.0, 5)), np.float64),
+    (lambda: isotropic_stack(12, [0.5]), np.float64),
+    (lambda: qutrit_family_stack([3.0]), np.float64),
+    (lambda: bell_diagonal_stack([[0.1, 0.2, 0.3, 0.4]]), np.float64),
+    (lambda: random_density(3, 3, seed=1).matrix, np.complex128),
+    (lambda: random_pure(3, 3, seed=2).projector().matrix, np.complex128),
+], ids=["werner", "isotropic", "qutrit", "bell", "random", "pure"])
+def test_the_psd_certificate_factors_real_states_in_real_arithmetic(build, dtype, monkeypatch):
+    # The factors i of two Bell vectors cancel in their projectors, so
+    # every family state is real-valued; random states are not.
+    matrix = build()
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def recording(a):
+        factored.append(a.dtype)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    DensityOperator(matrix)
+    assert factored == [dtype]
+
+
+def test_one_matrix_off_hermitian_sends_the_stack_through_the_full_scan():
+    # Exactly Hermitian stacks skip the residual scan; one inexact matrix
+    # brings back the measured residual of every matrix, and the refusal.
+    stack = werner_stack(3, [0.5, -1.0, 1.0])
+    _, measured, bound = _hermitian_part(stack, HERM_TOL)
+    assert measured.tolist() == bound.tolist() == [0.0, 0.0, 0.0]
+    stack[1, 0, 4] += 1e-3
+    residual = np.max(np.abs(stack[1] - stack[1].conj().T))
+    _, measured, bound = _hermitian_part(stack, HERM_TOL)
+    assert measured.tolist() == [0.0, residual, 0.0] and bound.all()
+    with pytest.raises(InvariantViolation) as excinfo:
+        DensityOperator(stack, 3, 3)
+    assert excinfo.value.invariant == "hermiticity"
+    assert excinfo.value.residual == residual
+    assert str(excinfo.value) == f"invariant 'hermiticity' violated: residual {residual:.6e}"
+
+
+def test_a_stack_within_the_hermiticity_tolerance_is_symmetrised_as_before():
+    stack = werner_stack(3, [0.5, -1.0, 1.0])
+    stack[2, 0, 4] += 1e-12j
+    adjoint = np.swapaxes(stack.conj(), -2, -1)
+    expected = (stack + adjoint) / 2.0
+    expected /= np.real(np.trace(expected, axis1=-2, axis2=-1))[:, None, None]
+    assert DensityOperator(stack, 3, 3).matrix.tobytes() == expected.tobytes()
+
+
+def test_signed_zero_imaginary_parts_keep_their_bits():
+    # h == h^dag holds with -0.0 against 0.0, and the symmetrisation still
+    # turns each -0.0 imaginary part into 0.0, as the full scan did.
+    m = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    m[0, 3] = m[3, 0] = 0.05
+    m.imag[...] = -0.0
+    rho = DensityOperator(m, 2, 2)
+    expected = (m + m.conj().T) / 2.0
+    expected /= np.real(np.trace(expected))
+    assert rho.matrix.tobytes() == expected.tobytes()
+    assert not np.signbit(rho.matrix.imag).any()
+
+
+@pytest.mark.parametrize("build, ratio", [
+    (lambda: werner_stack(8, np.linspace(-1.0, 1.0, 100)), 2.2),
+    (lambda: random_density(12, 12, seed=6).matrix.copy(), 3.05),
+], ids=["werner-stack-real", "random-n144-complex"])
+def test_validation_peaks_within_a_small_multiple_of_its_input(build, ratio):
+    matrix = build()
+    DensityOperator(matrix)  # warm: the first call imports and caches
+    tracemalloc.start()
+    try:
+        DensityOperator(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ratio * matrix.nbytes
 
 
 def test_density_operator_symmetrizes_and_renormalizes():

@@ -36,7 +36,7 @@ from .crossnorm import (
     gamma_isotropic_closed,
     gamma_pure,
     gamma_werner_closed,
-    robustness_pure_exact,
+    robustness_lower_bound,
 )
 from .criteria import full_report, report_stack
 from .realign import (
@@ -169,13 +169,6 @@ def _parse_range(text: str) -> list[float]:
     return [start + k * step for k in range(count)]
 
 
-def _dim_entry(value) -> int:
-    """A ``dims`` entry of a state file: an integral number (JSON numbers are read as floats)."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"dims entries must be integers, got {value!r}")
-
-
 def _read_state_text(path) -> str:
     """A state file's text, refused past ``MAX_STATE_FILE_BYTES`` before it is decoded."""
     chunk = 1 << 20  # one read of the cap would allocate all of it up front
@@ -197,16 +190,15 @@ def load_state_file(path, dims_override=None, *, tol_psd=PSD_TOL, tol_herm=HERMI
     a state invariant raises :class:`InvariantViolation`, and a file longer
     than ``MAX_STATE_FILE_BYTES`` raises ``ValueError`` before it is parsed.
     """
-    text = _read_state_text(path)
-
     def integer(digits: str) -> float:  # a JSON integer, read as the float it spells
         if math.isinf(value := float(digits)):
             raise ValueError(f"{path}: an integer overflows a float")
         return value
 
-    try:
+    try:  # a file that is not UTF-8 is not JSON text (RFC 8259)
+        text = _read_state_text(path)
         data = json.loads(text, parse_int=integer)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
@@ -218,10 +210,12 @@ def load_state_file(path, dims_override=None, *, tol_psd=PSD_TOL, tol_herm=HERMI
         raw_dims = data.get("dims")
         if not isinstance(raw_dims, (list, tuple)) or len(raw_dims) != 2:
             raise ValueError(f"{path}: dims must be a pair [d_a, d_b]")
-        entries = [_dim_entry(entry) for entry in raw_dims]
+        for entry in raw_dims:  # an integral number; JSON numbers are read as floats
+            if not (isinstance(entry, float) and entry.is_integer()):
+                raise ValueError(f"{path}: dims entries must be integers, got {entry!r}")
         # A refusal names the entries as the file spells them, not as integers
         # of up to 309 digits.
-        dims = _dims(*entries, shown="(" + ", ".join(map(_fmt, raw_dims)) + ")")
+        dims = _dims(*map(int, raw_dims), shown="(" + ", ".join(map(_fmt, raw_dims)) + ")")
     payload = data.get("matrix")
     if payload is None:
         raise ValueError(f"{path}: missing 'matrix'")
@@ -302,46 +296,59 @@ def _family(name: str, d: int | None) -> tuple[Family, int, tuple]:
     return family, family.dim, ()
 
 
-def cmd_check(args) -> int:
-    kind, state = load_state_file(
-        args.path, args.dims, tol_psd=args.tol_psd, tol_herm=args.tol_herm
-    )
-    if kind == "pure":
-        state = state.projector(tol_psd=args.tol_psd, tol_herm=args.tol_herm)
-    report = full_report(state)
-    if args.json:
-        print(json.dumps(report.as_dict()))
-        return 0
-    for key, value in report.as_dict().items():
+def _read(args, kind=None):
+    """The state in the file ``args.path``, the only place the commands load one.
+
+    It is read with ``args.dims`` and the command's ``--tol-psd`` and
+    ``--tol-herm``; ``schmidt`` has neither, and keeps the library defaults.
+    A command that needs one ``kind``, ``"pure"`` or ``"density"``, refuses
+    the other after the file and its invariants pass.  Without a ``kind``
+    (``check``), a pure state comes back as its projector, validated with the
+    same tolerances.
+    """
+    tolerances = {"tol_psd": args.tol_psd, "tol_herm": args.tol_herm} if "tol_psd" in args else {}
+    found, state = load_state_file(args.path, args.dims, **tolerances)
+    if kind not in (None, found):
+        raise ValueError(f"{args.command} needs a {kind}-state file")
+    return state.projector(**tolerances) if kind is None and found == "pure" else state
+
+
+def _print(**lines) -> None:
+    """Print a ``name = value`` line per keyword, the only printer of such lines.
+
+    A boolean prints in lower case and a string as given; a number prints in
+    ``_NUMBER``, and an array as its numbers so printed, space-separated.
+    """
+    for name, value in lines.items():
         if isinstance(value, bool):
             value = str(value).lower()
-        if key not in ("gamma_closed", "gamma_family"):  # check passes no gamma
-            print(f"{key} = {_fmt(value) if isinstance(value, float) else value}")
+        elif not isinstance(value, str):  # a number or an array of numbers
+            value = " ".join(map(_fmt, np.ravel(value)))
+        print(f"{name} = {value}")
+
+
+def cmd_check(args) -> int:
+    report = full_report(_read(args)).as_dict()
+    if args.json:
+        print(json.dumps(report))
+    else:  # check passes no gamma
+        _print(**{key: value for key, value in report.items() if not key.startswith("gamma_")})
     return 0
 
 
 def cmd_schmidt(args) -> int:
-    kind, state = load_state_file(args.path, args.dims)
-    if kind != "pure":
-        raise ValueError("schmidt needs a pure-state file")
-    coefficients = schmidt_decompose(state).coefficients
-    print("schmidt_coefficients = " + " ".join(_fmt(p) for p in coefficients))
-    print(f"gamma = {_fmt(_checked_gamma(gamma_pure(state))[0])}")
-    print(f"robustness = {_fmt(robustness_pure_exact(state))}")
+    state = _read(args, "pure")
+    gamma = gamma_pure(state)  # one SVD, read for gamma and for robustness = gamma - 1
+    _print(schmidt_coefficients=schmidt_decompose(state).coefficients,
+           gamma=_checked_gamma(gamma)[0], robustness=robustness_lower_bound(gamma))
     return 0
 
 
 def cmd_oschmidt(args) -> int:
-    kind, state = load_state_file(
-        args.path, args.dims, tol_psd=args.tol_psd, tol_herm=args.tol_herm
-    )
-    if kind != "density":
-        raise ValueError("oschmidt needs a density-state file")
-    coefficients = operator_schmidt(state).coefficients
+    state = _read(args, "density")
     report = full_report(state)
-    print("operator_schmidt_coefficients = " + " ".join(_fmt(c) for c in coefficients))
-    print(f"tau = {_fmt(report.tau)}")
-    print(f"tau_criterion = {'violated' if report.tau_violated else 'satisfied'}")
+    _print(operator_schmidt_coefficients=operator_schmidt(state).coefficients, tau=report.tau,
+           tau_criterion="violated" if report.tau_violated else "satisfied")
     return 0
 
 
@@ -442,6 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol-herm", type=float, default=HERMITICITY_TOL, dest="tol_herm",
                        help="hermiticity tolerance (default %(default)s)")
 
+    def add_family(p, choices):
+        p.add_argument("family", choices=choices)
+        p.add_argument("--d", type=int, default=None, help="local dimension")
+
     def add_state_file(p):
         p.add_argument("path", help="JSON state file")
         p.add_argument("--dims", type=_parse_dims, default=None,
@@ -463,8 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     oschmidt.set_defaults(func=cmd_oschmidt)
 
     gen = sub.add_parser("gen", help="write a family state to a file")
-    gen.add_argument("family", choices=GEN_FAMILIES)
-    gen.add_argument("--d", type=int, default=None, help="local dimension")
+    add_family(gen, GEN_FAMILIES)
     gen.add_argument("--param", default=None,
                      help="family parameter; four comma-separated weights for bell")
     gen.add_argument("--dims", type=_parse_dims, default=None,
@@ -475,8 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_gen)
 
     sweep = sub.add_parser("sweep", help="CSV sweep over a one-parameter family")
-    sweep.add_argument("family", choices=SWEEP_FAMILIES)
-    sweep.add_argument("--d", type=int, default=None, help="local dimension")
+    add_family(sweep, SWEEP_FAMILIES)
     sweep.add_argument("--range", required=True,
                        help="grid as start:stop:step (use --range=-1:1:0.05)")
     sweep.add_argument("--out", required=True, help="output CSV path")

@@ -9,7 +9,10 @@ file is then read by ``check``, ``check --json`` and ``oschmidt``.  Two
 seeded random 144-row states, split (12, 12) and (6, 24), are read by
 ``check --json``, and a (2, 3) file by ``check --dims`` under both orders of
 its dims.  Three pure-state files written by ``write_state_file`` are read by
-``schmidt``, and a set of refusals records its exit code and message.
+``schmidt``, and a set of refusals records its exit code and message: bad
+options (argparse's usage lines at 80 columns), state files that are not
+UTF-8 or JSON, malformed dims or entries, and matrices that break a state
+invariant.
 
 Commands run in-process in the current directory, with relative paths, so
 the output holds no directory name.  After a change that is meant to alter
@@ -28,6 +31,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 CORPUS = Path(__file__).with_name("golden_cli.json")
 
@@ -64,6 +68,30 @@ def _gen_commands() -> list[list[str]]:
 
 _PURE_FILES = ("schmidt_3x4.json", "max_entangled_4.json", "random_pure_2x3.json")
 
+
+def _density_file(dims, diagonal, entry=None) -> bytes:
+    """A density file with ``diagonal`` on its diagonal and ``entry`` at row 0, column 1."""
+    n = len(diagonal)
+    matrix = [[[diagonal[i] if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)]
+    if entry is not None:
+        matrix[0][1] = entry
+    payload = {"kind": "density", "dims": dims, "matrix": matrix}
+    return json.dumps(payload).encode("utf-8")
+
+
+_QUARTER = [0.25] * 4
+# Files whose content ``check`` refuses, each read once: exit 2 for all but
+# the last two, which break a state invariant.
+_REFUSED_FILES = {
+    "nan_entry.json": _density_file([2, 2], _QUARTER, [float("nan"), 0.0]),
+    "true_entry.json": _density_file([2, 2], _QUARTER, [True, 0.0]),
+    "huge_dims.json": _density_file([2, 1e300], _QUARTER),
+    "true_dims.json": _density_file([True, 2], _QUARTER),
+    "not_utf8.json": _density_file([2, 2], _QUARTER)[:-1] + b', "note": "\xff"}',
+    "not_hermitian.json": _density_file([2, 2], _QUARTER, [0.1, 0.0]),
+    "trace_2.json": _density_file([2, 2], [0.5] * 4),
+}
+
 _REFUSALS = [
     ["gen", "werner", "--d", "3", "--param", "1.5", "--out", "refused.json"],
     ["gen", "isotropic", "--param", "0.5", "--out", "refused.json"],
@@ -77,6 +105,12 @@ _REFUSALS = [
     ["oschmidt", "schmidt_3x4.json"],
     ["sweep", "werner", "--d", "3", "--range=1:-1:0.1", "--out", "refused.csv"],
     ["check", "missing.json"],
+    ["gen", "werner", "--d", "2", "--param", "0.5"],
+    ["sweep", "werner", "--d", "2", "--range=0:1:0.5"],
+    ["check", "werner2_1.json", "--dims", "2"],
+    ["check", "werner2_1.json", "--dims", "a,b"],
+    *(["check", name] for name in _REFUSED_FILES),
+    ["schmidt", "schmidt_3x4.json", "--dims", "2,2"],
 ]
 
 
@@ -103,6 +137,8 @@ def write_inputs() -> dict[str, str]:
                 for i in range(4)]
     Path("not_psd.json").write_text(
         json.dumps({"kind": "density", "dims": [2, 2], "matrix": diagonal}), encoding="utf-8")
+    for name, content in _REFUSED_FILES.items():
+        Path(name).write_bytes(content)
     return {name: _digest(name) for name in _PURE_FILES}
 
 
@@ -115,7 +151,9 @@ def run(argv: list[str]) -> dict:
     from ccnr.cli import main
 
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # argparse wraps its usage lines at the terminal width, read from COLUMNS.
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         code = main(argv)
     record = {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
     if code == 0 and "--out" in argv:

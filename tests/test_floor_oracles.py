@@ -1,4 +1,5 @@
-"""Closed-form oracles for the numbers a report prints, at d = 2 to 12 and one pure state at d = 24.
+"""Closed-form oracles for the numbers a report prints, at d = 2 to 12, one pure state at
+d = 24, and one Werner and one isotropic state at d = 32.
 
 ``tau`` of a Werner or isotropic state is the paper's closed form
 (``tau_werner_closed``, ``tau_isotropic_closed``); ``tau`` of a pure state
@@ -16,6 +17,10 @@ reduction operators are ``I/d - rho`` and the floor is
 with Schmidt probabilities ``p`` has eigenvalues ``p_i`` and
 ``+-sqrt(p_i p_j)`` for ``i < j``, so its floor is ``-sqrt(p_1 p_2)`` for the
 two largest.
+
+The bound may not be slack either: at d = 8 it is at most ``1e5`` times the
+largest error measured on the Werner and isotropic grids, since a bound far
+above the error would leave a verdict undecided for no reason.
 """
 
 import math
@@ -23,7 +28,7 @@ import math
 import numpy as np
 import pytest
 
-from ccnr.criteria import ppt_min_eigenvalue, report_stack
+from ccnr.criteria import ppt_min_eigenvalue, reduction_min_eigenvalue, report_stack
 from ccnr.crossnorm import gamma_pure
 from ccnr.linalg import random_unitary
 from ccnr.realign import ccnr_tau, tau_isotropic_closed, tau_werner_closed
@@ -48,25 +53,36 @@ def _tau_error_bound(d: int, exact) -> np.ndarray:
     return error_bound(d) * np.maximum(1.0, exact)
 
 
-def _grid(d: int, lo: float, *ends: float) -> np.ndarray:
-    """21 points over ``[lo, 1]`` and the family's thresholds ``ends``."""
-    return np.r_[np.linspace(lo, 1.0, 21), ends]
+def _werner_grid(d: int) -> np.ndarray:
+    """21 flip expectations over ``[-1, 1]``, ``1/d`` and the float below it."""
+    return np.r_[np.linspace(-1.0, 1.0, 21), 1.0 / d, np.nextafter(1.0 / d, 0.0)]
+
+
+def _isotropic_grid(d: int) -> np.ndarray:
+    """21 fidelities over ``[0, 1]``, ``1/d`` and ``1/d^2``."""
+    return np.r_[np.linspace(0.0, 1.0, 21), 1.0 / d, 1.0 / (d * d)]
+
+
+def _werner_ppt_floor(d: int, f):
+    return np.where(f < 1.0 / d, f / d, (d - f) / (d * (d * d - 1.0)))
+
+
+def _isotropic_reduction_floor(d: int, F):
+    return 1.0 / d - np.maximum(F, (1.0 - F) / (d * d - 1.0))
 
 
 @pytest.mark.parametrize("d", DIMS)
 def test_werner_ppt_floor_matches_its_closed_form(d):
-    f = _grid(d, -1.0, 1.0 / d, np.nextafter(1.0 / d, 0.0))
+    f = _werner_grid(d)
     floor = report_stack(DensityOperator(werner_stack(d, f), d, d)).ppt_floor
-    exact = np.where(f < 1.0 / d, f / d, (d - f) / (d * (d * d - 1.0)))
-    assert np.max(np.abs(floor - exact)) <= error_bound(d)
+    assert np.max(np.abs(floor - _werner_ppt_floor(d, f))) <= error_bound(d)
 
 
 @pytest.mark.parametrize("d", DIMS)
 def test_isotropic_reduction_floor_matches_its_closed_form(d):
-    F = _grid(d, 0.0, 1.0 / d, 1.0 / (d * d))
+    F = _isotropic_grid(d)
     floor = report_stack(DensityOperator(isotropic_stack(d, F), d, d)).reduction_floor
-    exact = 1.0 / d - np.maximum(F, (1.0 - F) / (d * d - 1.0))
-    assert np.max(np.abs(floor - exact)) <= error_bound(d)
+    assert np.max(np.abs(floor - _isotropic_reduction_floor(d, F))) <= error_bound(d)
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -88,14 +104,14 @@ def test_pure_state_ppt_floor_is_exact_on_a_short_schmidt_spectrum(d):
 
 @pytest.mark.parametrize("d", DIMS)
 def test_werner_tau_matches_its_closed_form(d):
-    f = _grid(d, -1.0, 1.0 / d, np.nextafter(1.0 / d, 0.0))
+    f = _werner_grid(d)
     tau, exact = ccnr_tau(DensityOperator(werner_stack(d, f), d, d)), tau_werner_closed(d, f)
     assert np.all(np.abs(tau - exact) <= _tau_error_bound(d, exact))
 
 
 @pytest.mark.parametrize("d", DIMS)
 def test_isotropic_tau_matches_its_closed_form(d):
-    F = _grid(d, 0.0, 1.0 / d, 1.0 / (d * d))
+    F = _isotropic_grid(d)
     tau, exact = ccnr_tau(DensityOperator(isotropic_stack(d, F), d, d)), tau_isotropic_closed(d, F)
     assert np.all(np.abs(tau - exact) <= _tau_error_bound(d, exact))
 
@@ -130,3 +146,36 @@ def test_a_pure_state_rotated_at_d24_keeps_tau_and_gamma():
     p = np.random.default_rng(24).random(d)
     p /= p.sum()
     _assert_pure_tau(p, d, rotation_seed=2400)
+
+
+def test_a_werner_state_at_d32_keeps_tau_and_the_ppt_floor():
+    d, f = 32, -0.5
+    rho = DensityOperator(werner_stack(d, [f])[0], d, d)
+    exact = tau_werner_closed(d, f)
+    assert abs(ccnr_tau(rho) - exact) <= _tau_error_bound(d, exact)
+    assert abs(ppt_min_eigenvalue(rho) - _werner_ppt_floor(d, f)) <= error_bound(d)
+
+
+def test_an_isotropic_state_at_d32_keeps_tau_and_the_reduction_floor():
+    d, F = 32, 0.5
+    rho = DensityOperator(isotropic_stack(d, [F])[0], d, d)
+    exact = tau_isotropic_closed(d, F)
+    assert abs(ccnr_tau(rho) - exact) <= _tau_error_bound(d, exact)
+    assert abs(reduction_min_eigenvalue(rho) - _isotropic_reduction_floor(d, F)) <= error_bound(d)
+
+
+def test_the_bound_is_at_most_1e5_times_the_measured_error_at_d8():
+    d = 8
+    f, F = _werner_grid(d), _isotropic_grid(d)
+    werner = report_stack(DensityOperator(werner_stack(d, f), d, d))
+    isotropic = report_stack(DensityOperator(isotropic_stack(d, F), d, d))
+    tau_werner, tau_isotropic = tau_werner_closed(d, f), tau_isotropic_closed(d, F)
+    errors = {  # relative to the size the bound scales with
+        "werner ppt floor": np.abs(werner.ppt_floor - _werner_ppt_floor(d, f)),
+        "isotropic reduction floor":
+            np.abs(isotropic.reduction_floor - _isotropic_reduction_floor(d, F)),
+        "werner tau": np.abs(werner.tau - tau_werner) / np.maximum(1.0, tau_werner),
+        "isotropic tau": np.abs(isotropic.tau - tau_isotropic) / np.maximum(1.0, tau_isotropic),
+    }
+    for name, error in errors.items():
+        assert error_bound(d) <= 1e5 * np.max(error), name

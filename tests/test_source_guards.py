@@ -2,9 +2,9 @@
 
 A family domain, the verdict guard, the reading of a closed-form gamma, the
 PSD certificate, the Hermitian part of a matrix, the singular-value floor, the
-equal-dimension refusal, the freezing of a state and the command line's
-arguments each have one place in the source; a second copy would drift from
-the first.
+equal-dimension refusal, the freezing of a state, the command line's
+arguments, its reading of a state file and its ``name = value`` lines each
+have one place in the source; a second copy would drift from the first.
 """
 
 import ast
@@ -12,9 +12,13 @@ import importlib
 import tokenize
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ccnr
+from ccnr.cli import main, write_state_file
+from ccnr.crossnorm import gamma_pure
+from ccnr.states import pure_from_schmidt
 
 SOURCES = sorted(Path(ccnr.__file__).parent.glob("*.py"))
 
@@ -199,6 +203,73 @@ def test_the_command_line_declares_each_argument_once_and_argparse_requires_out(
                for call in outs)
     # JSON numbers arrive as floats, so no array of Python objects is converted.
     assert "astype" not in _attributes_read(tree)
+
+
+def _owners(tree: ast.Module, hit) -> list[str]:
+    """The top-level function around each node where ``hit`` holds; ``<module>`` outside one."""
+    return [stmt.name if isinstance(stmt, ast.FunctionDef) else "<module>"
+            for stmt in tree.body for node in ast.walk(stmt) if hit(node)]
+
+
+def _calls_to(name: str):
+    return lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def _prints_an_assignment(node: ast.AST) -> bool:
+    """A ``print`` whose arguments hold a string with `` = ``, as ``name = value`` lines do."""
+    return _calls_to("print")(node) and any(
+        isinstance(part, ast.Constant) and " = " in str(part.value)
+        for arg in node.args for part in ast.walk(arg))
+
+
+def test_the_command_line_loads_a_state_file_in_one_function():
+    assert _owners(_tree(Path(ccnr.__file__).parent / "cli.py"), _calls_to("load_state_file")) \
+        == ["_read"]
+
+
+def test_the_call_scan_sees_one():
+    tree = ast.parse("def f(p):\n    return load_state_file(p)\nx = cli.load_state_file(q)")
+    assert _owners(tree, _calls_to("load_state_file")) == ["f", "<module>"]
+
+
+def test_the_command_line_prints_name_value_lines_from_one_function():
+    assert _owners(_tree(Path(ccnr.__file__).parent / "cli.py"), _prints_an_assignment) \
+        == ["_print"]
+
+
+@pytest.mark.parametrize("line", [
+    'print(f"tau = {_fmt(x)}")', 'print("coefficients = " + " ".join(p))', "print(f'{k} = {v}')",
+])
+def test_the_assignment_print_scan_sees_one(line):
+    tree = ast.parse(f"def show(x):\n    {line}\n    print(f'wrote {{x}}')")
+    assert _owners(tree, _prints_an_assignment) == ["show"]
+
+
+@pytest.fixture
+def svd_calls(monkeypatch) -> list:
+    """The shape of the argument of each ``np.linalg.svd`` call made while the test runs."""
+    calls, svd = [], np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_schmidt_prints_gamma_and_robustness_from_one_decomposition(tmp_path, svd_calls):
+    # One SVD lists the Schmidt coefficients and one gives gamma, read again for the robustness.
+    path = tmp_path / "pure.json"
+    write_state_file(path, pure_from_schmidt([0.5, 0.3, 0.2], 3, 4))
+    assert main(["schmidt", str(path)]) == 0
+    assert len(svd_calls) == 2
+
+
+def test_the_svd_count_sees_one(svd_calls):
+    gamma_pure(pure_from_schmidt([0.5, 0.5], 2, 2))
+    assert len(svd_calls) == 1
 
 
 def test_the_none_test_scan_sees_one():

@@ -71,22 +71,29 @@ CSV_HEADER = "param,tau_numeric,tau_closed,gamma_closed,ppt_floor,reduction_floo
 _NUMBER = "%.12g"
 
 # Sweeps evaluate their grid in blocks, one validation and one report per
-# block, on up to SWEEP_WORKERS threads; the LAPACK calls of a block release
-# the interpreter lock.  Every block holds SWEEP_BLOCK_BYTES of states whatever
-# the worker count: 1024 points at d = 2, 202 at d = 3, 64 at d = 4, 26 at
-# d = 5, 4 at d = 8 and one from d = 10.  Halving the block for two workers
-# would make every numpy call short, and the two threads would hand the
-# interpreter lock back and forth three times as often.  Blocks of fewer than
-# SWEEP_MIN_SHARE states run on one worker.  A block's transient arrays cost a
-# few times its bytes in peak memory, so two workers hold about twice the
-# memory of one.  Each worker calls BLAS; pin it to one thread
-# (OPENBLAS_NUM_THREADS=1) so that two workers do not oversubscribe the CPUs.
+# block, on up to SWEEP_WORKERS threads.  The LAPACK calls of two threads do
+# not run at the same time (two threads ran stacked eigvalsh at x0.8-1.0 of
+# serial throughput); two workers gain at d <= 4 because one worker's Python
+# and numpy work overlaps the other's LAPACK.  Every block holds
+# SWEEP_BLOCK_BYTES of states whatever the worker count: 1024 points at d = 2,
+# 202 at d = 3, 64 at d = 4, 26 at d = 5, 4 at d = 8 and one from d = 10.
+# Halving the block for two workers would make every numpy call short, and the
+# two threads would hand the interpreter lock back and forth three times as
+# often.  Blocks of fewer than SWEEP_MIN_SHARE states run on one worker.  A
+# block's transient arrays cost a few times its bytes in peak memory, so two
+# workers hold about twice the memory of one.  Each worker calls BLAS; pin it
+# to one thread (OPENBLAS_NUM_THREADS=1) so that two workers do not
+# oversubscribe the CPUs.
 SWEEP_BLOCK_BYTES = 2**18
-# The CPUs this process may use, capped at 2, the largest count measured.
+# The CPUs this process may use, capped at 2: on 2 CPUs a third or fourth
+# worker gained nothing (isotropic d = 4: x1.46, 1.42 and 1.42 over one).
 SWEEP_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                     else os.cpu_count() or 1)
 # On a 2-CPU Xeon VM, two workers beat one at d <= 4 (blocks of 64 or more
-# states) and lose x1.14-1.32 at d = 5 to 8 (blocks of 26 or fewer).
+# states).  Below that, two workers ran at x1.43 the speed of one at Werner
+# d = 5, x0.85 at isotropic d = 6, x0.83 at Werner d = 8 and x0.99 at Werner
+# d = 12 (medians of 10 alternating runs).  No benchmark workload has d >= 5
+# to settle it, so the cut stays.
 SWEEP_MIN_SHARE = 32
 # Grids with more points are refused before any point is generated.
 MAX_SWEEP_POINTS = 10**6

@@ -106,12 +106,14 @@ def reduction_min_eigenvalue(rho: DensityOperator) -> float:
     first, second = _matrix(first), _matrix(second)
     floor = np.linalg.eigvalsh(first)[..., 0]
     # Swap-symmetric states often give both operators the same bits, and min(a, a) = a;
-    # comparing bits, not values, keeps -0.0 and 0.0 apart.
+    # comparing bits, not values, keeps -0.0 and 0.0 apart.  One state is a stack of
+    # one here: its 0-d mask indexes its 0-d floor.
     differ = (first.view(np.int64) != second.view(np.int64)).any(axis=(-2, -1))
-    if differ.all():  # a masked copy of every state slowed n=144 reports by 2%
-        return _per_state(np.minimum(floor, np.linalg.eigvalsh(second)[..., 0]))
     if differ.any():
-        floor[differ] = np.minimum(floor[differ], np.linalg.eigvalsh(second[differ])[..., 0])
+        # A mask copies even when it keeps every state; the fresh pages of that copy
+        # cost ~0.3 ms, 2.6% of a report at n = 144.
+        picked = second if differ.all() else second[differ]
+        floor[differ] = np.minimum(floor[differ], np.linalg.eigvalsh(picked)[..., 0])
     return _per_state(floor)
 
 
@@ -121,15 +123,14 @@ def report_stack(rhos: DensityOperator, gamma: GammaValue | None = None) -> Crit
     One state reports as a stack of one; the report holds each field as an
     array of one value per state.  ``gamma``, if given, is the closed-form
     cross norm of the states' family with one value per state: a ``value``
-    of shape ``(k,)`` for a stack; see :func:`full_report`.
+    of shape ``(k,)`` for ``k`` states, where a scalar counts as shape
+    ``(1,)``; see :func:`full_report`.
     """
-    single = rhos.matrix.ndim == 2
-    if not single and rhos.matrix.ndim != 3:
+    if rhos.matrix.ndim not in (2, 3):
         raise ValueError(f"need one state or a (k, n, n) stack, got shape {rhos.matrix.shape}")
-    count = 1 if single else len(rhos.matrix)
+    count = int(np.prod(rhos.matrix.shape[:-2]))
     values, separable = (np.full(count, np.nan), False) if gamma is None else _checked_gamma(gamma)
-    if single:
-        values, separable = values.reshape(-1), np.reshape(separable, -1)
+    values, separable = np.atleast_1d(values, separable)
     if values.shape != (count,):
         raise ValueError(f"need one gamma per state, shape ({count},), got {values.shape}")
     family = None if gamma is None else gamma.family

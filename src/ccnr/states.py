@@ -59,6 +59,10 @@ class InvariantViolation(ValueError):
         default = f"invariant '{invariant}' violated: residual {self.residual:.6e}"
         super().__init__(message or default)
 
+    def __reduce__(self):
+        # ``BaseException`` would rebuild from ``args``, which hold only the message.
+        return type(self), (self.invariant, self.residual, str(self))
+
 
 # The most rows a state's matrix may have: d_a * d_b, or d * d for a family.
 MAX_MATRIX_SIDE = 1024

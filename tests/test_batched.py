@@ -9,16 +9,18 @@ import re
 import sys
 import threading
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from ccnr import cli
 from ccnr.cli import CSV_HEADER, main
-from ccnr.criteria import full_report, report_stack
+from ccnr.criteria import CriteriaReport, full_report, report_stack
 from ccnr.crossnorm import (
     gamma_bell_diagonal_closed,
     gamma_isotropic_closed,
+    gamma_pure,
     gamma_werner_closed,
 )
 from ccnr.realign import (
@@ -42,6 +44,7 @@ from ccnr.states import (
     qutrit_family,
     qutrit_family_stack,
     random_density,
+    random_pure,
     twirl_uu,
     twirl_uubar,
     validate_stack,
@@ -166,6 +169,39 @@ def test_one_state_reports_as_its_full_report_and_as_a_stack_of_one(closed):
     one = validate_stack(rho.matrix[None], 3, 3)
     as_stack = None if closed is None else closed._replace(value=np.reshape(closed.value, 1))
     assert report_stack(one, as_stack)[0] == report[0]
+
+
+def _random_pure_case():
+    psi = random_pure(2, 3, seed=11)
+    return psi.projector(), gamma_pure(psi)
+
+
+# name -> one state and its closed-form cross norm.
+_ONE_STATE_CASES = {
+    "werner": lambda: (werner_state(3, -0.5), gamma_werner_closed(3, -0.5)),
+    "isotropic": lambda: (isotropic_state(3, 0.7), gamma_isotropic_closed(3, 0.7)),
+    "bell": lambda: (bell_diagonal_state(_bell(0.8)), gamma_bell_diagonal_closed(_bell(0.8))),
+    "random-2-3": _random_pure_case,
+}
+
+
+def _field_bits(value):
+    """A report field's type and, for a float, its bytes, so that -0.0 and 0.0 differ."""
+    return type(value), np.float64(value).tobytes() if isinstance(value, float) else value
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["none", "closed"])
+@pytest.mark.parametrize("case", _ONE_STATE_CASES)
+def test_one_state_reports_bit_for_bit_as_its_stack_of_one(case, closed):
+    state, gamma = _ONE_STATE_CASES[case]()
+    gamma = gamma if closed else None
+    # Both validated from one matrix: validating a state again may move its last bits.
+    rho, one = (DensityOperator(m, *state.dims) for m in (state.matrix, state.matrix[None]))
+    as_stack = None if gamma is None else gamma._replace(value=np.reshape(gamma.value, 1))
+    alone, stacked = report_stack(rho, gamma)[0], report_stack(one, as_stack)[0]
+    for field in fields(CriteriaReport):
+        name = field.name
+        assert _field_bits(getattr(alone, name)) == _field_bits(getattr(stacked, name)), name
 
 
 @pytest.mark.parametrize("report, shape", [

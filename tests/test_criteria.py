@@ -127,6 +127,8 @@ _SKIP_CASES = {
         np.stack([random_density(2, 3, seed=s).matrix for s in range(40)]), 2, 3), 0),
     "one-werner": (lambda: werner_state(3, -0.5), 1),
     "one-random": (lambda: random_density(2, 3, seed=7), 0),
+    "stack-of-one-random": (lambda: DensityOperator(
+        random_density(2, 3, seed=7).matrix[None], 2, 3), 0),
 }
 
 

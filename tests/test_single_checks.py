@@ -72,6 +72,17 @@ def test_report_stack_refuses_a_gamma_of_the_wrong_shape(shape):
         report_stack(rhos, GammaValue(value, "werner"))
 
 
+def test_report_stack_reads_a_scalar_gamma_as_one_value_and_refuses_a_column_of_one():
+    rho = werner_state(3, -0.5)
+    one = validate_stack(rho.matrix[None], 3, 3)
+    value = gamma_werner_closed(3, -0.5).value
+    expected = report_stack(rho, GammaValue(value, "werner"))
+    assert report_stack(rho, GammaValue(np.reshape(value, 1), "werner"))[0] == expected[0]
+    assert report_stack(one, GammaValue(value, "werner"))[0] == expected[0]
+    with pytest.raises(ValueError, match=r"one gamma per state, shape \(1,\), got \(1, 1\)"):
+        report_stack(rho, GammaValue(np.reshape(value, (1, 1)), "werner"))
+
+
 def test_report_stack_without_gamma_has_no_family():
     report = report_stack(validate_stack(werner_stack(2, [0.5, -0.5]), 2, 2))
     assert report.gamma_family is None

@@ -9,6 +9,7 @@ have one place in the source; a second copy would drift from the first.
 
 import ast
 import importlib
+import sys
 import tokenize
 from pathlib import Path
 
@@ -295,6 +296,16 @@ def test_every_exported_name_resolves_on_the_package():
     for module in API_MODULES:
         for name in module.__all__:
             assert getattr(ccnr, name) is getattr(module, name), name
+
+
+def test_the_name_realign_binds_the_function_as_the_readme_says():
+    import ccnr.realign as bound
+    from ccnr.realign import ccnr_tau
+
+    module = sys.modules["ccnr.realign"]
+    assert bound is ccnr.realign is module.realign
+    assert not hasattr(bound, "ccnr_tau")
+    assert ccnr_tau is module.ccnr_tau
 
 
 @pytest.mark.parametrize("module", API_MODULES, ids=lambda module: module.__name__)

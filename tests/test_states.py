@@ -1,5 +1,7 @@
 """Tests for the state families, Schmidt machinery and twirling."""
 
+import copy
+import pickle
 import re
 import tracemalloc
 
@@ -66,6 +68,17 @@ def test_density_operator_requires_psd():
     with pytest.raises(InvariantViolation) as excinfo:
         DensityOperator(m, 2, 2)
     assert excinfo.value.invariant == "positive_semidefinite"
+
+
+@pytest.mark.parametrize("message", [None, "F: not a state"], ids=["default", "given"])
+@pytest.mark.parametrize("duplicate", [lambda e: pickle.loads(pickle.dumps(e)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_an_invariant_violation_survives_a_copy(duplicate, message):
+    error = InvariantViolation("hermiticity", 1.5e-3, message)
+    again = duplicate(error)
+    assert type(again) is InvariantViolation
+    assert (again.invariant, again.residual, str(again)) == (
+        error.invariant, error.residual, str(error))
 
 
 @pytest.fixture

@@ -20,6 +20,7 @@ Exit codes: 0 computed (regardless of verdict), 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -38,8 +39,9 @@ from .crossnorm import (
     gamma_werner_closed,
     robustness_lower_bound,
 )
-from .criteria import full_report, report_stack
+from .criteria import _above_one, full_report, report_stack
 from .realign import (
+    ccnr_tau,
     operator_schmidt,
     tau_bell_diagonal_closed,
     tau_isotropic_closed,
@@ -73,8 +75,11 @@ _NUMBER = "%.12g"
 # Sweeps evaluate their grid in blocks, one validation and one report per
 # block, on up to SWEEP_WORKERS threads.  The LAPACK calls of two threads do
 # not run at the same time (two threads ran stacked eigvalsh at x0.8-1.0 of
-# serial throughput); two workers gain at d <= 4 because one worker's Python
-# and numpy work overlaps the other's LAPACK.  Every block holds
+# serial throughput): numpy holds the interpreter lock through eigvalsh and
+# svd.  A pure-Python loop ran x2.1 slower beside a thread calling eigvalsh
+# and x1.9 beside svd, but at its own speed beside matmul or sha256, which
+# release the lock.  Two workers gain at d <= 4 because one worker's numpy work
+# that releases the lock overlaps the other's LAPACK and Python.  Every block holds
 # SWEEP_BLOCK_BYTES of states whatever the worker count: 1024 points at d = 2,
 # 202 at d = 3, 64 at d = 4, 26 at d = 5, 4 at d = 8 and one from d = 10.
 # Halving the block for two workers would make every numpy call short, and the
@@ -180,11 +185,16 @@ def _read_state_text(path) -> str:
     """A state file's text, refused past ``MAX_STATE_FILE_BYTES`` before it is decoded."""
     chunk = 1 << 20  # one read of the cap would allocate all of it up front
     with open(path, "rb") as fh:
-        # stat cannot size a pipe, and a file may grow after the stat, so the
-        # reads also stop within a chunk past the cap.
-        fits = os.fstat(fh.fileno()).st_size <= MAX_STATE_FILE_BYTES
-        reads = islice(iter(lambda: fh.read(chunk), b""), MAX_STATE_FILE_BYTES // chunk + 1)
-        raw = b"".join(reads) if fits else b""
+        size = os.fstat(fh.fileno()).st_size
+        fits = size <= MAX_STATE_FILE_BYTES
+        # A regular file is one read of its size, and one more byte shows whether
+        # it grew after the stat.  stat cannot size a pipe (it reads 0); the rest
+        # of a pipe or a grown file is read in chunks that stop within a chunk
+        # past the cap.
+        raw = fh.read(size + 1) if fits else b""
+        if len(raw) > size:
+            reads = iter(lambda: fh.read(chunk), b"")
+            raw = b"".join([raw, *islice(reads, (MAX_STATE_FILE_BYTES - len(raw)) // chunk + 1)])
     if not fits or len(raw) > MAX_STATE_FILE_BYTES:
         raise ValueError(f"{path}: a state file may hold at most {MAX_STATE_FILE_BYTES} bytes")
     return raw.decode("utf-8")
@@ -353,9 +363,10 @@ def cmd_schmidt(args) -> int:
 
 def cmd_oschmidt(args) -> int:
     state = _read(args, "density")
-    report = full_report(state)
-    _print(operator_schmidt_coefficients=operator_schmidt(state).coefficients, tau=report.tau,
-           tau_criterion="violated" if report.tau_violated else "satisfied")
+    # check's tau and check's rule, without the floors check also computes.
+    tau = ccnr_tau(state)
+    _print(operator_schmidt_coefficients=operator_schmidt(state).coefficients, tau=tau,
+           tau_criterion="violated" if _above_one(tau) else "satisfied")
     return 0
 
 
@@ -501,10 +512,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every :func:`main` call, built on the first (building one takes ~1 ms).
+
+    Parsing leaves it as it was, and argparse measures the terminal each time
+    it formats usage or help, so a later call prints what a fresh parser would.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -23,7 +23,8 @@ import numpy as np
 
 from .crossnorm import GammaValue, _checked_gamma
 from .realign import ccnr_tau
-from .states import DensityOperator, _matrix, _one_state, _per_state, _raw_tensor, _state_tensor
+from .states import DensityOperator, _check_density, _matrix, _one_state, _per_state
+from .states import _raw_tensor, _state_tensor
 from .states import partial_trace_a, partial_trace_b
 from .tolerances import VIOLATION_GUARD
 
@@ -86,7 +87,8 @@ def partial_transpose_b(matrix, dim_a: int, dim_b: int) -> np.ndarray:
 
 def ppt_min_eigenvalue(rho: DensityOperator) -> float:
     """Minimum eigenvalue of the partial transpose; negative means entangled."""
-    return _per_state(np.linalg.eigvalsh(_transposed_b(_state_tensor(rho)))[..., 0])
+    transposed = _transposed_b(_state_tensor(rho, "ppt_min_eigenvalue"))
+    return _per_state(np.linalg.eigvalsh(transposed)[..., 0])
 
 
 def reduction_min_eigenvalue(rho: DensityOperator) -> float:
@@ -95,7 +97,7 @@ def reduction_min_eigenvalue(rho: DensityOperator) -> float:
     Tests ``rho_A (x) I - rho`` and ``I (x) rho_B - rho``; a negative value
     certifies entanglement (and distillability).
     """
-    four = _state_tensor(rho)
+    four = _state_tensor(rho, "reduction_min_eigenvalue")
     eye_a = np.eye(rho.dim_a, dtype=complex)
     eye_b = np.eye(rho.dim_b, dtype=complex)
     # Kronecker products written on the (i, k, j, l) view of each matrix.
@@ -117,6 +119,12 @@ def reduction_min_eigenvalue(rho: DensityOperator) -> float:
     return _per_state(floor)
 
 
+def _above_one(values):
+    """Whether each ``tau`` or closed-form gamma passes 1, its bound on separable states,
+    by more than the guard: the one rule for both, which ``oschmidt`` also applies."""
+    return values > 1.0 + VIOLATION_GUARD
+
+
 def report_stack(rhos: DensityOperator, gamma: GammaValue | None = None) -> CriteriaReport:
     """Evaluate every criterion on one state or a ``(k, n, n)`` stack and aggregate verdicts.
 
@@ -126,6 +134,7 @@ def report_stack(rhos: DensityOperator, gamma: GammaValue | None = None) -> Crit
     of shape ``(k,)`` for ``k`` states, where a scalar counts as shape
     ``(1,)``; see :func:`full_report`.
     """
+    _check_density(rhos, "report_stack")
     if rhos.matrix.ndim not in (2, 3):
         raise ValueError(f"need one state or a (k, n, n) stack, got shape {rhos.matrix.shape}")
     count = int(np.prod(rhos.matrix.shape[:-2]))
@@ -137,10 +146,10 @@ def report_stack(rhos: DensityOperator, gamma: GammaValue | None = None) -> Crit
     measured = (ccnr_tau(rhos), ppt_min_eigenvalue(rhos), reduction_min_eigenvalue(rhos))
     tau, ppt_floor, reduction_floor = (np.reshape(value, count) for value in measured)
     # The verdict rule, elementwise; a state without a gamma has NaN in ``values``.
-    tau_violated = tau > 1.0 + VIOLATION_GUARD
+    tau_violated = _above_one(tau)
     ppt_violated = ppt_floor < -VIOLATION_GUARD
     reduction_violated = reduction_floor < -VIOLATION_GUARD
-    entangled = tau_violated | ppt_violated | reduction_violated | (values > 1.0 + VIOLATION_GUARD)
+    entangled = tau_violated | ppt_violated | reduction_violated | _above_one(values)
     verdict = np.where(
         entangled,
         "entangled_certified",

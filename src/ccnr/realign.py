@@ -79,7 +79,8 @@ def realign_matrix(matrix, dim_a: int, dim_b: int) -> np.ndarray:
 
 def realign(rho: DensityOperator) -> RealignedMatrix:
     """Realignment of a validated density operator."""
-    return RealignedMatrix(rho.dim_a, rho.dim_b, _matrix(_realigned(_state_tensor(rho))))
+    four = _state_tensor(rho, "realign")
+    return RealignedMatrix(rho.dim_a, rho.dim_b, _matrix(_realigned(four)))
 
 
 def operator_schmidt(rho: DensityOperator) -> OperatorSchmidt:
@@ -104,7 +105,7 @@ def ccnr_tau(rho: DensityOperator) -> float:
     # U = (w I + conj(w) S)/sqrt(2), w = e^{i pi/4} and S swaps the two A (or
     # B) indices; X is real because rho is Hermitian.  It is written
     # C-contiguous in matrix order, so _matrix(real) is a view.
-    realigned = _realigned(_state_tensor(rho))
+    realigned = _realigned(_state_tensor(rho, "ccnr_tau"))
     real = np.empty(realigned.shape)
     np.subtract(np.swapaxes(realigned, -4, -3).real, realigned.imag, out=real)
     return _per_state(np.sum(_singular_values(_matrix(real)), axis=-1))

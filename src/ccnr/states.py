@@ -190,8 +190,9 @@ def _matrix(four: np.ndarray) -> np.ndarray:
     return four.reshape((*lead, p * q, r * s))
 
 
-def _state_tensor(rho: DensityOperator) -> np.ndarray:
-    """The bipartite view of a validated state or stack, read as it was stored."""
+def _state_tensor(rho: DensityOperator, caller: str) -> np.ndarray:
+    """The bipartite view of a validated state or stack, read as it was stored for ``caller``."""
+    _check_density(rho, caller)
     return _bipartite_tensor(rho.matrix, rho.dim_a, rho.dim_b)
 
 
@@ -212,8 +213,18 @@ def _per_state(values, scalar=float):
     return scalar(values) if np.ndim(values) == 0 else values
 
 
+def _check_density(rho: DensityOperator, caller: str) -> None:
+    """Refuse anything but a validated state or stack where ``caller`` takes one.
+
+    A raw array is refused, not validated with tolerances the caller never chose.
+    """
+    if not isinstance(rho, DensityOperator):
+        raise TypeError(f"{caller} needs a DensityOperator, got {type(rho).__name__}")
+
+
 def _one_state(rho: DensityOperator, caller: str) -> None:
-    """Refuse a stack where ``caller`` takes one state."""
+    """Refuse anything but one validated state where ``caller`` takes one."""
+    _check_density(rho, caller)
     if rho.matrix.ndim != 2:
         raise ValueError(f"{caller} needs one state, got shape {rho.matrix.shape}")
 
@@ -657,12 +668,12 @@ def twirl_uubar(sigma: DensityOperator) -> DensityOperator:
 
 def partial_trace_a(rho: DensityOperator) -> np.ndarray:
     """Trace out the A factor, returning the ``d_b x d_b`` marginal (one per state of a stack)."""
-    return np.trace(_state_tensor(rho), axis1=-4, axis2=-2)
+    return np.trace(_state_tensor(rho, "partial_trace_a"), axis1=-4, axis2=-2)
 
 
 def partial_trace_b(rho: DensityOperator) -> np.ndarray:
     """Trace out the B factor, returning the ``d_a x d_a`` marginal (one per state of a stack)."""
-    return np.trace(_state_tensor(rho), axis1=-3, axis2=-1)
+    return np.trace(_state_tensor(rho, "partial_trace_b"), axis1=-3, axis2=-1)
 
 
 def random_pure(dim_a: int, dim_b: int, seed=None) -> PureState:

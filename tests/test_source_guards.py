@@ -17,9 +17,11 @@ import numpy as np
 import pytest
 
 import ccnr
-from ccnr.cli import main, write_state_file
+import ccnr.cli
+from ccnr.cli import build_parser, main, write_state_file
+from ccnr.criteria import ppt_min_eigenvalue
 from ccnr.crossnorm import gamma_pure
-from ccnr.states import pure_from_schmidt
+from ccnr.states import pure_from_schmidt, random_density, werner_state
 
 SOURCES = sorted(Path(ccnr.__file__).parent.glob("*.py"))
 
@@ -247,17 +249,28 @@ def test_the_assignment_print_scan_sees_one(line):
     assert _owners(tree, _prints_an_assignment) == ["show"]
 
 
+def _record_calls(monkeypatch, owner, name: str) -> list:
+    """The arguments of each call to ``owner.name`` made from now until the test ends."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 @pytest.fixture
 def svd_calls(monkeypatch) -> list:
-    """The shape of the argument of each ``np.linalg.svd`` call made while the test runs."""
-    calls, svd = [], np.linalg.svd
+    """The arguments of each ``np.linalg.svd`` call made while the test runs."""
+    return _record_calls(monkeypatch, np.linalg, "svd")
 
-    def counted(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    return calls
+@pytest.fixture
+def eigvalsh_calls(monkeypatch) -> list:
+    """The arguments of each ``np.linalg.eigvalsh`` call made while the test runs."""
+    return _record_calls(monkeypatch, np.linalg, "eigvalsh")
 
 
 def test_schmidt_prints_gamma_and_robustness_from_one_decomposition(tmp_path, svd_calls):
@@ -271,6 +284,73 @@ def test_schmidt_prints_gamma_and_robustness_from_one_decomposition(tmp_path, sv
 def test_the_svd_count_sees_one(svd_calls):
     gamma_pure(pure_from_schmidt([0.5, 0.5], 2, 2))
     assert len(svd_calls) == 1
+
+
+@pytest.mark.parametrize("d", [3, 12])
+def test_oschmidt_prints_tau_from_its_svd_and_computes_no_floor(tmp_path, d, svd_calls,
+                                                                 eigvalsh_calls):
+    # One real SVD for tau and one complex SVD for the operator Schmidt data;
+    # validation certifies a full-rank state by a Cholesky.
+    path = tmp_path / "rho.json"
+    write_state_file(path, random_density(d, d, seed=d))
+    svd_calls.clear()
+    eigvalsh_calls.clear()
+    assert main(["oschmidt", str(path)]) == 0
+    assert len(eigvalsh_calls) == 0 and len(svd_calls) == 2
+
+
+def test_the_eigvalsh_count_sees_one(eigvalsh_calls):
+    rho = werner_state(2, -0.5)
+    eigvalsh_calls.clear()
+    ppt_min_eigenvalue(rho)
+    assert len(eigvalsh_calls) == 1
+
+
+@pytest.fixture
+def parser_builds(monkeypatch) -> list:
+    """Each build of the command-line parser while the test runs, from a cache emptied first."""
+    ccnr.cli._parser.cache_clear()
+    return _record_calls(monkeypatch, ccnr.cli, "build_parser")
+
+
+def test_one_process_builds_the_command_line_parser_once(tmp_path, parser_builds):
+    for k in range(2):
+        assert main(["gen", "werner", "--d", "2", "--param", "0.5", "--out",
+                     str(tmp_path / f"{k}.json")]) == 0
+    assert len(parser_builds) == 1
+
+
+def test_the_parser_build_count_sees_each_fresh_parser(parser_builds):
+    assert ccnr.cli.build_parser() is not ccnr.cli.build_parser()
+    assert len(parser_builds) == 2
+
+
+def _fresh_refusal(argv: list[str], capsys) -> str:
+    """What a parser built now prints to stderr when it refuses ``argv``, not counted as a build."""
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    return capsys.readouterr().err
+
+
+# gen's usage line wraps at 40 columns and not at 200.
+_REFUSED = ["gen", "werner", "--d", "2"]
+
+
+def test_the_parser_built_once_prints_usage_at_the_width_of_each_call(monkeypatch, capsys,
+                                                                      parser_builds):
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert main(_REFUSED) == 2
+        assert capsys.readouterr().err == _fresh_refusal(_REFUSED, capsys)
+    assert len(parser_builds) == 1
+
+
+def test_the_usage_comparison_sees_the_width(monkeypatch, capsys):
+    refusals = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        refusals.append(_fresh_refusal(_REFUSED, capsys))
+    assert refusals[0] != refusals[1] and "--out OUT" in refusals[1]
 
 
 def test_the_none_test_scan_sees_one():

@@ -943,3 +943,20 @@ def test_a_square_bipartition_function_refuses_unequal_dims_naming_itself_and_th
     message = rf"^{name} needs equal local dimensions, got dims \(2, 3\)$"
     with pytest.raises(ValueError, match=message):
         getattr(ccnr, name)(random_density(2, 3, seed=0))
+
+
+# Every function that reads a validated state, by the name its refusal gives.
+_STATE_READERS = [
+    "report_stack", "full_report", "ccnr_tau", "ppt_min_eigenvalue", "reduction_min_eigenvalue",
+    "partial_trace_a", "partial_trace_b", "realign", "operator_schmidt", "realign_trace",
+    "twirl_uu", "twirl_uubar",
+]
+
+
+@pytest.mark.parametrize("name", _STATE_READERS)
+def test_a_state_reader_refuses_a_raw_array_naming_itself_and_the_type(name):
+    # A raw matrix is refused, not validated on the caller's behalf.
+    import ccnr
+
+    with pytest.raises(TypeError, match=rf"^{name} needs a DensityOperator, got ndarray$"):
+        getattr(ccnr, name)(np.eye(4) / 4)

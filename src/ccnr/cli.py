@@ -357,7 +357,7 @@ def cmd_schmidt(args) -> int:
     state = _read(args, "pure")
     gamma = gamma_pure(state)  # one SVD, read for gamma and for robustness = gamma - 1
     _print(schmidt_coefficients=schmidt_decompose(state).coefficients,
-           gamma=_checked_gamma(gamma)[0], robustness=robustness_lower_bound(gamma))
+           gamma=_checked_gamma(gamma, "schmidt")[0], robustness=robustness_lower_bound(gamma))
     return 0
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .crossnorm import GammaValue, _checked_gamma
 from .realign import ccnr_tau
-from .states import DensityOperator, _check_density, _matrix, _one_state, _per_state
+from .states import DensityOperator, _check_kind, _matrix, _one_state, _per_state
 from .states import _raw_tensor, _state_tensor
 from .states import partial_trace_a, partial_trace_b
 from .tolerances import VIOLATION_GUARD
@@ -134,11 +134,12 @@ def report_stack(rhos: DensityOperator, gamma: GammaValue | None = None) -> Crit
     of shape ``(k,)`` for ``k`` states, where a scalar counts as shape
     ``(1,)``; see :func:`full_report`.
     """
-    _check_density(rhos, "report_stack")
+    _check_kind(rhos, DensityOperator, "report_stack")
     if rhos.matrix.ndim not in (2, 3):
         raise ValueError(f"need one state or a (k, n, n) stack, got shape {rhos.matrix.shape}")
     count = int(np.prod(rhos.matrix.shape[:-2]))
-    values, separable = (np.full(count, np.nan), False) if gamma is None else _checked_gamma(gamma)
+    values, separable = ((np.full(count, np.nan), False) if gamma is None
+                         else _checked_gamma(gamma, "report_stack"))
     values, separable = np.atleast_1d(values, separable)
     if values.shape != (count,):
         raise ValueError(f"need one gamma per state, shape ({count},), got {values.shape}")

@@ -20,7 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import _FIDELITY, _FLIP, PureState, _in_domain, _local_dim, _per_state
+from .linalg import _converted
+from .states import _FIDELITY, _FLIP, PureState, _check_kind, _in_domain, _local_dim, _per_state
 from .states import bell_spectrum, schmidt_decompose
 from .tolerances import GAMMA_EQUALITY_TOL as SEPARABILITY_TOL
 
@@ -44,7 +45,8 @@ class GammaValue(NamedTuple):
     family: str
 
 
-def _sqrt_coefficient_sum(psi: PureState) -> float:
+def _sqrt_coefficient_sum(psi: PureState, caller: str) -> float:
+    _check_kind(psi, PureState, caller)
     return float(np.sum(np.sqrt(schmidt_decompose(psi).coefficients)))
 
 
@@ -54,14 +56,15 @@ def gamma_rank_one(psi: PureState, omega: PureState) -> float:
     Equals ``(sum_i sqrt(p_i)) (sum_j sqrt(q_j))`` for the Schmidt
     coefficients ``p`` of ``psi`` and ``q`` of ``omega``.
     """
+    sums = [_sqrt_coefficient_sum(state, "gamma_rank_one") for state in (psi, omega)]
     if psi.dims != omega.dims:
         raise ValueError(f"state shapes differ: {psi.dims} vs {omega.dims}")
-    return _sqrt_coefficient_sum(psi) * _sqrt_coefficient_sum(omega)
+    return sums[0] * sums[1]
 
 
 def gamma_pure(psi: PureState) -> GammaValue:
     """Greatest cross norm of a pure-state projector: ``(sum_i sqrt(p_i))^2``."""
-    return GammaValue(_sqrt_coefficient_sum(psi) ** 2, "pure")
+    return GammaValue(_sqrt_coefficient_sum(psi, "gamma_pure") ** 2, "pure")
 
 
 def gamma_werner_closed(d: int, f) -> GammaValue:
@@ -84,9 +87,13 @@ def gamma_bell_diagonal_closed(lam) -> GammaValue:
     return GammaValue(_per_state(np.where(peak > 0.5, 2.0 * peak, 1.0)), "bell_diagonal")
 
 
-def _checked_gamma(gamma: GammaValue) -> tuple[np.ndarray, np.ndarray]:
-    """``gamma.value`` as floats and where each is 1; NaN, inf and values below 1 are refused."""
-    value = np.asarray(gamma.value, dtype=float)
+def _checked_gamma(gamma: GammaValue, caller: str) -> tuple[np.ndarray, np.ndarray]:
+    """``gamma.value`` as floats and where each is 1; NaN, inf and values below 1 are refused.
+
+    The one reader of a closed gamma, for ``caller``, which takes nothing but a ``GammaValue``.
+    """
+    _check_kind(gamma, GammaValue, caller)
+    value = _converted(np.asarray, gamma.value, float)
     bad = ~np.isfinite(value) | (value < 1.0 - SEPARABILITY_TOL)
     if bad.any():
         raise ValueError(f"a cross norm must be finite and at least 1, got {value[bad][0]}")
@@ -95,7 +102,7 @@ def _checked_gamma(gamma: GammaValue) -> tuple[np.ndarray, np.ndarray]:
 
 def robustness_lower_bound(gamma: GammaValue) -> float | np.ndarray:
     """Lower bound ``gamma - 1`` on the robustness of entanglement (elementwise)."""
-    return _per_state(_checked_gamma(gamma)[0] - 1.0)
+    return _per_state(_checked_gamma(gamma, "robustness_lower_bound")[0] - 1.0)
 
 
 def robustness_pure_exact(psi: PureState) -> float:
@@ -105,4 +112,4 @@ def robustness_pure_exact(psi: PureState) -> float:
 
 def is_separable_closed(gamma: GammaValue) -> bool | np.ndarray:
     """Separability verdict from a closed-form cross norm (ties count as separable, elementwise)."""
-    return _per_state(_checked_gamma(gamma)[1], bool)
+    return _per_state(_checked_gamma(gamma, "is_separable_closed")[1], bool)

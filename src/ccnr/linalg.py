@@ -4,7 +4,8 @@ Everything here operates on plain ``numpy`` arrays (promoted to
 ``complex128``, except that :func:`singular_values` keeps a real float64
 input real) and is pure: inputs are never modified.  ``_hermitian_part``
 and ``_singular_values`` also serve ``states`` and ``realign``, on arrays
-those have already admitted.
+those have already admitted; ``_converted`` converts every public number of
+the package.
 """
 
 from __future__ import annotations
@@ -26,10 +27,23 @@ __all__ = [
 ]
 
 
+def _converted(convert, value, *args):
+    """``convert(value, *args)``, refusing a Python ``int`` beyond the float range.
+
+    ``float`` and ``np.asarray(value, float | complex)`` raise ``OverflowError``
+    on such an integer; the package converts every public number here, so it
+    is refused with ``ValueError`` instead.
+    """
+    try:
+        return convert(value, *args)
+    except OverflowError:
+        raise ValueError("numbers must lie within the float range") from None
+
+
 def _as_matrix(a, *, stack: bool = False, keep_real: bool = False) -> np.ndarray:
     a = np.asarray(a)
     if not (keep_real and a.dtype == np.float64):
-        a = a.astype(complex, copy=False)
+        a = _converted(np.asarray, a, complex)
     if a.ndim != 2 and not (stack and a.ndim > 2):
         raise ValueError(f"expected a 2-d matrix, got ndim={a.ndim}")
     if a.shape[-2] < 1 or a.shape[-1] < 1:
@@ -106,7 +120,7 @@ def singular_values(a) -> np.ndarray:
 
 def trace_norm(a) -> float:
     """Schatten-1 norm: the sum of the singular values."""
-    return float(np.sum(singular_values(_as_matrix(a))))
+    return float(np.sum(_singular_values(_as_matrix(a, keep_real=True))))
 
 
 def hs_norm(a) -> float:
@@ -128,7 +142,7 @@ def ferrers_determinant(a) -> complex:
     Evaluates ``a_1 a_2 ... a_n * (1 + 1/a_1 + ... + 1/a_n)``, which equals
     ``det(ones((n, n)) + diag(a))`` whenever every coefficient is nonzero.
     """
-    a = np.asarray(a, dtype=complex).ravel()
+    a = _converted(np.asarray, a, complex).ravel()
     if a.size < 1:
         raise ValueError("need at least one coefficient")
     if not np.all(np.isfinite(a) & (a != 0)):

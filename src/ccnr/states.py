@@ -14,7 +14,7 @@ from operator import index
 
 import numpy as np
 
-from .linalg import _as_matrix, _hermitian_part
+from .linalg import _as_matrix, _converted, _hermitian_part
 from .tolerances import CHOLESKY_MARGIN, CLIP_GUARD, NORM_TOL, PSD_TOL, TRACE_TOL, WEIGHT_SLACK
 from .tolerances import HERMITICITY_TOL as HERM_TOL, SV_FLOOR as _SV_FLOOR
 
@@ -55,7 +55,7 @@ class InvariantViolation(ValueError):
 
     def __init__(self, invariant: str, residual: float, message: str | None = None):
         self.invariant = invariant
-        self.residual = float(residual)
+        self.residual = _converted(float, residual)
         default = f"invariant '{invariant}' violated: residual {self.residual:.6e}"
         super().__init__(message or default)
 
@@ -80,11 +80,15 @@ _EPS = np.finfo(float).eps
 _SUBNORMAL = np.finfo(float).smallest_subnormal
 
 
-def _index(value) -> int:
-    """``operator.index(value)``, refusing ``True`` and ``False``, which it takes as 1 and 0."""
-    if isinstance(value, bool):
-        raise TypeError(f"{value!r} is not an integer")
-    return index(value)
+def _index(value, name: str) -> int:
+    """``operator.index(value)``, refusing ``True`` and ``False``, which it takes as 1 and 0.
+
+    The one integer conversion: a refusal is a ``ValueError`` naming ``value`` as ``name``.
+    """
+    try:
+        return index(None if isinstance(value, bool) else value)  # index(None) raises
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _dims(*dims, shown: str | None = None) -> tuple[int, ...]:
@@ -94,8 +98,8 @@ def _dims(*dims, shown: str | None = None) -> tuple[int, ...]:
     ``1e+300`` rather than its 301 digits), else as the integers they are.
     """
     try:
-        checked = tuple(map(_index, dims))
-    except TypeError:
+        checked = tuple(_index(d, "dims") for d in dims)
+    except ValueError:
         raise ValueError(f"dims must be integers, got {dims!r}") from None
     shown = str(checked) if shown is None else shown
     if min(checked) < 1:
@@ -125,10 +129,7 @@ def _infer_dims(n: int, dim_a, dim_b) -> tuple[int, int]:
 
 def _local_dim(d) -> int:
     """A local dimension of a symmetric family: an integer of at least 2, ``d * d`` rows in all."""
-    try:
-        d = _index(d)
-    except TypeError:
-        raise ValueError(f"local dimension must be an integer, got {d!r}") from None
+    d = _index(d, "local dimension")
     if d < 2:
         raise ValueError("local dimension must be at least 2")
     return _dims(d, d)[0]
@@ -136,7 +137,7 @@ def _local_dim(d) -> int:
 
 def _in_domain(values, lo: float, hi: float, name: str) -> np.ndarray:
     """``values`` as a float array of any shape, each inside ``[lo, hi]``."""
-    values = np.asarray(values, dtype=float)
+    values = _converted(np.asarray, values, float)
     outside = np.flatnonzero(~((values >= lo) & (values <= hi)))
     if outside.size:
         raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], got {values.flat[outside[0]]}")
@@ -168,7 +169,7 @@ def _parameters(values, lo: float, hi: float, name: str, side: int = 0) -> np.nd
     A ``*_stack`` builder passes the ``side`` of the matrices it sizes from
     them; their count meets ``MAX_STACK_BYTES`` before the domain is checked.
     """
-    values = np.asarray(values, dtype=float)
+    values = _converted(np.asarray, values, float)
     if values.ndim != 1:
         raise ValueError(f"{name} values must form a 1-d sequence, got shape {values.shape}")
     _stack_fits(values.size, side)
@@ -192,7 +193,7 @@ def _matrix(four: np.ndarray) -> np.ndarray:
 
 def _state_tensor(rho: DensityOperator, caller: str) -> np.ndarray:
     """The bipartite view of a validated state or stack, read as it was stored for ``caller``."""
-    _check_density(rho, caller)
+    _check_kind(rho, DensityOperator, caller)
     return _bipartite_tensor(rho.matrix, rho.dim_a, rho.dim_b)
 
 
@@ -213,18 +214,20 @@ def _per_state(values, scalar=float):
     return scalar(values) if np.ndim(values) == 0 else values
 
 
-def _check_density(rho: DensityOperator, caller: str) -> None:
-    """Refuse anything but a validated state or stack where ``caller`` takes one.
+def _check_kind(value, kind: type, caller: str) -> None:
+    """Refuse anything but a ``kind`` where ``caller`` takes one, before any attribute is read.
 
-    A raw array is refused, not validated with tolerances the caller never chose.
+    The one type check of a state-like argument: a ``DensityOperator`` (one
+    state or a stack), a ``PureState`` or a ``GammaValue``.  A raw array is
+    refused, not validated with tolerances the caller never chose.
     """
-    if not isinstance(rho, DensityOperator):
-        raise TypeError(f"{caller} needs a DensityOperator, got {type(rho).__name__}")
+    if not isinstance(value, kind):
+        raise TypeError(f"{caller} needs a {kind.__name__}, got {type(value).__name__}")
 
 
 def _one_state(rho: DensityOperator, caller: str) -> None:
     """Refuse anything but one validated state where ``caller`` takes one."""
-    _check_density(rho, caller)
+    _check_kind(rho, DensityOperator, caller)
     if rho.matrix.ndim != 2:
         raise ValueError(f"{caller} needs one state, got shape {rho.matrix.shape}")
 
@@ -354,9 +357,10 @@ class DensityOperator(_Bipartite):
         tol_psd: float = PSD_TOL,
     ):
         for name, tol in (("tol_herm", tol_herm), ("tol_psd", tol_psd)):
-            if not 0.0 <= tol < math.inf:
+            # Up to the largest float, compared exactly: an int past the float range is refused.
+            if not 0.0 <= tol <= math.nextafter(math.inf, 0.0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
-        m = np.asarray(matrix, dtype=complex)
+        m = _converted(np.asarray, matrix, complex)
         if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
@@ -389,7 +393,7 @@ class PureState(_Bipartite):
 
     @np.errstate(over="ignore", invalid="ignore")  # as on DensityOperator
     def __init__(self, amplitudes, dim_a: int | None = None, dim_b: int | None = None):
-        amps = np.asarray(amplitudes, dtype=complex).ravel()
+        amps = _converted(np.asarray, amplitudes, complex).ravel()
         if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite")
         dim_a, dim_b = _infer_dims(amps.size, dim_a, dim_b)
@@ -432,7 +436,7 @@ def bell_spectrum(lam) -> np.ndarray:
     ``lam`` is one spectrum of shape ``(4,)`` or one per row of a ``(k, 4)``
     array; the result has the same shape.
     """
-    lam = np.asarray(lam, dtype=float)
+    lam = _converted(np.asarray, lam, float)
     if lam.ndim not in (1, 2) or lam.shape[-1] != 4:
         raise ValueError(f"spectrum needs four weights: shape (4,) or (k, 4), got {lam.shape}")
     if not np.isfinite(lam).all():
@@ -545,7 +549,7 @@ _BELL_VECTORS = np.array([psi.amplitudes for psi in bell_basis()])
 
 def bell_diagonal_stack(lams) -> np.ndarray:
     """Two-qubit matrices diagonal in the Bell basis, one per row of ``(k, 4)`` weights."""
-    lams = np.asarray(lams, dtype=float)
+    lams = _converted(np.asarray, lams, float)
     if lams.ndim == 2:  # sized before bell_spectrum passes over the weights
         _stack_fits(len(lams), 4)
     lams = bell_spectrum(lams)
@@ -607,7 +611,7 @@ def qutrit_family(alpha: float) -> DensityOperator:
 def pure_from_schmidt(p, dim_a: int, dim_b: int) -> PureState:
     """Vector ``sum_i sqrt(p_i) |i (x) i>`` built on the canonical bases."""
     dim_a, dim_b = _dims(dim_a, dim_b)
-    p = np.asarray(p, dtype=float).ravel()
+    p = _converted(np.asarray, p, float).ravel()
     if not np.isfinite(p).all():
         raise ValueError("coefficients must be finite")
     if p.size > min(dim_a, dim_b):
@@ -630,6 +634,7 @@ def _thin_svd(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def schmidt_decompose(psi: PureState) -> SchmidtForm:
     """Schmidt decomposition via the SVD of the coefficient matrix."""
+    _check_kind(psi, PureState, "schmidt_decompose")
     u, s, vh = _thin_svd(psi.coefficient_matrix())
     # Right vectors are the rows of vh: psi reconstructs as
     # sum_i s_i u_i (x) vh[i].
@@ -688,10 +693,7 @@ def random_density(dim_a: int, dim_b: int, rank: int | None = None, seed=None) -
     """Random density operator of the given rank (full rank by default)."""
     dim_a, dim_b = _dims(dim_a, dim_b)
     n = dim_a * dim_b
-    try:
-        rank = n if rank is None else _index(rank)
-    except TypeError:
-        raise ValueError(f"rank must be an integer, got {rank!r}") from None
+    rank = n if rank is None else _index(rank, "rank")
     if not 1 <= rank <= n:
         raise ValueError(f"rank must lie in [1, {n}], got {rank}")
     rng = np.random.default_rng(seed)

@@ -1,0 +1,89 @@
+"""Every public callable ends in a result or a refusal with a message, on hostile arguments.
+
+Each callable of ``ccnr.__all__`` is called with the values of ``VALUES`` in
+its required positional arguments: every argument holds one value, except one
+that holds another, over all pairs of values.  A call must return, or raise
+``ValueError`` or ``TypeError`` with a non-empty message; a warning counts as
+a fault.  The walk runs in one child process under a 1 GiB address-space
+limit, so a call that tried a runaway allocation ends there in a
+``MemoryError``, a fault, and not in this process.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import ccnr
+
+_WALK = """
+import inspect, json, resource, sys, warnings
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import numpy as np
+import ccnr
+from ccnr import DensityOperator, GammaValue, max_entangled, werner_stack
+
+VALUES = [
+    None, "x", True, [1, 2], np.nan, np.inf, -np.inf, 0, -3, 10**6, 10**400, np.array(3),
+    np.tile(np.eye(4) / 4, (2, 1, 1)), GammaValue(1.0, "werner"), max_entangled(2),
+    DensityOperator(np.eye(4) / 4, 2, 2), DensityOperator(werner_stack(2, [0.1, 0.5]), 2, 2),
+]
+
+
+def _probe(value):
+    # The walk's self-test: an empty refusal, and an AttributeError for most values.
+    if value is None:
+        raise TypeError()
+    return value.dim_a
+
+
+def _arity(f):
+    return sum(p.default is p.empty and p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+               for p in inspect.signature(f).parameters.values())
+
+
+walked, faults = {}, {}
+callables = {name: getattr(ccnr, name) for name in ccnr.__all__}
+for name, f in {**callables, "_probe": _probe}.items():
+    if not callable(f):
+        continue
+    k = _arity(f)
+    picks = {tuple(v if j == i else w for j in range(k)) for i in range(k)
+             for v in range(len(VALUES)) for w in range(len(VALUES))} or {()}
+    walked[name] = len(picks)
+    for pick in sorted(picks):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                f(*(VALUES[i] for i in pick))
+        except (ValueError, TypeError) as exc:
+            if not str(exc):
+                faults.setdefault(name, []).append(f"{pick}: empty {type(exc).__name__}")
+        except Exception as exc:
+            faults.setdefault(name, []).append(f"{pick}: {type(exc).__name__}: {exc}")
+print(json.dumps({"walked": walked, "faults": faults, "values": len(VALUES)}))
+"""
+
+
+def _walk() -> dict:
+    env = {**os.environ, "PYTHONPATH": str(Path(ccnr.__file__).resolve().parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", _WALK], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_every_public_callable_returns_or_refuses_hostile_arguments_with_a_message():
+    walk = _walk()
+    probe = walk["faults"].pop("_probe")
+    assert walk["faults"] == {}
+    # Every callable was walked, with every value in every required argument.
+    exported = {name for name in ccnr.__all__ if callable(getattr(ccnr, name))}
+    assert set(walk["walked"]) == exported | {"_probe"}
+    assert walk["walked"]["_probe"] == walk["values"] == 17
+    assert walk["walked"]["realign_matrix"] == 17 + 3 * 17 * 16
+    # The probe's faults show that the walk sees both kinds of fault.
+    assert "(0,): empty TypeError" in probe
+    assert any("AttributeError" in fault for fault in probe)

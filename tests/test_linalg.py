@@ -290,3 +290,10 @@ def test_random_unitary_is_unitary_and_deterministic():
     np.testing.assert_array_equal(u1, u2)
     np.testing.assert_allclose(u1 @ u1.conj().T, np.eye(4), atol=1e-12)
 
+
+def test_trace_norm_takes_a_real_matrix_through_the_real_svd():
+    # One admission keeps a real float64 input real, so it sums the real SVD's values.
+    m = np.random.default_rng(5).standard_normal((12, 12))
+    assert trace_norm(m) == float(np.sum(singular_values(m)))
+    with pytest.raises(ValueError, match="expected a 2-d matrix"):
+        trace_norm(np.stack([m, m]))

@@ -8,6 +8,7 @@ have one place in the source; a second copy would drift from the first.
 """
 
 import ast
+import builtins
 import importlib
 import sys
 import tokenize
@@ -503,3 +504,74 @@ def test_no_loop_writes_state_entries_one_at_a_time():
 
 def test_the_entry_loop_scan_sees_one():
     assert _entry_loops(ast.parse("for i, w in enumerate(p):\n    amps[i] = w")) == [1]
+
+
+# Admission: a state-like argument meets one type check, and an integer one conversion.
+STATE_TYPES = {"DensityOperator", "PureState", "GammaValue"}
+
+
+def _state_type_test(node: ast.AST) -> bool:
+    """An ``isinstance`` against a state type, or against a type held in a name."""
+    if not (_calls_to("isinstance")(node) and len(node.args) == 2):
+        return False
+    kind = node.args[1]
+    named = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(kind)}
+    return bool(named & STATE_TYPES) or isinstance(kind, ast.Name) and kind.id not in dir(builtins)
+
+
+def _in_sources(hit) -> list[tuple[str, str]]:
+    return sorted((path.name, owner) for path in SOURCES for owner in _owners(_tree(path), hit))
+
+
+def test_a_state_like_argument_meets_one_type_check():
+    # write_state_file dispatches on the two kinds it writes.
+    assert _in_sources(_state_type_test) == [("cli.py", "write_state_file")] * 2 + [
+        ("states.py", "_check_kind")]
+
+
+def test_the_state_type_scan_sees_each_form():
+    tree = ast.parse("def f(x):\n    return isinstance(x, ccnr.PureState)\n"
+                     "def g(x, kind):\n    return isinstance(x, kind) or isinstance(x, (int, GammaValue))\n"
+                     "def h(x):\n    return isinstance(x, bool) or isinstance(x, (list, tuple))\n")
+    assert _owners(tree, _state_type_test) == ["f", "g", "g"]
+
+
+def _index_call(node: ast.AST) -> bool:
+    """A call of ``operator.index``, as ``index(x)`` or ``operator.index(x)``, or of ``__index__``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (getattr(func, "id", None) == "index" or getattr(func, "attr", None) == "__index__"
+            or getattr(func, "attr", None) == "index" and getattr(func.value, "id", None) == "operator")
+
+
+def test_an_integer_is_converted_by_one_function():
+    assert _in_sources(_index_call) == [("states.py", "_index")]
+
+
+def test_the_index_call_scan_sees_each_form():
+    tree = ast.parse("def f(v):\n    return index(v)\n"
+                     "def g(v):\n    return operator.index(v) + v.__index__()\n"
+                     "def h(s):\n    return s.index('a')\n")
+    assert _owners(tree, _index_call) == ["f", "g", "g"]
+
+
+def _catches_type_error(node: ast.AST) -> bool:
+    """An ``except`` clause that catches ``TypeError``: by name, in a tuple, or by catching all."""
+    if not isinstance(node, ast.ExceptHandler):
+        return False
+    named = {getattr(n, "id", None) for n in ast.walk(node.type)} if node.type else {"TypeError"}
+    return bool(named & {"TypeError", "Exception", "BaseException"})
+
+
+def test_only_the_integer_conversion_catches_a_type_error_in_the_states_module():
+    states = Path(ccnr.__file__).parent / "states.py"
+    assert _owners(_tree(states), _catches_type_error) == ["_index"]
+
+
+def test_the_type_error_scan_sees_each_form():
+    tree = ast.parse("def f():\n    try:\n        pass\n    except (ValueError, TypeError):\n        pass\n"
+                     "def g():\n    try:\n        pass\n    except ValueError:\n        pass\n"
+                     "    except:\n        pass\n"
+                     "def h():\n    try:\n        pass\n    except np.linalg.LinAlgError:\n        pass\n")
+    assert _owners(tree, _catches_type_error) == ["f", "g"]

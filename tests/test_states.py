@@ -8,8 +8,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ccnr
 from ccnr.criteria import partial_transpose_b
-from ccnr.crossnorm import gamma_bell_diagonal_closed
+from ccnr.crossnorm import GammaValue, gamma_bell_diagonal_closed
 from ccnr.linalg import _hermitian_part, random_unitary
 from ccnr.realign import tau_bell_diagonal_closed
 from ccnr.states import (
@@ -960,3 +961,57 @@ def test_a_state_reader_refuses_a_raw_array_naming_itself_and_the_type(name):
 
     with pytest.raises(TypeError, match=rf"^{name} needs a DensityOperator, got ndarray$"):
         getattr(ccnr, name)(np.eye(4) / 4)
+
+
+# Every function that reads a pure state or a closed gamma, on the wrong type.  The pure-state
+# robustness is gamma_pure's, and full_report's gamma is report_stack's, so those refusals name them.
+_RAW = np.ones(4) / 2
+_PURE_AND_GAMMA_READERS = {
+    "schmidt_decompose": (lambda: ccnr.schmidt_decompose(_RAW), "schmidt_decompose", "PureState"),
+    "gamma_pure": (lambda: ccnr.gamma_pure(_RAW), "gamma_pure", "PureState"),
+    "robustness_pure_exact": (lambda: ccnr.robustness_pure_exact(_RAW), "gamma_pure", "PureState"),
+    "gamma_rank_one-psi": (lambda: ccnr.gamma_rank_one(_RAW, max_entangled(2)), "gamma_rank_one",
+                           "PureState"),
+    "gamma_rank_one-omega": (lambda: ccnr.gamma_rank_one(max_entangled(2), _RAW), "gamma_rank_one",
+                             "PureState"),
+    "robustness_lower_bound": (lambda: ccnr.robustness_lower_bound(1.5), "robustness_lower_bound",
+                               "GammaValue"),
+    "is_separable_closed": (lambda: ccnr.is_separable_closed(1.0), "is_separable_closed",
+                            "GammaValue"),
+    "report_stack": (lambda: ccnr.report_stack(werner_state(2, 0.1), gamma=1.0), "report_stack",
+                     "GammaValue"),
+    "full_report": (lambda: ccnr.full_report(werner_state(2, 0.1), gamma=1.0), "report_stack",
+                    "GammaValue"),
+}
+
+
+@pytest.mark.parametrize("call, name, kind", _PURE_AND_GAMMA_READERS.values(),
+                         ids=_PURE_AND_GAMMA_READERS.keys())
+def test_a_pure_state_or_gamma_reader_refuses_another_type_by_the_one_check(call, name, kind):
+    # Refused before any attribute is read, so never an AttributeError.
+    got = "float" if kind == "GammaValue" else "ndarray"
+    with pytest.raises(TypeError, match=rf"^{name} needs a {kind}, got {got}$"):
+        call()
+
+
+# A Python int past the float range is refused where numbers are converted, not by OverflowError.
+@pytest.mark.parametrize("call", [
+    lambda: werner_state(3, 10**400),
+    lambda: ccnr.tau_werner_closed(3, 10**400),
+    lambda: ccnr.realign_matrix([[10**400, 0]], 1, 2),
+    lambda: InvariantViolation("x", 10**400),
+    lambda: ccnr.report_stack(werner_state(2, 0.1), GammaValue(10**400, "werner")),
+    lambda: DensityOperator([[10**400, 0], [0, 0]]),
+    lambda: PureState([-10**400, 0, 0, 0]),
+    lambda: ccnr.ferrers_determinant([1, 10**400]),
+], ids=["werner_state", "tau_werner_closed", "realign_matrix", "InvariantViolation",
+        "report_stack-gamma", "DensityOperator", "PureState", "ferrers_determinant"])
+def test_an_integer_past_the_float_range_is_refused_as_a_value_error(call):
+    with pytest.raises(ValueError, match="^numbers must lie within the float range$"):
+        call()
+
+
+@pytest.mark.parametrize("name", ["tol_herm", "tol_psd"])
+def test_a_tolerance_past_the_float_range_is_refused_as_not_finite(name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative, got 1000"):
+        DensityOperator(np.eye(4) / 4, 2, 2, **{name: 10**400})

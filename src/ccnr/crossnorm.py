@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _converted
+from .linalg import _numbers
 from .states import _FIDELITY, _FLIP, PureState, _check_kind, _in_domain, _local_dim, _per_state
 from .states import bell_spectrum, schmidt_decompose
 from .tolerances import GAMMA_EQUALITY_TOL as SEPARABILITY_TOL
@@ -90,10 +90,14 @@ def gamma_bell_diagonal_closed(lam) -> GammaValue:
 def _checked_gamma(gamma: GammaValue, caller: str) -> tuple[np.ndarray, np.ndarray]:
     """``gamma.value`` as floats and where each is 1; NaN, inf and values below 1 are refused.
 
+    So is a ``family`` that is not a ``str``, since a report prints it as the closed form's name.
+
     The one reader of a closed gamma, for ``caller``, which takes nothing but a ``GammaValue``.
     """
     _check_kind(gamma, GammaValue, caller)
-    value = _converted(np.asarray, gamma.value, float)
+    if not isinstance(gamma.family, str):
+        raise TypeError(f"{caller} needs a str as GammaValue.family, got {type(gamma.family).__name__}")
+    value = _numbers(gamma.value, float)
     bad = ~np.isfinite(value) | (value < 1.0 - SEPARABILITY_TOL)
     if bad.any():
         raise ValueError(f"a cross norm must be finite and at least 1, got {value[bad][0]}")

@@ -4,8 +4,10 @@ Everything here operates on plain ``numpy`` arrays (promoted to
 ``complex128``, except that :func:`singular_values` keeps a real float64
 input real) and is pure: inputs are never modified.  ``_hermitian_part``
 and ``_singular_values`` also serve ``states`` and ``realign``, on arrays
-those have already admitted; ``_converted`` converts every public number of
-the package.
+those have already admitted.  ``_numbers`` admits every public number of the
+package: it refuses text and booleans, which numpy would parse or read as 0
+and 1, a Python int beyond the float range and, where the caller names the
+numbers, entries that are not finite.
 """
 
 from __future__ import annotations
@@ -27,29 +29,37 @@ __all__ = [
 ]
 
 
-def _converted(convert, value, *args):
-    """``convert(value, *args)``, refusing a Python ``int`` beyond the float range.
+def _numbers(value, dtype, name: str | None = None) -> np.ndarray:
+    """``np.asarray(value, dtype)``: the one conversion of a public number or array of numbers.
 
-    ``float`` and ``np.asarray(value, float | complex)`` raise ``OverflowError``
-    on such an integer; the package converts every public number here, so it
-    is refused with ``ValueError`` instead.
+    Text, bytes and booleans are refused, as a scalar, as an array's dtype
+    or as an entry of a list, a tuple or an object array, which is scanned;
+    an array of numbers pays only the dtype test.  A Python int beyond the
+    float range is refused, and, given the ``name`` of the numbers, so is an
+    entry that is not finite.  Each refusal is a ``ValueError``, and names
+    the numbers as ``name`` where it can.  ``dtype=object`` checks the kind
+    alone: no number is converted or compared.
     """
+    entries = value if isinstance(value, np.ndarray) else np.asarray(value, dtype=object)
+    kinds = set(map(type, entries.flat)) if entries.dtype == object else {entries.dtype.type}
+    if any(issubclass(kind, (str, bytes, bool, np.bool_)) for kind in kinds):
+        raise ValueError(f"{name or 'numbers'} must not be text or booleans")
     try:
-        return convert(value, *args)
+        numbers = np.asarray(value, dtype)
     except OverflowError:
         raise ValueError("numbers must lie within the float range") from None
+    if name is not None and dtype is not object and not np.isfinite(numbers).all():
+        raise ValueError(f"{name} must be finite")
+    return numbers
 
 
 def _as_matrix(a, *, stack: bool = False, keep_real: bool = False) -> np.ndarray:
-    a = np.asarray(a)
-    if not (keep_real and a.dtype == np.float64):
-        a = _converted(np.asarray, a, complex)
+    real = keep_real and np.asarray(a).dtype == np.float64
+    a = _numbers(a, float if real else complex, "matrix entries")
     if a.ndim != 2 and not (stack and a.ndim > 2):
         raise ValueError(f"expected a 2-d matrix, got ndim={a.ndim}")
     if a.shape[-2] < 1 or a.shape[-1] < 1:
         raise ValueError(f"matrix dimensions must be positive, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
     return a
 
 
@@ -142,7 +152,7 @@ def ferrers_determinant(a) -> complex:
     Evaluates ``a_1 a_2 ... a_n * (1 + 1/a_1 + ... + 1/a_n)``, which equals
     ``det(ones((n, n)) + diag(a))`` whenever every coefficient is nonzero.
     """
-    a = _converted(np.asarray, a, complex).ravel()
+    a = _numbers(a, complex).ravel()
     if a.size < 1:
         raise ValueError("need at least one coefficient")
     if not np.all(np.isfinite(a) & (a != 0)):

@@ -14,7 +14,7 @@ from operator import index
 
 import numpy as np
 
-from .linalg import _as_matrix, _converted, _hermitian_part
+from .linalg import _as_matrix, _hermitian_part, _numbers
 from .tolerances import CHOLESKY_MARGIN, CLIP_GUARD, NORM_TOL, PSD_TOL, TRACE_TOL, WEIGHT_SLACK
 from .tolerances import HERMITICITY_TOL as HERM_TOL, SV_FLOOR as _SV_FLOOR
 
@@ -55,7 +55,7 @@ class InvariantViolation(ValueError):
 
     def __init__(self, invariant: str, residual: float, message: str | None = None):
         self.invariant = invariant
-        self.residual = _converted(float, residual)
+        self.residual = float(_numbers(residual, float))
         default = f"invariant '{invariant}' violated: residual {self.residual:.6e}"
         super().__init__(message or default)
 
@@ -137,7 +137,7 @@ def _local_dim(d) -> int:
 
 def _in_domain(values, lo: float, hi: float, name: str) -> np.ndarray:
     """``values`` as a float array of any shape, each inside ``[lo, hi]``."""
-    values = _converted(np.asarray, values, float)
+    values = _numbers(values, float)
     outside = np.flatnonzero(~((values >= lo) & (values <= hi)))
     if outside.size:
         raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], got {values.flat[outside[0]]}")
@@ -169,7 +169,7 @@ def _parameters(values, lo: float, hi: float, name: str, side: int = 0) -> np.nd
     A ``*_stack`` builder passes the ``side`` of the matrices it sizes from
     them; their count meets ``MAX_STACK_BYTES`` before the domain is checked.
     """
-    values = _converted(np.asarray, values, float)
+    values = _numbers(values, float)
     if values.ndim != 1:
         raise ValueError(f"{name} values must form a 1-d sequence, got shape {values.shape}")
     _stack_fits(values.size, side)
@@ -322,7 +322,7 @@ class DensityOperator(_Bipartite):
     and frozen read-only.  The first matrix failing an invariant raises
     :class:`InvariantViolation` with its residual; invariants are checked in
     that order over the whole stack.  Both tolerances must be finite and
-    nonnegative.
+    nonnegative numbers, not text or booleans.
 
     A stack with ``matrix == matrix^dag`` in every entry, as every builder
     of this module and ``random_density`` make, has Hermiticity residual 0,
@@ -357,14 +357,13 @@ class DensityOperator(_Bipartite):
         tol_psd: float = PSD_TOL,
     ):
         for name, tol in (("tol_herm", tol_herm), ("tol_psd", tol_psd)):
+            _numbers(tol, object, name)
             # Up to the largest float, compared exactly: an int past the float range is refused.
             if not 0.0 <= tol <= math.nextafter(math.inf, 0.0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
-        m = _converted(np.asarray, matrix, complex)
+        m = _numbers(matrix, complex, "density matrix entries")
         if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("density matrix entries must be finite")
         dim_a, dim_b = _infer_dims(m.shape[-1], dim_a, dim_b)
 
         m, herm_residual, bound = _hermitian_part(m, tol_herm)
@@ -393,9 +392,7 @@ class PureState(_Bipartite):
 
     @np.errstate(over="ignore", invalid="ignore")  # as on DensityOperator
     def __init__(self, amplitudes, dim_a: int | None = None, dim_b: int | None = None):
-        amps = _converted(np.asarray, amplitudes, complex).ravel()
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("amplitudes must be finite")
+        amps = _numbers(amplitudes, complex, "amplitudes").ravel()
         dim_a, dim_b = _infer_dims(amps.size, dim_a, dim_b)
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_TOL:
@@ -436,7 +433,7 @@ def bell_spectrum(lam) -> np.ndarray:
     ``lam`` is one spectrum of shape ``(4,)`` or one per row of a ``(k, 4)``
     array; the result has the same shape.
     """
-    lam = _converted(np.asarray, lam, float)
+    lam = _numbers(lam, float)
     if lam.ndim not in (1, 2) or lam.shape[-1] != 4:
         raise ValueError(f"spectrum needs four weights: shape (4,) or (k, 4), got {lam.shape}")
     if not np.isfinite(lam).all():
@@ -549,8 +546,7 @@ _BELL_VECTORS = np.array([psi.amplitudes for psi in bell_basis()])
 
 def bell_diagonal_stack(lams) -> np.ndarray:
     """Two-qubit matrices diagonal in the Bell basis, one per row of ``(k, 4)`` weights."""
-    lams = _converted(np.asarray, lams, float)
-    if lams.ndim == 2:  # sized before bell_spectrum passes over the weights
+    if np.ndim(lams) == 2:  # sized before bell_spectrum passes over the weights
         _stack_fits(len(lams), 4)
     lams = bell_spectrum(lams)
     if lams.ndim != 2:
@@ -611,9 +607,7 @@ def qutrit_family(alpha: float) -> DensityOperator:
 def pure_from_schmidt(p, dim_a: int, dim_b: int) -> PureState:
     """Vector ``sum_i sqrt(p_i) |i (x) i>`` built on the canonical bases."""
     dim_a, dim_b = _dims(dim_a, dim_b)
-    p = _converted(np.asarray, p, float).ravel()
-    if not np.isfinite(p).all():
-        raise ValueError("coefficients must be finite")
+    p = _numbers(p, float, "coefficients").ravel()
     if p.size > min(dim_a, dim_b):
         raise ValueError(f"{p.size} coefficients do not fit local dimensions ({dim_a}, {dim_b})")
     if float(np.min(p, initial=0.0)) < 0.0:

@@ -575,3 +575,49 @@ def test_the_type_error_scan_sees_each_form():
                      "    except:\n        pass\n"
                      "def h():\n    try:\n        pass\n    except np.linalg.LinAlgError:\n        pass\n")
     assert _owners(tree, _catches_type_error) == ["f", "g"]
+
+
+# Admission of numbers: one function converts a value to floats or complex numbers.
+_INEXACT = {"float", "complex", "float64", "complex128"}
+
+
+def _number_conversion(node: ast.AST) -> bool:
+    """A float or complex conversion of a value, or a caught ``OverflowError``.
+
+    That is ``np.asarray`` or ``np.array`` with an inexact dtype, or ``.astype``
+    to one.  An array built from a list or tuple display is a constructor, as
+    ``np.eye(..., dtype=complex)`` is, and not a conversion.
+    """
+    if isinstance(node, ast.ExceptHandler):
+        named = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.type)} \
+            if node.type else {"OverflowError"}
+        return bool(named & {"OverflowError", "ArithmeticError", "Exception", "BaseException"})
+    if not isinstance(node, ast.Call):
+        return False
+    func = getattr(node.func, "attr", None)
+    dtypes = [keyword.value for keyword in node.keywords if keyword.arg == "dtype"]
+    if func == "astype":
+        dtypes += node.args[:1]
+    elif func in ("asarray", "array") and node.args \
+            and not isinstance(node.args[0], (ast.List, ast.Tuple)):
+        dtypes += node.args[1:2]
+    else:
+        return False
+    return any(getattr(d, "id", getattr(d, "attr", None)) in _INEXACT for d in dtypes)
+
+
+def test_a_number_is_converted_to_floats_by_one_function():
+    assert _in_sources(_number_conversion) == [("linalg.py", "_numbers")]
+
+
+def test_the_number_conversion_scan_sees_each_form():
+    tree = ast.parse(
+        "def f(x):\n    return np.asarray(x, float) + np.array(x, dtype=np.complex128)\n"
+        "def g(x):\n    return x.astype(complex)\n"
+        "def h(x):\n    try:\n        return float(x)\n    except (ValueError, OverflowError):\n"
+        "        pass\n"
+        "def k(x):\n    try:\n        return float(x)\n    except:\n        pass\n"
+        "def m(d, x):\n    return np.eye(d, dtype=complex) + np.array([1.0, 0.0], dtype=complex)"
+        " + np.asarray(x) + np.asarray(x, dtype=object) + x.astype(int)\n"
+        "def n(x):\n    try:\n        return float(x)\n    except ValueError:\n        pass\n")
+    assert _owners(tree, _number_conversion) == ["f", "f", "g", "h", "k"]

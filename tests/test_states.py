@@ -4,6 +4,7 @@ import copy
 import pickle
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -1015,3 +1016,79 @@ def test_an_integer_past_the_float_range_is_refused_as_a_value_error(call):
 def test_a_tolerance_past_the_float_range_is_refused_as_not_finite(name):
     with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative, got 1000"):
         DensityOperator(np.eye(4) / 4, 2, 2, **{name: 10**400})
+
+
+# Text and booleans, which numpy parses or reads as 0 and 1, are not numbers: each of these
+# returned a result before ``linalg._numbers`` refused them.
+_IDENTITY_TEXT = [["0.25" if i == j else "0" for j in range(4)] for i in range(4)]
+_COERCIONS = {
+    "werner_state-text": lambda: werner_state(3, "0.5"),
+    "werner_state-bool": lambda: werner_state(3, True),
+    "werner_stack-bool": lambda: werner_stack(3, [True, 0.5]),
+    "werner_stack-object-text": lambda: werner_stack(3, np.array(["0.5"], dtype=object)),
+    "werner_state-bytes": lambda: werner_state(3, b"0.5"),
+    "tau_werner_closed-text": lambda: ccnr.tau_werner_closed(3, "0.5"),
+    "PureState-bool": lambda: PureState([True, False, False, False]),
+    "is_separable_closed-text": lambda: ccnr.is_separable_closed(GammaValue("1.0", "x")),
+    "trace_norm-bool": lambda: ccnr.trace_norm([[True]]),
+    "gamma_isotropic_closed-text": lambda: ccnr.gamma_isotropic_closed(3, "0.1"),
+    "bell_spectrum-text": lambda: bell_spectrum(["0.25"] * 4),
+    "bell_diagonal_state-bool": lambda: bell_diagonal_state([True, False, False, False]),
+    "pure_from_schmidt-bool": lambda: pure_from_schmidt([True], 2, 2),
+    "qutrit_family-text": lambda: qutrit_family("3"),
+    "ferrers_determinant-text": lambda: ccnr.ferrers_determinant(["2", "3"]),
+    "DensityOperator-bool-array": lambda: DensityOperator(np.diag([True, False, False, False])),
+    "DensityOperator-text": lambda: DensityOperator(_IDENTITY_TEXT),
+    "kron-bool-array": lambda: ccnr.kron(np.eye(2, dtype=bool), [[1]]),
+    "InvariantViolation-text": lambda: InvariantViolation("x", "0.5"),
+}
+
+
+@pytest.mark.parametrize("call", _COERCIONS.values(), ids=_COERCIONS.keys())
+def test_text_and_booleans_are_refused_where_numbers_are_converted(call):
+    with pytest.raises(ValueError, match=r"\S"):
+        call()
+
+
+@pytest.mark.parametrize("name", ["tol_herm", "tol_psd"])
+@pytest.mark.parametrize("tol", [True, np.False_, "1e-9"], ids=["True", "np.False_", "text"])
+def test_a_tolerance_that_is_text_or_a_boolean_is_refused_by_name(name, tol):
+    with pytest.raises(ValueError, match=f"^{name} must not be text or booleans$"):
+        DensityOperator(np.eye(4) / 4, 2, 2, **{name: tol})
+
+
+# What stays a number, each with the bits the same value gives as a Python float.
+_SAME_NUMBERS = {
+    "np.float64": (lambda: werner_state(3, np.float64(-0.3)).matrix,
+                   lambda: werner_state(3, -0.3).matrix),
+    "np.int64-array": (lambda: werner_stack(3, np.array([-1, 0, 1])),
+                       lambda: werner_stack(3, [-1.0, 0.0, 1.0])),
+    "np.float32-array": (lambda: isotropic_stack(3, np.array([0.25, 0.5], dtype=np.float32)),
+                         lambda: isotropic_stack(3, [0.25, 0.5])),
+    "int": (lambda: ccnr.tau_werner_closed(3, -1), lambda: ccnr.tau_werner_closed(3, -1.0)),
+    "int-matrix": (lambda: DensityOperator(np.diag([1, 0, 0, 0])).matrix,
+                   lambda: DensityOperator(np.diag([1.0, 0.0, 0.0, 0.0])).matrix),
+    "int-amplitudes": (lambda: PureState([0, 1, 0, 0]).amplitudes,
+                       lambda: PureState([0.0, 1.0, 0.0, 0.0]).amplitudes),
+    "int-tolerance": (lambda: DensityOperator(np.eye(4) / 4, tol_psd=0).matrix,
+                      lambda: DensityOperator(np.eye(4) / 4, tol_psd=0.0).matrix),
+    "Fraction": (lambda: werner_state(3, Fraction(1, 2)).matrix,
+                 lambda: werner_state(3, 0.5).matrix),
+    "Fraction-gamma": (lambda: ccnr.robustness_lower_bound(GammaValue(Fraction(3, 2), "x")),
+                       lambda: ccnr.robustness_lower_bound(GammaValue(1.5, "x"))),
+}
+
+
+@pytest.mark.parametrize("call, same", _SAME_NUMBERS.values(), ids=_SAME_NUMBERS.keys())
+def test_numbers_of_every_numeric_kind_are_admitted_with_the_same_bits(call, same):
+    got, expected = np.asarray(call()), np.asarray(same())
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("family", [5, None, b"werner"], ids=["int", "None", "bytes"])
+def test_a_gamma_whose_family_is_not_a_str_is_refused(family):
+    with pytest.raises(TypeError, match=r"^report_stack needs a str as GammaValue\.family, got "):
+        ccnr.full_report(werner_state(2, 0.5), GammaValue(1.0, family))
+    with pytest.raises(TypeError, match=r"^is_separable_closed needs a str as GammaValue\.family"):
+        ccnr.is_separable_closed(GammaValue(1.0, family))

@@ -55,9 +55,9 @@ from .states import (
     InvariantViolation,
     PureState,
     _dims,
+    _in_domain,
     _local_dim,
     _one_state,
-    _parameters,
     bell_diagonal_stack,
     isotropic_stack,
     qubit_family_stack,
@@ -106,7 +106,7 @@ MAX_SWEEP_POINTS = 10**6
 
 def _bell_weights(t) -> np.ndarray:
     """Sweep spectra, a row per ``t``: weight ``t`` on the first Bell vector, the rest equal."""
-    t = _parameters(t, 0.0, 1.0, "bell sweep weight")
+    t = _in_domain(t, 0.0, 1.0, "bell sweep weight")
     rest = (1.0 - t) / 3.0
     return np.stack([t, rest, rest, rest], axis=-1)
 
@@ -480,16 +480,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_state_file(check)
     check.add_argument("--json", action="store_true", help="emit one JSON object")
     add_tolerances(check)
-    check.set_defaults(func=cmd_check)
 
     schmidt = sub.add_parser("schmidt", help="Schmidt data of a pure-state file")
     add_state_file(schmidt)
-    schmidt.set_defaults(func=cmd_schmidt)
 
     oschmidt = sub.add_parser("oschmidt", help="operator Schmidt data of a density file")
     add_state_file(oschmidt)
     add_tolerances(oschmidt)
-    oschmidt.set_defaults(func=cmd_oschmidt)
 
     gen = sub.add_parser("gen", help="write a family state to a file")
     add_family(gen, GEN_FAMILIES)
@@ -500,14 +497,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--rank", type=int, default=None, help="rank for family 'random'")
     gen.add_argument("--seed", type=int, default=None, help="seed for family 'random'")
     gen.add_argument("--out", required=True, help="output state file")
-    gen.set_defaults(func=cmd_gen)
 
     sweep = sub.add_parser("sweep", help="CSV sweep over a one-parameter family")
     add_family(sweep, SWEEP_FAMILIES)
     sweep.add_argument("--range", required=True,
                        help="grid as start:stop:step (use --range=-1:1:0.05)")
     sweep.add_argument("--out", required=True, help="output CSV path")
-    sweep.set_defaults(func=cmd_sweep)
 
     return parser
 
@@ -528,7 +523,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # Looked up now, so a command replaced on this module (a test double, a
+        # timing wrapper) is the one that runs, as in ``_families``.
+        return globals()[f"cmd_{args.command}"](args)
     except InvariantViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

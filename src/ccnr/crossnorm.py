@@ -97,10 +97,10 @@ def _checked_gamma(gamma: GammaValue, caller: str) -> tuple[np.ndarray, np.ndarr
     _check_kind(gamma, GammaValue, caller)
     if not isinstance(gamma.family, str):
         raise TypeError(f"{caller} needs a str as GammaValue.family, got {type(gamma.family).__name__}")
-    value = _numbers(gamma.value, float)
-    bad = ~np.isfinite(value) | (value < 1.0 - SEPARABILITY_TOL)
-    if bad.any():
-        raise ValueError(f"a cross norm must be finite and at least 1, got {value[bad][0]}")
+    value = _numbers(gamma.value, float, "a cross norm")
+    low = value < 1.0 - SEPARABILITY_TOL
+    if low.any():
+        raise ValueError(f"a cross norm must be at least 1, got {value[low][0]}")
     return value, np.abs(value - 1.0) <= SEPARABILITY_TOL
 
 

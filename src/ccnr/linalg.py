@@ -3,11 +3,12 @@
 Everything here operates on plain ``numpy`` arrays (promoted to
 ``complex128``, except that :func:`singular_values` keeps a real float64
 input real) and is pure: inputs are never modified.  ``_hermitian_part``
-and ``_singular_values`` also serve ``states`` and ``realign``, on arrays
-those have already admitted.  ``_numbers`` admits every public number of the
-package: it refuses text and booleans, which numpy would parse or read as 0
-and 1, a Python int beyond the float range and, where the caller names the
-numbers, entries that are not finite.
+also serves ``states``, on arrays that module has already admitted.
+``_numbers`` admits every public number of the package: it refuses text and
+booleans, which numpy would parse or read as 0 and 1, a complex number where
+real ones are asked for, which numpy would cast to its real part, and a
+Python int beyond the float range.  Where the caller names the numbers, it
+refuses entries that are not finite: it is the package's only finiteness test.
 """
 
 from __future__ import annotations
@@ -32,18 +33,22 @@ __all__ = [
 def _numbers(value, dtype, name: str | None = None) -> np.ndarray:
     """``np.asarray(value, dtype)``: the one conversion of a public number or array of numbers.
 
-    Text, bytes and booleans are refused, as a scalar, as an array's dtype
-    or as an entry of a list, a tuple or an object array, which is scanned;
-    an array of numbers pays only the dtype test.  A Python int beyond the
-    float range is refused, and, given the ``name`` of the numbers, so is an
-    entry that is not finite.  Each refusal is a ``ValueError``, and names
-    the numbers as ``name`` where it can.  ``dtype=object`` checks the kind
-    alone: no number is converted or compared.
+    Text, bytes and booleans are refused, and so are complex numbers unless
+    ``dtype`` is ``complex``, as a scalar, as an array's dtype or as an entry
+    of a list, a tuple or an object array, which is scanned; an array of
+    numbers pays only the dtype test.  A Python int beyond the float range is
+    refused, and, given the ``name`` of the numbers, so is an entry that is
+    not finite.  Each refusal is a ``ValueError``, and names the numbers as
+    ``name`` where it can.  ``dtype=object`` checks the kind alone: no number
+    is converted or compared.
     """
     entries = value if isinstance(value, np.ndarray) else np.asarray(value, dtype=object)
     kinds = set(map(type, entries.flat)) if entries.dtype == object else {entries.dtype.type}
     if any(issubclass(kind, (str, bytes, bool, np.bool_)) for kind in kinds):
         raise ValueError(f"{name or 'numbers'} must not be text or booleans")
+    if dtype is not complex and any(
+            issubclass(kind, (complex, np.complexfloating)) for kind in kinds):
+        raise ValueError(f"{name or 'numbers'} must not be complex")
     try:
         numbers = np.asarray(value, dtype)
     except OverflowError:
@@ -113,11 +118,6 @@ def hermitian_eigensystem(h) -> tuple[np.ndarray, np.ndarray]:
     return eigenvalues, eigenvectors
 
 
-def _singular_values(a: np.ndarray) -> np.ndarray:
-    """:func:`singular_values` of an array the caller has already admitted, unchecked."""
-    return np.linalg.svd(a, compute_uv=False)
-
-
 def singular_values(a) -> np.ndarray:
     """Singular values of ``a``, descending, of length ``min(rows, cols)``.
 
@@ -125,12 +125,12 @@ def singular_values(a) -> np.ndarray:
     A real float64 input stays real, so LAPACK takes the real SVD, which
     costs less than half the complex one.
     """
-    return _singular_values(_as_matrix(a, stack=True, keep_real=True))
+    return np.linalg.svd(_as_matrix(a, stack=True, keep_real=True), compute_uv=False)
 
 
 def trace_norm(a) -> float:
-    """Schatten-1 norm: the sum of the singular values."""
-    return float(np.sum(_singular_values(_as_matrix(a, keep_real=True))))
+    """Schatten-1 norm: the sum of the singular values of one matrix."""
+    return float(np.sum(singular_values(_as_matrix(a, keep_real=True))))
 
 
 def hs_norm(a) -> float:
@@ -152,11 +152,11 @@ def ferrers_determinant(a) -> complex:
     Evaluates ``a_1 a_2 ... a_n * (1 + 1/a_1 + ... + 1/a_n)``, which equals
     ``det(ones((n, n)) + diag(a))`` whenever every coefficient is nonzero.
     """
-    a = _numbers(a, complex).ravel()
+    a = _numbers(a, complex, "coefficients").ravel()
     if a.size < 1:
         raise ValueError("need at least one coefficient")
-    if not np.all(np.isfinite(a) & (a != 0)):
-        raise ValueError("all coefficients must be finite and nonzero")
+    if not np.all(a != 0):
+        raise ValueError("all coefficients must be nonzero")
     return complex(np.prod(a) * (1.0 + np.sum(1.0 / a)))
 
 

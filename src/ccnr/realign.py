@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _singular_values
+from .linalg import singular_values
 from .states import _FIDELITY, _FLIP, _MIXING, _QUTRIT, DensityOperator, _in_domain, _local_dim
 from .states import _matrix, _one_state, _per_state, _raw_tensor, _square_dim, _state_tensor
 from .states import _thin_svd, bell_spectrum
@@ -108,7 +108,7 @@ def ccnr_tau(rho: DensityOperator) -> float:
     realigned = _realigned(_state_tensor(rho, "ccnr_tau"))
     real = np.empty(realigned.shape)
     np.subtract(np.swapaxes(realigned, -4, -3).real, realigned.imag, out=real)
-    return _per_state(np.sum(_singular_values(_matrix(real)), axis=-1))
+    return _per_state(np.sum(singular_values(_matrix(real)), axis=-1))
 
 
 def tau_werner_closed(d: int, f) -> float | np.ndarray:

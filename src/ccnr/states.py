@@ -163,7 +163,7 @@ def _stack_fits(count: int, side: int) -> None:
         )
 
 
-def _parameters(values, lo: float, hi: float, name: str, side: int = 0) -> np.ndarray:
+def _parameters(values, lo: float, hi: float, name: str, side: int) -> np.ndarray:
     """Family parameters as a 1-d float array, each inside ``[lo, hi]``.
 
     A ``*_stack`` builder passes the ``side`` of the matrices it sizes from
@@ -321,8 +321,8 @@ class DensityOperator(_Bipartite):
     within tolerance.  Accepted matrices are symmetrized, trace-renormalized
     and frozen read-only.  The first matrix failing an invariant raises
     :class:`InvariantViolation` with its residual; invariants are checked in
-    that order over the whole stack.  Both tolerances must be finite and
-    nonnegative numbers, not text or booleans.
+    that order over the whole stack.  Each tolerance must be a single
+    finite, nonnegative real number, not text or a boolean.
 
     A stack with ``matrix == matrix^dag`` in every entry, as every builder
     of this module and ``random_density`` make, has Hermiticity residual 0,
@@ -357,7 +357,8 @@ class DensityOperator(_Bipartite):
         tol_psd: float = PSD_TOL,
     ):
         for name, tol in (("tol_herm", tol_herm), ("tol_psd", tol_psd)):
-            _numbers(tol, object, name)
+            if _numbers(tol, object, name).ndim:
+                raise ValueError(f"{name} must be a single number, got {tol!r}")
             # Up to the largest float, compared exactly: an int past the float range is refused.
             if not 0.0 <= tol <= math.nextafter(math.inf, 0.0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
@@ -433,11 +434,9 @@ def bell_spectrum(lam) -> np.ndarray:
     ``lam`` is one spectrum of shape ``(4,)`` or one per row of a ``(k, 4)``
     array; the result has the same shape.
     """
-    lam = _numbers(lam, float)
+    lam = _numbers(lam, float, "weights")
     if lam.ndim not in (1, 2) or lam.shape[-1] != 4:
         raise ValueError(f"spectrum needs four weights: shape (4,) or (k, 4), got {lam.shape}")
-    if not np.isfinite(lam).all():
-        raise ValueError(f"weights must be finite, got {lam[~np.isfinite(lam)][0]}")
     rows = lam.reshape(-1, 4)
     low = rows.min(axis=1)
     negative = low < -WEIGHT_SLACK

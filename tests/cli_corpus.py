@@ -96,6 +96,7 @@ _REFUSALS = [
     ["gen", "werner", "--d", "3", "--param", "1.5", "--out", "refused.json"],
     ["gen", "isotropic", "--param", "0.5", "--out", "refused.json"],
     ["gen", "bell", "--param", "0.5,0.5", "--out", "refused.json"],
+    ["gen", "bell", "--param", "nan,0.5,0.25,0.25", "--out", "refused.json"],
     ["gen", "qutrit", "--d", "2", "--param", "3", "--out", "refused.json"],
     ["gen", "random", "--dims", "2,2", "--param", "0.5", "--out", "refused.json"],
     ["check", "not_json.json"],

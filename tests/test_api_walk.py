@@ -26,6 +26,7 @@ from ccnr import DensityOperator, GammaValue, max_entangled, werner_stack
 
 VALUES = [
     None, "x", True, [1, 2], np.nan, np.inf, -np.inf, 0, -3, 10**6, 10**400, np.array(3),
+    np.complex128(0.5 + 1j),
     np.tile(np.eye(4) / 4, (2, 1, 1)), GammaValue(1.0, "werner"), max_entangled(2),
     DensityOperator(np.eye(4) / 4, 2, 2), DensityOperator(werner_stack(2, [0.1, 0.5]), 2, 2),
 ]
@@ -82,8 +83,8 @@ def test_every_public_callable_returns_or_refuses_hostile_arguments_with_a_messa
     # Every callable was walked, with every value in every required argument.
     exported = {name for name in ccnr.__all__ if callable(getattr(ccnr, name))}
     assert set(walk["walked"]) == exported | {"_probe"}
-    assert walk["walked"]["_probe"] == walk["values"] == 17
-    assert walk["walked"]["realign_matrix"] == 17 + 3 * 17 * 16
+    assert walk["walked"]["_probe"] == walk["values"] == 18
+    assert walk["walked"]["realign_matrix"] == 18 + 3 * 18 * 17
     # The probe's faults show that the walk sees both kinds of fault.
     assert "(0,): empty TypeError" in probe
     assert any("AttributeError" in fault for fault in probe)

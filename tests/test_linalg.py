@@ -238,7 +238,7 @@ def test_ferrers_examples():
 
 
 def test_ferrers_rejects_zero():
-    with pytest.raises(ValueError, match="nonzero"):
+    with pytest.raises(ValueError, match="^all coefficients must be nonzero$"):
         ferrers_determinant([1.0, 0.0])
     with pytest.raises(ValueError):
         ferrers_determinant([])
@@ -248,7 +248,7 @@ def test_ferrers_rejects_zero():
                          ids=["nan", "inf", "complex-nan"])
 def test_ferrers_refuses_non_finite_coefficients(coeffs):
     # Refused before numpy computes with them, so no warning precedes the error.
-    with pytest.raises(ValueError, match="^all coefficients must be finite and nonzero$"):
+    with pytest.raises(ValueError, match="^coefficients must be finite$"):
         ferrers_determinant(coeffs)
 
 

@@ -346,6 +346,35 @@ def test_the_parser_built_once_prints_usage_at_the_width_of_each_call(monkeypatc
     assert len(parser_builds) == 1
 
 
+def test_main_runs_the_command_found_on_the_module_when_it_is_called(tmp_path, monkeypatch,
+                                                                   parser_builds):
+    state = str(tmp_path / "w.json")
+    assert main(["gen", "werner", "--d", "2", "--param", "0.5", "--out", state]) == 0
+    # The parser is built; a command replaced after that is still the one that runs.
+    monkeypatch.setattr(ccnr.cli, "cmd_check", lambda args: 7)
+    assert main(["check", state]) == 7
+    assert len(parser_builds) == 1
+
+
+def _bound_commands(tree: ast.AST) -> list[int]:
+    """Lines binding a function into a parser, ``set_defaults(func=...)``, or reading ``args.func``."""
+    return [node.lineno for node in ast.walk(tree)
+            if _calls_to("set_defaults")(node) and any(k.arg == "func" for k in node.keywords)
+            or isinstance(node, ast.Attribute) and node.attr == "func"
+            and getattr(node.value, "id", None) == "args"]
+
+
+def test_the_command_line_binds_no_command_into_its_parser():
+    # main finds cmd_<command> when it runs, as _families finds the family functions.
+    assert _bound_commands(_tree(Path(ccnr.__file__).parent / "cli.py")) == []
+
+
+def test_the_command_binding_scan_sees_each_form():
+    tree = ast.parse("check.set_defaults(func=cmd_check)\nreturn args.func(args)\n"
+                     "check.set_defaults(command='check')\nf = node.func")
+    assert _bound_commands(tree) == [1, 2]
+
+
 def test_the_usage_comparison_sees_the_width(monkeypatch, capsys):
     refusals = []
     for columns in ("40", "200"):
@@ -604,6 +633,24 @@ def _number_conversion(node: ast.AST) -> bool:
     else:
         return False
     return any(getattr(d, "id", getattr(d, "attr", None)) in _INEXACT for d in dtypes)
+
+
+def _numpy_isfinite(node: ast.AST) -> bool:
+    """``np.isfinite`` or ``numpy.isfinite``, called or passed."""
+    return isinstance(node, ast.Attribute) and node.attr == "isfinite" \
+        and getattr(node.value, "id", None) in ("np", "numpy")
+
+
+def test_finiteness_is_tested_by_the_one_conversion():
+    # Every named refusal of NaN or inf ("weights", "coefficients", "a cross norm") is _numbers'.
+    assert _in_sources(_numpy_isfinite) == [("linalg.py", "_numbers")]
+
+
+def test_the_isfinite_scan_sees_each_form():
+    tree = ast.parse("def f(x):\n    return np.isfinite(x).all()\n"
+                     "def g(x):\n    return x[~numpy.isfinite(x)]\n"
+                     "def h(x):\n    return math.isfinite(x) and all(map(np.isfinite, x))\n")
+    assert _owners(tree, _numpy_isfinite) == ["f", "g", "h"]
 
 
 def test_a_number_is_converted_to_floats_by_one_function():

@@ -312,7 +312,7 @@ def test_bell_spectrum_validation():
     stack[1] = [np.nan, 0.5, 0.25, 0.25]
     for lam in (stack[1], stack):
         for refuse in (bell_spectrum, gamma_bell_diagonal_closed, tau_bell_diagonal_closed):
-            with pytest.raises(ValueError, match="weights must be finite, got nan"):
+            with pytest.raises(ValueError, match="^weights must be finite$"):
                 refuse(lam)
 
 
@@ -1057,6 +1057,46 @@ def test_a_tolerance_that_is_text_or_a_boolean_is_refused_by_name(name, tol):
         DensityOperator(np.eye(4) / 4, 2, 2, **{name: tol})
 
 
+# A complex number where real ones are asked for: numpy would cast it to its real part with
+# only a warning (a NumPy scalar or array) or refuse it with a bare TypeError (a Python complex).
+_COMPLEX = {
+    "werner_state-np.complex128": (lambda: werner_state(3, np.complex128(0.5 + 1j)), "numbers"),
+    "tau_werner_closed-array": (lambda: ccnr.tau_werner_closed(3, np.array([0.5 + 1j])), "numbers"),
+    "werner_stack-list": (lambda: werner_stack(3, [0.5, 0.5j]), "numbers"),
+    "gamma_isotropic_closed-np.complex64": (
+        lambda: ccnr.gamma_isotropic_closed(3, np.complex64(0.1)), "numbers"),
+    "qutrit_family-complex": (lambda: qutrit_family(3 + 0j), "numbers"),
+    "bell_spectrum-array": (lambda: bell_spectrum(np.full(4, 0.25, dtype=complex)), "weights"),
+    "pure_from_schmidt-list": (lambda: pure_from_schmidt([0.5 + 0j, 0.5], 2, 2), "coefficients"),
+    "is_separable_closed-complex": (lambda: ccnr.is_separable_closed(GammaValue(1 + 0j, "x")),
+                                    "a cross norm"),
+    "InvariantViolation-np.complex128": (lambda: InvariantViolation("x", np.complex128(1j)),
+                                         "numbers"),
+}
+
+
+@pytest.mark.parametrize("call, name", _COMPLEX.values(), ids=_COMPLEX.keys())
+def test_a_complex_number_is_refused_where_real_ones_are_converted(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must not be complex$"):
+        call()
+
+
+@pytest.mark.parametrize("name", ["tol_herm", "tol_psd"])
+@pytest.mark.parametrize("tol", [1e-9 + 0j, np.complex128(1e-9)], ids=["complex", "np.complex128"])
+def test_a_complex_tolerance_is_refused_by_name(name, tol):
+    with pytest.raises(ValueError, match=f"^{name} must not be complex$"):
+        DensityOperator(np.eye(4) / 4, 2, 2, **{name: tol})
+
+
+@pytest.mark.parametrize("name", ["tol_herm", "tol_psd"])
+@pytest.mark.parametrize("tol", [[1e-9], np.array([1e-9, 1e-9]), np.array([1e-9]), [[]]],
+                         ids=["list", "array", "array-of-one", "empty"])
+def test_a_tolerance_that_is_not_a_single_number_is_refused_by_name(name, tol):
+    message = rf"^{name} must be a single number, got {re.escape(repr(tol))}$"
+    with pytest.raises(ValueError, match=message):
+        DensityOperator(np.eye(4) / 4, 2, 2, **{name: tol})
+
+
 # What stays a number, each with the bits the same value gives as a Python float.
 _SAME_NUMBERS = {
     "np.float64": (lambda: werner_state(3, np.float64(-0.3)).matrix,
@@ -1072,6 +1112,8 @@ _SAME_NUMBERS = {
                        lambda: PureState([0.0, 1.0, 0.0, 0.0]).amplitudes),
     "int-tolerance": (lambda: DensityOperator(np.eye(4) / 4, tol_psd=0).matrix,
                       lambda: DensityOperator(np.eye(4) / 4, tol_psd=0.0).matrix),
+    "0-d-array-tolerance": (lambda: DensityOperator(np.eye(4) / 4, tol_psd=np.array(0.0)).matrix,
+                            lambda: DensityOperator(np.eye(4) / 4, tol_psd=0.0).matrix),
     "Fraction": (lambda: werner_state(3, Fraction(1, 2)).matrix,
                  lambda: werner_state(3, 0.5).matrix),
     "Fraction-gamma": (lambda: ccnr.robustness_lower_bound(GammaValue(Fraction(3, 2), "x")),

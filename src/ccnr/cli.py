@@ -40,6 +40,7 @@ from .crossnorm import (
     robustness_lower_bound,
 )
 from .criteria import _above_one, full_report, report_stack
+from .linalg import _numbers
 from .realign import (
     ccnr_tau,
     operator_schmidt,
@@ -167,9 +168,7 @@ def _parse_range(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"range must look like 'start:stop:step', got {text!r}")
-    start, stop, step = (float(p) for p in parts)
-    if not all(math.isfinite(x) for x in (start, stop, step)):
-        raise ValueError(f"range bounds and step must be finite, got {text!r}")
+    start, stop, step = _numbers([float(p) for p in parts], float, "range bounds and step").tolist()
     if step <= 0:
         raise ValueError("range step must be positive")
     if stop < start:

@@ -6,12 +6,16 @@ input real) and is pure: inputs are never modified.  ``_hermitian_part``
 also serves ``states``, on arrays that module has already admitted.
 ``_numbers`` admits every public number of the package: it refuses text and
 booleans, which numpy would parse or read as 0 and 1, a complex number where
-real ones are asked for, which numpy would cast to its real part, and a
+real ones are asked for, which numpy would cast to its real part, anything
+that is not a number, such as ``None``, which numpy would read as NaN, and a
 Python int beyond the float range.  Where the caller names the numbers, it
-refuses entries that are not finite: it is the package's only finiteness test.
+refuses entries that are not finite: it is the package's only finiteness test
+of a number.
 """
 
 from __future__ import annotations
+
+from numbers import Number
 
 import numpy as np
 
@@ -33,27 +37,29 @@ __all__ = [
 def _numbers(value, dtype, name: str | None = None) -> np.ndarray:
     """``np.asarray(value, dtype)``: the one conversion of a public number or array of numbers.
 
-    Text, bytes and booleans are refused, and so are complex numbers unless
-    ``dtype`` is ``complex``, as a scalar, as an array's dtype or as an entry
-    of a list, a tuple or an object array, which is scanned; an array of
-    numbers pays only the dtype test.  A Python int beyond the float range is
-    refused, and, given the ``name`` of the numbers, so is an entry that is
-    not finite.  Each refusal is a ``ValueError``, and names the numbers as
-    ``name`` where it can.  ``dtype=object`` checks the kind alone: no number
-    is converted or compared.
+    Refused, each with a ``ValueError`` that names the numbers as ``name``,
+    or else as ``numbers``: text, bytes and booleans; complex numbers unless
+    ``dtype`` is ``complex``; any other kind that is not a Python or NumPy
+    number, such as ``None``; a Python int beyond the float range; and,
+    given a ``name``, an entry that is not finite.  Kinds are read from a
+    scalar, from an array's dtype, or from each entry of a list, a tuple or
+    an object array, which is scanned (a 0-d array there by its entry); an
+    array of numbers pays only the dtype test.
     """
     entries = value if isinstance(value, np.ndarray) else np.asarray(value, dtype=object)
-    kinds = set(map(type, entries.flat)) if entries.dtype == object else {entries.dtype.type}
-    if any(issubclass(kind, (str, bytes, bool, np.bool_)) for kind in kinds):
+    kinds = {entries.dtype.type} if entries.dtype != object else {
+        type(entry[()] if isinstance(entry, np.ndarray) else entry) for entry in entries.flat}
+    if any(issubclass(k, (str, bytes, bool, np.bool_)) for k in kinds):
         raise ValueError(f"{name or 'numbers'} must not be text or booleans")
-    if dtype is not complex and any(
-            issubclass(kind, (complex, np.complexfloating)) for kind in kinds):
+    if dtype is not complex and any(issubclass(k, (complex, np.complexfloating)) for k in kinds):
         raise ValueError(f"{name or 'numbers'} must not be complex")
+    if other := sorted(k.__name__ for k in kinds if not issubclass(k, Number)):
+        raise ValueError(f"{name or 'numbers'} must be of a numeric kind, got {other[0]}")
     try:
         numbers = np.asarray(value, dtype)
     except OverflowError:
-        raise ValueError("numbers must lie within the float range") from None
-    if name is not None and dtype is not object and not np.isfinite(numbers).all():
+        raise ValueError(f"{name or 'numbers'} must lie within the float range") from None
+    if name is not None and not np.isfinite(numbers).all():
         raise ValueError(f"{name} must be finite")
     return numbers
 
@@ -164,12 +170,12 @@ def random_unitary(d: int, seed=None) -> np.ndarray:
     """Haar-distributed ``d x d`` unitary from the QR of a complex Gaussian.
 
     ``d`` meets the rule for state dimensions: a positive integer of at most
-    ``states.MAX_MATRIX_SIDE``.
+    ``states.MAX_MATRIX_SIDE``, and ``seed``, if given, is an integer.
     """
-    from .states import _dims  # states imports this module
+    from .states import _dims, _index  # states imports this module
 
     (d,) = _dims(d)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(None if seed is None else _index(seed, "seed"))
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     phases = np.diagonal(r).copy()

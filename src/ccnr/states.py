@@ -51,7 +51,14 @@ __all__ = [
 
 
 class InvariantViolation(ValueError):
-    """A state invariant failed beyond its tolerance."""
+    """A state invariant failed beyond its tolerance.
+
+    ``residual`` is the one number the package admits without a name: a
+    Hermiticity residual of entries near the float limit overflows to inf,
+    and a name would turn on ``_numbers``' finiteness test, so the refusal
+    would be an input error (exit 2 on the command line) instead of this
+    invariant (exit 3).
+    """
 
     def __init__(self, invariant: str, residual: float, message: str | None = None):
         self.invariant = invariant
@@ -136,8 +143,8 @@ def _local_dim(d) -> int:
 
 
 def _in_domain(values, lo: float, hi: float, name: str) -> np.ndarray:
-    """``values`` as a float array of any shape, each inside ``[lo, hi]``."""
-    values = _numbers(values, float)
+    """``values`` as a float array of any shape, each inside ``[lo, hi]``, named ``name``."""
+    values = _numbers(values, float, name)
     outside = np.flatnonzero(~((values >= lo) & (values <= hi)))
     if outside.size:
         raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], got {values.flat[outside[0]]}")
@@ -167,13 +174,14 @@ def _parameters(values, lo: float, hi: float, name: str, side: int) -> np.ndarra
     """Family parameters as a 1-d float array, each inside ``[lo, hi]``.
 
     A ``*_stack`` builder passes the ``side`` of the matrices it sizes from
-    them; their count meets ``MAX_STACK_BYTES`` before the domain is checked.
+    them; their count, read from the shape, meets ``MAX_STACK_BYTES`` before
+    any pass over the values.
     """
-    values = _numbers(values, float)
+    _stack_fits(np.size(values), side)
+    values = _in_domain(values, lo, hi, name)
     if values.ndim != 1:
         raise ValueError(f"{name} values must form a 1-d sequence, got shape {values.shape}")
-    _stack_fits(values.size, side)
-    return _in_domain(values, lo, hi, name)
+    return values
 
 
 def _bipartite_tensor(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
@@ -321,8 +329,8 @@ class DensityOperator(_Bipartite):
     within tolerance.  Accepted matrices are symmetrized, trace-renormalized
     and frozen read-only.  The first matrix failing an invariant raises
     :class:`InvariantViolation` with its residual; invariants are checked in
-    that order over the whole stack.  Each tolerance must be a single
-    finite, nonnegative real number, not text or a boolean.
+    that order over the whole stack.  Each tolerance is a single real number
+    in ``[0, inf)``, admitted as a family parameter is, and used as given.
 
     A stack with ``matrix == matrix^dag`` in every entry, as every builder
     of this module and ``random_density`` make, has Hermiticity residual 0,
@@ -357,11 +365,8 @@ class DensityOperator(_Bipartite):
         tol_psd: float = PSD_TOL,
     ):
         for name, tol in (("tol_herm", tol_herm), ("tol_psd", tol_psd)):
-            if _numbers(tol, object, name).ndim:
+            if _in_domain(tol, 0.0, math.inf, name).ndim:
                 raise ValueError(f"{name} must be a single number, got {tol!r}")
-            # Up to the largest float, compared exactly: an int past the float range is refused.
-            if not 0.0 <= tol <= math.nextafter(math.inf, 0.0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
         m = _numbers(matrix, complex, "density matrix entries")
         if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
@@ -545,8 +550,7 @@ _BELL_VECTORS = np.array([psi.amplitudes for psi in bell_basis()])
 
 def bell_diagonal_stack(lams) -> np.ndarray:
     """Two-qubit matrices diagonal in the Bell basis, one per row of ``(k, 4)`` weights."""
-    if np.ndim(lams) == 2:  # sized before bell_spectrum passes over the weights
-        _stack_fits(len(lams), 4)
+    _stack_fits(np.size(lams) // 4, 4)  # four weights a matrix, sized before any pass over them
     lams = bell_spectrum(lams)
     if lams.ndim != 2:
         raise ValueError(f"spectra must form a (k, 4) array, got shape {lams.shape}")
@@ -675,21 +679,24 @@ def partial_trace_b(rho: DensityOperator) -> np.ndarray:
 
 
 def random_pure(dim_a: int, dim_b: int, seed=None) -> PureState:
-    """Haar-random pure state on ``C^{d_a} (x) C^{d_b}``."""
+    """Haar-random pure state on ``C^{d_a} (x) C^{d_b}``; ``seed``, if given, is an integer."""
     dim_a, dim_b = _dims(dim_a, dim_b)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(None if seed is None else _index(seed, "seed"))
     z = rng.standard_normal(dim_a * dim_b) + 1j * rng.standard_normal(dim_a * dim_b)
     return PureState(z / np.linalg.norm(z), dim_a, dim_b)
 
 
 def random_density(dim_a: int, dim_b: int, rank: int | None = None, seed=None) -> DensityOperator:
-    """Random density operator of the given rank (full rank by default)."""
+    """Random density operator of the given rank (full rank by default).
+
+    ``seed``, if given, is an integer, as for :func:`random_pure`.
+    """
     dim_a, dim_b = _dims(dim_a, dim_b)
     n = dim_a * dim_b
     rank = n if rank is None else _index(rank, "rank")
     if not 1 <= rank <= n:
         raise ValueError(f"rank must lie in [1, {n}], got {rank}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(None if seed is None else _index(seed, "seed"))
     g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
     m = g @ g.conj().T
     return DensityOperator(m / np.real(np.trace(m)), dim_a, dim_b)

@@ -2,7 +2,10 @@
 
 Each callable of ``ccnr.__all__`` is called with the values of ``VALUES`` in
 its required positional arguments: every argument holds one value, except one
-that holds another, over all pairs of values.  A call must return, or raise
+that holds another, over all pairs of values.  Each keyword number that has a
+default (``tol_herm``, ``tol_psd``, ``seed`` and ``rank``, and the tolerances
+of ``PureState.projector``) is then given each value, with valid required
+arguments.  A call must return, or raise
 ``ValueError`` or ``TypeError`` with a non-empty message; a warning counts as
 a fault.  The walk runs in one child process under a 1 GiB address-space
 limit, so a call that tried a runaway allocation ends there in a
@@ -45,6 +48,20 @@ def _arity(f):
 
 
 walked, faults = {}, {}
+
+
+def _call(name, pick, f, args, kwargs):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f(*args, **kwargs)
+    except (ValueError, TypeError) as exc:
+        if not str(exc):
+            faults.setdefault(name, []).append(f"{pick}: empty {type(exc).__name__}")
+    except Exception as exc:
+        faults.setdefault(name, []).append(f"{pick}: {type(exc).__name__}: {exc}")
+
+
 callables = {name: getattr(ccnr, name) for name in ccnr.__all__}
 for name, f in {**callables, "_probe": _probe}.items():
     if not callable(f):
@@ -54,15 +71,22 @@ for name, f in {**callables, "_probe": _probe}.items():
              for v in range(len(VALUES)) for w in range(len(VALUES))} or {()}
     walked[name] = len(picks)
     for pick in sorted(picks):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                f(*(VALUES[i] for i in pick))
-        except (ValueError, TypeError) as exc:
-            if not str(exc):
-                faults.setdefault(name, []).append(f"{pick}: empty {type(exc).__name__}")
-        except Exception as exc:
-            faults.setdefault(name, []).append(f"{pick}: {type(exc).__name__}: {exc}")
+        _call(name, pick, f, [VALUES[i] for i in pick], {})
+
+# The keyword numbers, each walked with these required arguments; a callable that gains
+# one and is missing here ends the walk in a KeyError.
+KEYWORD_NUMBERS = {"tol_herm", "tol_psd", "seed", "rank"}
+REQUIRED = {"DensityOperator": (np.eye(4) / 4,), "validate_stack": (np.eye(4) / 4,),
+            "random_density": (2, 2), "random_pure": (2, 2), "random_unitary": (2,),
+            "PureState.projector": ()}
+takers = {**callables, "PureState.projector": max_entangled(2).projector}
+for name, f in takers.items():
+    keywords = inspect.signature(f).parameters if callable(f) else {}
+    for keyword in sorted(KEYWORD_NUMBERS.intersection(keywords)):
+        label = f"{name}({keyword}=)"
+        walked[label] = len(VALUES)
+        for v, value in enumerate(VALUES):
+            _call(label, (v,), f, REQUIRED[name], {keyword: value})
 print(json.dumps({"walked": walked, "faults": faults, "values": len(VALUES)}))
 """
 
@@ -82,7 +106,12 @@ def test_every_public_callable_returns_or_refuses_hostile_arguments_with_a_messa
     assert walk["faults"] == {}
     # Every callable was walked, with every value in every required argument.
     exported = {name for name in ccnr.__all__ if callable(getattr(ccnr, name))}
-    assert set(walk["walked"]) == exported | {"_probe"}
+    keywords = {f"{name}({keyword}=)" for name, names in [
+        ("DensityOperator", ["tol_herm", "tol_psd"]), ("validate_stack", ["tol_herm", "tol_psd"]),
+        ("PureState.projector", ["tol_herm", "tol_psd"]), ("random_density", ["rank", "seed"]),
+        ("random_pure", ["seed"]), ("random_unitary", ["seed"])] for keyword in names}
+    assert set(walk["walked"]) == exported | {"_probe"} | keywords
+    assert all(walk["walked"][label] == 18 for label in keywords)
     assert walk["walked"]["_probe"] == walk["values"] == 18
     assert walk["walked"]["realign_matrix"] == 18 + 3 * 18 * 17
     # The probe's faults show that the walk sees both kinds of fault.

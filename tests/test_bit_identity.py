@@ -168,11 +168,11 @@ def test_closed_form_arrays_and_scalars_keep_the_scalar_bits(name):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: tau_werner_closed(3, [0.5, 1.5, 2.0]), "expectation must lie in [-1, 1], got 1.5"),
-    (lambda: gamma_werner_closed(3, np.array([-1.0, np.nan])), "got nan"),
+    (lambda: gamma_werner_closed(3, np.array([-1.0, np.nan])), "flip expectation must be finite"),
     (lambda: tau_isotropic_closed(3, [0.5, -0.25]), "fidelity must lie in [0, 1], got -0.25"),
     (lambda: gamma_isotropic_closed(3, 1.25), "fidelity must lie in [0, 1], got 1.25"),
     (lambda: tau_qubit_family_closed([0.0, 1.0, 1.125]), "weight must lie in [0, 1], got 1.125"),
-    (lambda: tau_qutrit_family_closed([2.0, np.inf]), "parameter must lie in [2, 5], got inf"),
+    (lambda: tau_qutrit_family_closed([2.0, np.inf]), "parameter must be finite"),
     (lambda: tau_bell_diagonal_closed([[1.0, 0, 0, 0], [0.5, 0.5, 0.5, 0]]), "sum to 1, got 1.5"),
     (lambda: gamma_bell_diagonal_closed([[1.0, 0, 0, 0], [1.5, -0.5, 0, 0]]), "got min -0.5"),
 ])

@@ -210,8 +210,9 @@ def test_the_command_line_declares_each_argument_once_and_argparse_requires_out(
 
 
 def _owners(tree: ast.Module, hit) -> list[str]:
-    """The top-level function around each node where ``hit`` holds; ``<module>`` outside one."""
-    return [stmt.name if isinstance(stmt, ast.FunctionDef) else "<module>"
+    """The top-level function or class around each node where ``hit`` holds; ``<module>``
+    outside one."""
+    return [stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else "<module>"
             for stmt in tree.body for node in ast.walk(stmt) if hit(node)]
 
 
@@ -635,22 +636,78 @@ def _number_conversion(node: ast.AST) -> bool:
     return any(getattr(d, "id", getattr(d, "attr", None)) in _INEXACT for d in dtypes)
 
 
-def _numpy_isfinite(node: ast.AST) -> bool:
-    """``np.isfinite`` or ``numpy.isfinite``, called or passed."""
-    return isinstance(node, ast.Attribute) and node.attr == "isfinite" \
-        and getattr(node.value, "id", None) in ("np", "numpy")
+def _finiteness_test(node: ast.AST) -> bool:
+    """``isfinite`` or ``nextafter``, of numpy or ``math`` or imported bare, called or passed."""
+    return isinstance(node, ast.Attribute) and node.attr in ("isfinite", "nextafter") \
+        or isinstance(node, ast.Name) and node.id in ("isfinite", "nextafter")
 
 
 def test_finiteness_is_tested_by_the_one_conversion():
-    # Every named refusal of NaN or inf ("weights", "coefficients", "a cross norm") is _numbers'.
-    assert _in_sources(_numpy_isfinite) == [("linalg.py", "_numbers")]
+    # Every named refusal of NaN or inf (a tolerance, a family parameter, the sweep range,
+    # "weights", "a cross norm") is _numbers'.  The state-file reader's JSON-integer hook
+    # tests math.isinf, its own rule for integer literals past the float range.
+    assert _in_sources(_finiteness_test) == [("linalg.py", "_numbers")]
 
 
 def test_the_isfinite_scan_sees_each_form():
     tree = ast.parse("def f(x):\n    return np.isfinite(x).all()\n"
                      "def g(x):\n    return x[~numpy.isfinite(x)]\n"
-                     "def h(x):\n    return math.isfinite(x) and all(map(np.isfinite, x))\n")
-    assert _owners(tree, _numpy_isfinite) == ["f", "g", "h"]
+                     "def h(x):\n    return math.isfinite(x) and all(map(np.isfinite, x))\n"
+                     "def k(x):\n    return x <= math.nextafter(math.inf, 0.0) and isfinite(x)\n"
+                     "def m(x):\n    return math.isinf(x) or finite(x)\n")
+    assert _owners(tree, _finiteness_test) == ["f", "g", "h", "h", "k", "k"]
+
+
+def _unnamed_numbers(node: ast.AST) -> bool:
+    """A call of ``_numbers`` that passes no name for its numbers, or passes ``None``."""
+    if not _calls_to("_numbers")(node):
+        return False
+    names = node.args[2:] + [keyword.value for keyword in node.keywords if keyword.arg == "name"]
+    return not names or any(isinstance(n, ast.Constant) and n.value is None for n in names)
+
+
+def test_every_number_is_admitted_by_name_but_an_invariant_residual():
+    # A Hermiticity residual may overflow to inf and must still raise as the invariant,
+    # so it meets no finiteness test and so no name.
+    assert _in_sources(_unnamed_numbers) == [("states.py", "InvariantViolation")]
+    admissions = set(_in_sources(_calls_to("_numbers")))
+    assert {("cli.py", "_parse_range"), ("states.py", "_in_domain")} <= admissions
+
+
+def test_the_unnamed_numbers_scan_sees_each_form():
+    tree = ast.parse("def f(x):\n    return _numbers(x, float)\n"
+                     "def g(x):\n    return _numbers(x, float, None) + _numbers(x, name=None)\n"
+                     "def h(x, name):\n    return linalg._numbers(x, complex, name) + "
+                     "_numbers(x, float, 'weights') + _numbers(x, float, name='weights')\n")
+    assert _owners(tree, _unnamed_numbers) == ["f", "g", "g"]
+
+
+def _unchecked_seed(node: ast.AST) -> bool:
+    """A ``default_rng`` call given a seed that is neither ``None`` nor an ``_index`` call."""
+    def checked(seed: ast.AST) -> bool:
+        if isinstance(seed, ast.IfExp):
+            return checked(seed.body) and checked(seed.orelse)
+        return isinstance(seed, ast.Constant) and seed.value is None or _calls_to("_index")(seed)
+
+    if not _calls_to("default_rng")(node):
+        return False
+    return not all(map(checked, node.args + [keyword.value for keyword in node.keywords]))
+
+
+def test_every_seed_is_an_integer_by_the_one_conversion():
+    assert _in_sources(_calls_to("default_rng")) == [
+        ("linalg.py", "random_unitary"), ("states.py", "random_density"),
+        ("states.py", "random_pure")]
+    assert _in_sources(_unchecked_seed) == []
+
+
+def test_the_seed_scan_sees_each_form():
+    tree = ast.parse("def f(seed):\n    return np.random.default_rng(seed)\n"
+                     "def g(s):\n    return default_rng(int(s)), default_rng(seed=s)\n"
+                     "def h(s):\n    return default_rng(None if s is None else s)\n"
+                     "def k(s):\n    return np.random.default_rng(None if s is None else "
+                     "_index(s, 'seed')), default_rng(), default_rng(_index(s, 'seed'))\n")
+    assert _owners(tree, _unchecked_seed) == ["f", "g", "g", "h"]
 
 
 def test_a_number_is_converted_to_floats_by_one_function():

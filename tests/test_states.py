@@ -341,7 +341,10 @@ def test_bell_diagonal_state_names_the_shape_passed():
 @pytest.mark.parametrize("keyword", ["tol_herm", "tol_psd"])
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
 def test_validate_stack_refuses_a_bad_tolerance(keyword, tol):
-    with pytest.raises(ValueError, match=f"{keyword} must be finite and nonnegative"):
+    # A tolerance is a number in [0, inf): one message for each way out of it.
+    refusal = "must lie in [0, inf], got -1.0" if tol < 0 else "must be finite"
+    message = f"{keyword} {refusal}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         validate_stack(np.eye(4) / 4, **{keyword: tol})
 
 
@@ -897,8 +900,11 @@ def _poisoned(value, *stack):
     (lambda: DensityOperator(_poisoned(np.inf)), "density matrix entries must be finite"),
     (lambda: DensityOperator(_poisoned(np.nan, 3), 2, 2), "density matrix entries must be finite"),
     (lambda: DensityOperator(_poisoned(-np.inf, 2, 3)), "density matrix entries must be finite"),
+    (lambda: werner_stack(3, [0.5, np.nan]), "flip expectation must be finite"),
+    (lambda: qutrit_family(-np.inf), "parameter must be finite"),
 ], ids=["dims-do-not-factor", "not-square", "stack-of-rows", "nan-amplitude",
-        "nan-entry", "inf-entry", "nan-entry-in-a-stack", "inf-entry-in-a-stack"])
+        "nan-entry", "inf-entry", "nan-entry-in-a-stack", "inf-entry-in-a-stack",
+        "nan-parameter-in-a-stack", "inf-parameter"])
 def test_constructors_refuse_malformed_input_by_name(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as excinfo:
         make()
@@ -995,26 +1001,28 @@ def test_a_pure_state_or_gamma_reader_refuses_another_type_by_the_one_check(call
         call()
 
 
-# A Python int past the float range is refused where numbers are converted, not by OverflowError.
-@pytest.mark.parametrize("call", [
-    lambda: werner_state(3, 10**400),
-    lambda: ccnr.tau_werner_closed(3, 10**400),
-    lambda: ccnr.realign_matrix([[10**400, 0]], 1, 2),
-    lambda: InvariantViolation("x", 10**400),
-    lambda: ccnr.report_stack(werner_state(2, 0.1), GammaValue(10**400, "werner")),
-    lambda: DensityOperator([[10**400, 0], [0, 0]]),
-    lambda: PureState([-10**400, 0, 0, 0]),
-    lambda: ccnr.ferrers_determinant([1, 10**400]),
+# A Python int past the float range is refused where numbers are converted, not by OverflowError,
+# and named as the function names the numbers; an invariant's residual has no name.
+@pytest.mark.parametrize("call, name", [
+    (lambda: werner_state(3, 10**400), "flip expectation"),
+    (lambda: ccnr.tau_werner_closed(3, 10**400), "flip expectation"),
+    (lambda: ccnr.realign_matrix([[10**400, 0]], 1, 2), "matrix entries"),
+    (lambda: InvariantViolation("x", 10**400), "numbers"),
+    (lambda: ccnr.report_stack(werner_state(2, 0.1), GammaValue(10**400, "werner")),
+     "a cross norm"),
+    (lambda: DensityOperator([[10**400, 0], [0, 0]]), "density matrix entries"),
+    (lambda: PureState([-10**400, 0, 0, 0]), "amplitudes"),
+    (lambda: ccnr.ferrers_determinant([1, 10**400]), "coefficients"),
 ], ids=["werner_state", "tau_werner_closed", "realign_matrix", "InvariantViolation",
         "report_stack-gamma", "DensityOperator", "PureState", "ferrers_determinant"])
-def test_an_integer_past_the_float_range_is_refused_as_a_value_error(call):
-    with pytest.raises(ValueError, match="^numbers must lie within the float range$"):
+def test_an_integer_past_the_float_range_is_refused_as_a_value_error(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must lie within the float range$"):
         call()
 
 
 @pytest.mark.parametrize("name", ["tol_herm", "tol_psd"])
-def test_a_tolerance_past_the_float_range_is_refused_as_not_finite(name):
-    with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative, got 1000"):
+def test_a_tolerance_past_the_float_range_is_refused_by_name(name):
+    with pytest.raises(ValueError, match=f"^{name} must lie within the float range$"):
         DensityOperator(np.eye(4) / 4, 2, 2, **{name: 10**400})
 
 
@@ -1041,6 +1049,8 @@ _COERCIONS = {
     "DensityOperator-text": lambda: DensityOperator(_IDENTITY_TEXT),
     "kron-bool-array": lambda: ccnr.kron(np.eye(2, dtype=bool), [[1]]),
     "InvariantViolation-text": lambda: InvariantViolation("x", "0.5"),
+    "werner_state-0-d-text": lambda: werner_state(3, np.array("0.5")),
+    "werner_state-0-d-bool": lambda: werner_state(3, np.array(True)),
 }
 
 
@@ -1060,12 +1070,14 @@ def test_a_tolerance_that_is_text_or_a_boolean_is_refused_by_name(name, tol):
 # A complex number where real ones are asked for: numpy would cast it to its real part with
 # only a warning (a NumPy scalar or array) or refuse it with a bare TypeError (a Python complex).
 _COMPLEX = {
-    "werner_state-np.complex128": (lambda: werner_state(3, np.complex128(0.5 + 1j)), "numbers"),
-    "tau_werner_closed-array": (lambda: ccnr.tau_werner_closed(3, np.array([0.5 + 1j])), "numbers"),
-    "werner_stack-list": (lambda: werner_stack(3, [0.5, 0.5j]), "numbers"),
+    "werner_state-np.complex128": (lambda: werner_state(3, np.complex128(0.5 + 1j)),
+                                   "flip expectation"),
+    "tau_werner_closed-array": (lambda: ccnr.tau_werner_closed(3, np.array([0.5 + 1j])),
+                                "flip expectation"),
+    "werner_stack-list": (lambda: werner_stack(3, [0.5, 0.5j]), "flip expectation"),
     "gamma_isotropic_closed-np.complex64": (
-        lambda: ccnr.gamma_isotropic_closed(3, np.complex64(0.1)), "numbers"),
-    "qutrit_family-complex": (lambda: qutrit_family(3 + 0j), "numbers"),
+        lambda: ccnr.gamma_isotropic_closed(3, np.complex64(0.1)), "fidelity"),
+    "qutrit_family-complex": (lambda: qutrit_family(3 + 0j), "parameter"),
     "bell_spectrum-array": (lambda: bell_spectrum(np.full(4, 0.25, dtype=complex)), "weights"),
     "pure_from_schmidt-list": (lambda: pure_from_schmidt([0.5 + 0j, 0.5], 2, 2), "coefficients"),
     "is_separable_closed-complex": (lambda: ccnr.is_separable_closed(GammaValue(1 + 0j, "x")),
@@ -1097,6 +1109,66 @@ def test_a_tolerance_that_is_not_a_single_number_is_refused_by_name(name, tol):
         DensityOperator(np.eye(4) / 4, 2, 2, **{name: tol})
 
 
+# Anything that is not a number is refused as such, by the name of the numbers: numpy read
+# None as NaN ("... got nan") and ended others in a bare TypeError.
+_NOT_NUMBERS = {
+    "werner_state-None": (lambda: werner_state(3, None), "flip expectation", "NoneType"),
+    "werner_stack-object": (lambda: werner_stack(3, [0.5, object()]), "flip expectation", "object"),
+    "tau_qubit_family_closed-dict": (lambda: ccnr.tau_qubit_family_closed({}), "mixing weight",
+                                     "dict"),
+    "bell_spectrum-None": (lambda: bell_spectrum([0.25, 0.25, 0.25, None]), "weights", "NoneType"),
+    "PureState-None": (lambda: PureState([None, 1, 0, 0]), "amplitudes", "NoneType"),
+    "InvariantViolation-None": (lambda: InvariantViolation("x", None), "numbers", "NoneType"),
+    "tau_werner_closed-ragged": (lambda: ccnr.tau_werner_closed(3, [[0.5], 0.5]),
+                                 "flip expectation", "list"),
+}
+
+
+@pytest.mark.parametrize("call, name, kind", _NOT_NUMBERS.values(), ids=_NOT_NUMBERS.keys())
+def test_a_value_that_is_not_a_number_is_refused_by_the_name_of_the_numbers(call, name, kind):
+    with pytest.raises(ValueError, match=f"^{name} must be of a numeric kind, got {kind}$"):
+        call()
+
+
+_TOLERANCE_TAKERS = {
+    "DensityOperator": lambda **tol: DensityOperator(np.eye(4) / 4, 2, 2, **tol),
+    "projector": lambda **tol: max_entangled(2).projector(**tol),
+}
+
+
+@pytest.mark.parametrize("take", _TOLERANCE_TAKERS.values(), ids=_TOLERANCE_TAKERS.keys())
+@pytest.mark.parametrize("name", ["tol_herm", "tol_psd"])
+@pytest.mark.parametrize("tol, kind", [(None, "NoneType"), (object(), "object"), ({}, "dict")],
+                         ids=["None", "object", "dict"])
+def test_a_tolerance_that_is_not_a_number_is_refused_by_name(take, name, tol, kind):
+    with pytest.raises(ValueError, match=f"^{name} must be of a numeric kind, got {kind}$"):
+        take(**{name: tol})
+
+
+# A seed is an integer, by the rule of dims and ranks; numpy would take True as 1, and a
+# list as entropy.
+_SEEDED = {
+    "random_density": lambda seed: random_density(2, 2, seed=seed).matrix,
+    "random_pure": lambda seed: random_pure(2, 2, seed=seed).amplitudes,
+    "random_unitary": lambda seed: random_unitary(2, seed=seed),
+}
+
+
+@pytest.mark.parametrize("draw", _SEEDED.values(), ids=_SEEDED.keys())
+@pytest.mark.parametrize("seed", [True, np.True_, 1.5, "3", [1, 2]],
+                         ids=["True", "np.True_", "float", "text", "list"])
+def test_a_seed_that_is_not_an_integer_is_refused_by_name(draw, seed):
+    with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+        draw(seed)
+
+
+@pytest.mark.parametrize("draw", _SEEDED.values(), ids=_SEEDED.keys())
+def test_an_integer_seed_of_any_kind_draws_the_same_bits(draw):
+    for seed in (np.int64(7), np.uint8(7), np.array(7)):
+        assert draw(seed).tobytes() == draw(7).tobytes()
+    assert draw(None).shape == draw(7).shape
+
+
 # What stays a number, each with the bits the same value gives as a Python float.
 _SAME_NUMBERS = {
     "np.float64": (lambda: werner_state(3, np.float64(-0.3)).matrix,
@@ -1114,6 +1186,8 @@ _SAME_NUMBERS = {
                       lambda: DensityOperator(np.eye(4) / 4, tol_psd=0.0).matrix),
     "0-d-array-tolerance": (lambda: DensityOperator(np.eye(4) / 4, tol_psd=np.array(0.0)).matrix,
                             lambda: DensityOperator(np.eye(4) / 4, tol_psd=0.0).matrix),
+    "0-d-array": (lambda: werner_state(3, np.array(0.5)).matrix,
+                  lambda: werner_state(3, 0.5).matrix),
     "Fraction": (lambda: werner_state(3, Fraction(1, 2)).matrix,
                  lambda: werner_state(3, 0.5).matrix),
     "Fraction-gamma": (lambda: ccnr.robustness_lower_bound(GammaValue(Fraction(3, 2), "x")),

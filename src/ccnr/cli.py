@@ -67,7 +67,7 @@ from .states import (
     schmidt_decompose,
     werner_stack,
 )
-from .tolerances import GRID_SLACK, HERMITICITY_TOL, PSD_TOL
+from .tolerances import GRID_SLACK
 
 CSV_HEADER = "param,tau_numeric,tau_closed,gamma_closed,ppt_floor,reduction_floor,verdict"
 # Every number the command line prints, in a report or a sweep row: 12 significant digits.
@@ -199,12 +199,13 @@ def _read_state_text(path) -> str:
     return raw.decode("utf-8")
 
 
-def load_state_file(path, dims_override=None, *, tol_psd=PSD_TOL, tol_herm=HERMITICITY_TOL):
+def load_state_file(path, dims_override=None):
     """Parse a JSON state file into a (kind, state) pair.
 
     Malformed content raises ``ValueError``; a well-formed matrix that fails
-    a state invariant raises :class:`InvariantViolation`, and a file longer
-    than ``MAX_STATE_FILE_BYTES`` raises ``ValueError`` before it is parsed.
+    a state invariant, at the package's validation tolerances, raises
+    :class:`InvariantViolation`, and a file longer than
+    ``MAX_STATE_FILE_BYTES`` raises ``ValueError`` before it is parsed.
     """
     def integer(digits: str) -> float:  # a JSON integer, read as the float it spells
         if math.isinf(value := float(digits)):
@@ -250,7 +251,7 @@ def load_state_file(path, dims_override=None, *, tol_psd=PSD_TOL, tol_herm=HERMI
     # In C order, each pair of float64 holds the bytes of one complex entry.
     values = pairs.view(complex)[..., 0]
     if kind == "density":
-        return kind, DensityOperator(values, *dims, tol_psd=tol_psd, tol_herm=tol_herm)
+        return kind, DensityOperator(values, *dims)
     return kind, PureState(values, *dims)
 
 
@@ -315,18 +316,15 @@ def _family(name: str, d: int | None) -> tuple[Family, int, tuple]:
 def _read(args, kind=None):
     """The state in the file ``args.path``, the only place the commands load one.
 
-    It is read with ``args.dims`` and the command's ``--tol-psd`` and
-    ``--tol-herm``; ``schmidt`` has neither, and keeps the library defaults.
-    A command that needs one ``kind``, ``"pure"`` or ``"density"``, refuses
-    the other after the file and its invariants pass.  Without a ``kind``
-    (``check``), a pure state comes back as its projector, validated with the
-    same tolerances.
+    It is read with ``args.dims``.  A command that needs one ``kind``,
+    ``"pure"`` or ``"density"``, refuses the other after the file and its
+    invariants pass.  Without a ``kind`` (``check``), a pure state comes back
+    as its projector.
     """
-    tolerances = {"tol_psd": args.tol_psd, "tol_herm": args.tol_herm} if "tol_psd" in args else {}
-    found, state = load_state_file(args.path, args.dims, **tolerances)
+    found, state = load_state_file(args.path, args.dims)
     if kind not in (None, found):
         raise ValueError(f"{args.command} needs a {kind}-state file")
-    return state.projector(**tolerances) if kind is None and found == "pure" else state
+    return state.projector() if kind is None and found == "pure" else state
 
 
 def _print(**lines) -> None:
@@ -460,12 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_tolerances(p):
-        p.add_argument("--tol-psd", type=float, default=PSD_TOL, dest="tol_psd",
-                       help="positive-semidefiniteness tolerance (default %(default)s)")
-        p.add_argument("--tol-herm", type=float, default=HERMITICITY_TOL, dest="tol_herm",
-                       help="hermiticity tolerance (default %(default)s)")
-
     def add_family(p, choices):
         p.add_argument("family", choices=choices)
         p.add_argument("--d", type=int, default=None, help="local dimension")
@@ -478,14 +470,12 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="criteria report for a state file")
     add_state_file(check)
     check.add_argument("--json", action="store_true", help="emit one JSON object")
-    add_tolerances(check)
 
     schmidt = sub.add_parser("schmidt", help="Schmidt data of a pure-state file")
     add_state_file(schmidt)
 
     oschmidt = sub.add_parser("oschmidt", help="operator Schmidt data of a density file")
     add_state_file(oschmidt)
-    add_tolerances(oschmidt)
 
     gen = sub.add_parser("gen", help="write a family state to a file")
     add_family(gen, GEN_FAMILIES)

@@ -170,12 +170,12 @@ def random_unitary(d: int, seed=None) -> np.ndarray:
     """Haar-distributed ``d x d`` unitary from the QR of a complex Gaussian.
 
     ``d`` meets the rule for state dimensions: a positive integer of at most
-    ``states.MAX_MATRIX_SIDE``, and ``seed``, if given, is an integer.
+    ``states.MAX_MATRIX_SIDE``, and ``seed``, if given, is a nonnegative integer.
     """
-    from .states import _dims, _index  # states imports this module
+    from .states import _dims, _rng  # states imports this module
 
     (d,) = _dims(d)
-    rng = np.random.default_rng(None if seed is None else _index(seed, "seed"))
+    rng = _rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     phases = np.diagonal(r).copy()

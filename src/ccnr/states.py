@@ -227,7 +227,7 @@ def _check_kind(value, kind: type, caller: str) -> None:
 
     The one type check of a state-like argument: a ``DensityOperator`` (one
     state or a stack), a ``PureState`` or a ``GammaValue``.  A raw array is
-    refused, not validated with tolerances the caller never chose.
+    refused, not validated on the caller's behalf.
     """
     if not isinstance(value, kind):
         raise TypeError(f"{caller} needs a {kind.__name__}, got {type(value).__name__}")
@@ -255,8 +255,15 @@ def _check_invariant(invariant: str, residual: np.ndarray, failed: np.ndarray) -
         raise InvariantViolation(invariant, np.ravel(residual)[first[0]])
 
 
-def _certify_psd(m: np.ndarray, tol_psd: float) -> bool:
-    """Whether one Cholesky proves ``lambda_min > -tol_psd`` for every matrix of ``m``.
+def _psd_shift(n):
+    """The diagonal shift of :func:`_certify_psd` for side ``n``, or for each side of an array."""
+    trace = 1.0 + n * PSD_TOL  # bounds tr(A) and max a_ii
+    return PSD_TOL - (CHOLESKY_MARGIN * (n + 2) * _EPS * trace
+                      + 4 * n * (2 * (n + 1) + trace) * _SUBNORMAL)
+
+
+def _certify_psd(m: np.ndarray) -> bool:
+    """Whether one Cholesky proves ``lambda_min > -PSD_TOL`` for every matrix of ``m``.
 
     ``m`` is a Hermitian ``(..., n, n)`` stack of unit trace.  A stack whose
     imaginary parts are all zero is a real symmetric one, and only its real
@@ -272,26 +279,23 @@ def _certify_psd(m: np.ndarray, tol_psd: float) -> bool:
     definiteness", BIT 46 (2006) 433-452), which Rump extends by an
     underflow term ``4 n (2 (n + 1) + max a_ii) eta`` for the smallest
     subnormal ``eta``.  With ``tr(A)`` and ``max a_ii`` at most
-    ``1 + n tol_psd`` and ``u = eps / 2``, the margin
-    ``CHOLESKY_MARGIN (n + 2) eps (1 + n tol_psd)`` plus that underflow term
+    ``1 + n PSD_TOL`` and ``u = eps / 2``, the margin
+    ``CHOLESKY_MARGIN (n + 2) eps (1 + n PSD_TOL)`` plus that underflow term
     covers this bound and the rounding of the shifted diagonal, about
-    ``(n + 3) u (1 + n tol_psd)`` together, at least three times over.  With
-    ``shift = tol_psd - margin``, a factorization that runs to completion
-    makes ``A + E`` positive definite, so by Weyl's inequality
-    ``lambda_min(m) > -shift - ||E||_2 >= -tol_psd``.
+    ``(n + 3) u (1 + n PSD_TOL)`` together, at least three times over.  With
+    ``shift = PSD_TOL - margin`` (:func:`_psd_shift`), a factorization that
+    runs to completion makes ``A + E`` positive definite, so by Weyl's
+    inequality ``lambda_min(m) > -shift - ||E||_2 >= -PSD_TOL``.  The shift
+    is positive for every ``n`` up to ``MAX_MATRIX_SIDE``, and smallest
+    there, at 9.95e-11.
 
-    ``False`` proves nothing: the shift is not positive, or some matrix of
-    the stack has ``lambda_min`` within about ``margin`` of ``-tol_psd`` or
-    below it; the caller then measures ``lambda_min`` itself.
+    ``False`` proves nothing: some matrix of the stack has ``lambda_min``
+    within about ``margin`` of ``-PSD_TOL`` or below it; the caller then
+    measures ``lambda_min`` itself.
     """
     n = m.shape[-1]
-    trace = 1.0 + n * tol_psd  # bounds tr(A) and max a_ii
-    shift = tol_psd - (CHOLESKY_MARGIN * (n + 2) * _EPS * trace
-                       + 4 * n * (2 * (n + 1) + trace) * _SUBNORMAL)
-    if shift <= 0.0:
-        return False
     shifted = (m if m.imag.any() else m.real).copy()
-    shifted.reshape(m.shape[:-2] + (n * n,))[..., :: n + 1] += shift
+    shifted.reshape(m.shape[:-2] + (n * n,))[..., :: n + 1] += _psd_shift(n)
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
@@ -329,8 +333,9 @@ class DensityOperator(_Bipartite):
     within tolerance.  Accepted matrices are symmetrized, trace-renormalized
     and frozen read-only.  The first matrix failing an invariant raises
     :class:`InvariantViolation` with its residual; invariants are checked in
-    that order over the whole stack.  Each tolerance is a single real number
-    in ``[0, inf)``, admitted as a family parameter is, and used as given.
+    that order over the whole stack.  The tolerances are the constants
+    ``HERMITICITY_TOL``, ``TRACE_TOL`` and ``PSD_TOL``, which no caller
+    sets: they absorb rounding, and the criteria are exact statements.
 
     A stack with ``matrix == matrix^dag`` in every entry, as every builder
     of this module and ``random_density`` make, has Hermiticity residual 0,
@@ -338,16 +343,14 @@ class DensityOperator(_Bipartite):
     that differs in any bit sends the whole stack through that measurement.
     Either way the stored matrix is ``(h + h^dag) / 2`` over its trace.
 
-    Positive semidefiniteness, ``lambda_min >= -tol_psd``, is first
+    Positive semidefiniteness, ``lambda_min >= -PSD_TOL``, is first
     certified by one Cholesky factorization of the stack shifted by just
-    under ``tol_psd``, in real arithmetic for a real-valued stack; its
-    success proves ``lambda_min > -tol_psd`` for every
-    matrix (see :func:`_certify_psd`), rank-deficient ones included.  Only
-    when it fails, or when ``tol_psd`` is too small to leave a positive
-    shift (``tol_psd = 0``, say), does ``eigvalsh`` measure each
-    ``lambda_min``, which then decides acceptance and is the refused
-    matrix's residual.  The criteria take one state or a stack and return one
-    value per state.
+    under ``PSD_TOL``, in real arithmetic for a real-valued stack; its
+    success proves ``lambda_min > -PSD_TOL`` for every matrix (see
+    :func:`_certify_psd`), rank-deficient ones included.  Only when it fails
+    does ``eigvalsh`` measure each ``lambda_min``, which then decides
+    acceptance and is the refused matrix's residual.  The criteria take one
+    state or a stack and return one value per state.
     """
 
     __slots__ = ("dim_a", "dim_b", "matrix")
@@ -355,24 +358,13 @@ class DensityOperator(_Bipartite):
     # Entries near the float limit overflow in the checks; the invariant that
     # fails then raises its own error, with no numpy warning before it.
     @np.errstate(over="ignore", invalid="ignore")
-    def __init__(
-        self,
-        matrix,
-        dim_a: int | None = None,
-        dim_b: int | None = None,
-        *,
-        tol_herm: float = HERM_TOL,
-        tol_psd: float = PSD_TOL,
-    ):
-        for name, tol in (("tol_herm", tol_herm), ("tol_psd", tol_psd)):
-            if _in_domain(tol, 0.0, math.inf, name).ndim:
-                raise ValueError(f"{name} must be a single number, got {tol!r}")
+    def __init__(self, matrix, dim_a: int | None = None, dim_b: int | None = None):
         m = _numbers(matrix, complex, "density matrix entries")
         if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
         dim_a, dim_b = _infer_dims(m.shape[-1], dim_a, dim_b)
 
-        m, herm_residual, bound = _hermitian_part(m, tol_herm)
+        m, herm_residual, bound = _hermitian_part(m, HERM_TOL)
         _check_invariant("hermiticity", herm_residual, herm_residual > bound)
 
         trace = np.real(np.trace(m, axis1=-2, axis2=-1))
@@ -380,9 +372,9 @@ class DensityOperator(_Bipartite):
         _check_invariant("unit_trace", deviation, deviation > TRACE_TOL)
         m /= trace[..., None, None]
 
-        if not _certify_psd(m, tol_psd):
+        if not _certify_psd(m):
             min_eig = np.linalg.eigvalsh(m)[..., 0]
-            _check_invariant("positive_semidefinite", min_eig, min_eig < -tol_psd)
+            _check_invariant("positive_semidefinite", min_eig, min_eig < -PSD_TOL)
 
         self._freeze(dim_a, dim_b, m)
 
@@ -409,14 +401,9 @@ class PureState(_Bipartite):
         """The ``d_a x d_b`` matrix ``c`` with ``c[a, b] = <a (x) b|psi>``."""
         return self.amplitudes.reshape(self.dim_a, self.dim_b)
 
-    def projector(
-        self, *, tol_herm: float = HERM_TOL, tol_psd: float = PSD_TOL
-    ) -> DensityOperator:
-        """The rank-one density operator ``|psi><psi|``, validated with the given tolerances."""
-        return DensityOperator(
-            np.outer(self.amplitudes, self.amplitudes.conj()), self.dim_a, self.dim_b,
-            tol_herm=tol_herm, tol_psd=tol_psd,
-        )
+    def projector(self) -> DensityOperator:
+        """The rank-one density operator ``|psi><psi|``, validated as every state is."""
+        return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()), *self.dims)
 
 
 @dataclass(frozen=True)
@@ -678,10 +665,20 @@ def partial_trace_b(rho: DensityOperator) -> np.ndarray:
     return np.trace(_state_tensor(rho, "partial_trace_b"), axis1=-3, axis2=-1)
 
 
+def _rng(seed) -> np.random.Generator:
+    """The generator of a random state or unitary: ``seed`` is ``None`` or a nonnegative integer."""
+    if seed is not None and _index(seed, "seed") < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    return np.random.default_rng(None if seed is None else _index(seed, "seed"))
+
+
 def random_pure(dim_a: int, dim_b: int, seed=None) -> PureState:
-    """Haar-random pure state on ``C^{d_a} (x) C^{d_b}``; ``seed``, if given, is an integer."""
+    """Haar-random pure state on ``C^{d_a} (x) C^{d_b}``.
+
+    ``seed``, if given, is a nonnegative integer.
+    """
     dim_a, dim_b = _dims(dim_a, dim_b)
-    rng = np.random.default_rng(None if seed is None else _index(seed, "seed"))
+    rng = _rng(seed)
     z = rng.standard_normal(dim_a * dim_b) + 1j * rng.standard_normal(dim_a * dim_b)
     return PureState(z / np.linalg.norm(z), dim_a, dim_b)
 
@@ -689,14 +686,14 @@ def random_pure(dim_a: int, dim_b: int, seed=None) -> PureState:
 def random_density(dim_a: int, dim_b: int, rank: int | None = None, seed=None) -> DensityOperator:
     """Random density operator of the given rank (full rank by default).
 
-    ``seed``, if given, is an integer, as for :func:`random_pure`.
+    ``seed``, if given, is a nonnegative integer, as for :func:`random_pure`.
     """
     dim_a, dim_b = _dims(dim_a, dim_b)
     n = dim_a * dim_b
     rank = n if rank is None else _index(rank, "rank")
     if not 1 <= rank <= n:
         raise ValueError(f"rank must lie in [1, {n}], got {rank}")
-    rng = np.random.default_rng(None if seed is None else _index(seed, "seed"))
+    rng = _rng(seed)
     g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
     m = g @ g.conj().T
     return DensityOperator(m / np.real(np.trace(m)), dim_a, dim_b)

@@ -112,6 +112,8 @@ _REFUSALS = [
     ["check", "werner2_1.json", "--dims", "a,b"],
     *(["check", name] for name in _REFUSED_FILES),
     ["schmidt", "schmidt_3x4.json", "--dims", "2,2"],
+    ["gen", "random", "--dims", "2,2", "--seed", "-1", "--out", "refused.json"],
+    ["check", "werner2_1.json", "--tol-psd", "1e-9"],
 ]
 
 

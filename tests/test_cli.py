@@ -108,9 +108,13 @@ def _write_diagonal_density(path, diag):
     path.write_text(json.dumps(payload), encoding="utf-8")
 
 
-# The refusal of each bad tolerance, for the name the library takes the flag's value under.
-_BAD_TOLERANCES = {"nan": "{} must be finite", "inf": "{} must be finite",
-                   "-1": "{} must lie in [0, inf], got -1.0"}
+# The validation tolerances are the package's constants: argparse refuses a flag that would
+# set one, with exit 2, before the file is read, so a file that is no state is refused the same.
+def _refuses_the_flag(capsys, argv: list[str]) -> None:
+    """``argv`` is a command, its file and the flag."""
+    assert main(argv) == 2
+    flag = " ".join(argv[2:])
+    assert capsys.readouterr().err.endswith(f"ccnr: error: unrecognized arguments: {flag}\n")
 
 
 @pytest.mark.parametrize("flag", ["--tol-psd", "--tol-herm"])
@@ -124,16 +128,18 @@ def test_check_refuses_a_tolerance_that_is_not_finite_and_nonnegative(
         _write_max_entangled_density(state_file)
     else:
         _write_diagonal_density(state_file, [1.5, -0.5, 0.0, 0.0])
-    assert main(["check", str(state_file), f"{flag}={value}"]) == 2
-    message = _BAD_TOLERANCES[value].format(flag[2:].replace("-", "_"))
-    assert capsys.readouterr().err == f"error: {message}\n"
+    _refuses_the_flag(capsys, ["check", str(state_file), f"{flag}={value}"])
 
 
-def test_check_tol_psd_widens_the_eigenvalue_band(tmp_path):
+@pytest.mark.parametrize("command", ["check", "oschmidt"])
+@pytest.mark.parametrize("flag", ["--tol-psd", "--tol-herm"])
+def test_a_state_past_the_eigenvalue_band_is_refused_and_no_flag_widens_it(tmp_path, capsys,
+                                                                         command, flag):
     state_file = tmp_path / "slightly_negative.json"
     _write_diagonal_density(state_file, [0.5 + 5e-9, 0.5, 0.0, -5e-9])
-    assert main(["check", str(state_file)]) == 3
-    assert main(["check", str(state_file), "--tol-psd", "1e-8"]) == 0
+    assert main([command, str(state_file)]) == 3
+    capsys.readouterr()
+    _refuses_the_flag(capsys, [command, str(state_file), flag, "1e-8"])
 
 
 @pytest.mark.parametrize("flag", ["--tol-psd", "--tol-herm"])
@@ -141,21 +147,15 @@ def test_check_tol_psd_widens_the_eigenvalue_band(tmp_path):
 def test_check_refuses_a_bad_tolerance_on_a_pure_file(tmp_path, capsys, flag, value):
     state_file = tmp_path / "pure.json"
     write_state_file(state_file, max_entangled(2))
-    assert main(["check", str(state_file), f"{flag}={value}"]) == 2
-    message = _BAD_TOLERANCES[value].format(flag[2:].replace("-", "_"))
-    assert capsys.readouterr().err == f"error: {message}\n"
+    _refuses_the_flag(capsys, ["check", str(state_file), f"{flag}={value}"])
 
 
 def test_check_passes_its_tolerances_to_a_pure_file(tmp_path, capsys):
-    state_file = tmp_path / "pure.json"
-    write_state_file(state_file, max_entangled(2))
-    assert main(["check", str(state_file), "--json"]) == 0
-    default = capsys.readouterr().out
-    assert main(["check", str(state_file), "--json", "--tol-psd=1e-6", "--tol-herm=1e-6"]) == 0
-    assert capsys.readouterr().out == default
-    # The projector of a vector with a negative rounding eigenvalue fails only a zero tol_psd.
+    # check validates a pure file's projector with the tolerances of a density file: the
+    # projector of a vector with a negative rounding eigenvalue is accepted.
     from ccnr.states import random_pure
 
+    state_file = tmp_path / "pure.json"
     for seed in range(40):
         write_state_file(state_file, random_pure(2, 3, seed=seed))
         smallest = np.linalg.eigvalsh(load_state_file(state_file)[1].projector().matrix)[0]
@@ -163,8 +163,19 @@ def test_check_passes_its_tolerances_to_a_pure_file(tmp_path, capsys):
             break
     else:
         pytest.fail("no projector with a negative rounding eigenvalue among the seeds")
-    assert main(["check", str(state_file), "--tol-psd=0"]) == 3
-    assert main(["check", str(state_file), f"--tol-psd={-float(smallest)!r}"]) == 0
+    assert main(["check", str(state_file), "--json"]) == 0
+    from_pure = capsys.readouterr().out
+    write_state_file(tmp_path / "projector.json", load_state_file(state_file)[1].projector())
+    assert main(["check", str(tmp_path / "projector.json"), "--json"]) == 0
+    assert capsys.readouterr().out == from_pure
+
+
+@pytest.mark.parametrize("keyword", ["tol_psd", "tol_herm"])
+def test_a_state_file_is_read_with_no_tolerance_of_the_caller(tmp_path, keyword):
+    state_file = tmp_path / "bell.json"
+    _write_max_entangled_density(state_file)
+    with pytest.raises(TypeError, match=f"got an unexpected keyword argument '{keyword}'$"):
+        load_state_file(state_file, **{keyword: 1e-9})
 
 
 def test_check_dims_override(tmp_path, capsys):

@@ -695,7 +695,9 @@ def _unchecked_seed(node: ast.AST) -> bool:
 
 
 def test_every_seed_is_an_integer_by_the_one_conversion():
-    assert _in_sources(_calls_to("default_rng")) == [
+    # One generator for the three random functions, which refuses a negative seed by name.
+    assert _in_sources(_calls_to("default_rng")) == [("states.py", "_rng")]
+    assert _in_sources(_calls_to("_rng")) == [
         ("linalg.py", "random_unitary"), ("states.py", "random_density"),
         ("states.py", "random_pure")]
     assert _in_sources(_unchecked_seed) == []
@@ -725,3 +727,34 @@ def test_the_number_conversion_scan_sees_each_form():
         " + np.asarray(x) + np.asarray(x, dtype=object) + x.astype(int)\n"
         "def n(x):\n    try:\n        return float(x)\n    except ValueError:\n        pass\n")
     assert _owners(tree, _number_conversion) == ["f", "f", "g", "h", "k"]
+
+
+# The validation tolerances are constants: no parameter, option or text names a settable one,
+# and PSD_TOL is read by the certificate's shift and by the constructor's eigenvalue test.
+_TOLERANCE_KNOBS = ("tol_psd", "tol_herm", "tol-psd", "tol-herm")
+
+
+def _knob_tokens(path: Path) -> list[int]:
+    """Lines of ``path`` holding a token (a name, a string or a comment) that spells a knob."""
+    return [tok.start[0] for tok in _tokens(path) if any(k in tok.string for k in _TOLERANCE_KNOBS)]
+
+
+def _reads_the_psd_tolerance(node: ast.AST) -> bool:
+    return isinstance(node, ast.Name) and node.id == "PSD_TOL" and isinstance(node.ctx, ast.Load)
+
+
+def test_no_validation_tolerance_can_be_set():
+    assert [(path.name, line) for path in SOURCES for line in _knob_tokens(path)] == []
+    assert _files_naming("PSD_TOL") == {"states.py", "tolerances.py"}
+    assert set(_in_sources(_reads_the_psd_tolerance)) == {
+        ("states.py", "_psd_shift"), ("states.py", "DensityOperator")}
+
+
+def test_the_tolerance_scans_see_each_form(tmp_path):
+    source = tmp_path / "knobs.py"
+    source.write_text("def f(x, tol_psd=PSD_TOL):\n    return x  # tol_herm\n"
+                      "p.add_argument('--tol-psd')\nclass C:\n    limit = -PSD_TOL\n",
+                      encoding="utf-8")
+    assert _knob_tokens(source) == [1, 2, 3]
+    assert _owners(ast.parse(source.read_text(encoding="utf-8")), _reads_the_psd_tolerance) \
+        == ["f", "C"]

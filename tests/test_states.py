@@ -15,6 +15,7 @@ from ccnr.crossnorm import GammaValue, gamma_bell_diagonal_closed
 from ccnr.linalg import _hermitian_part, random_unitary
 from ccnr.realign import tau_bell_diagonal_closed
 from ccnr.states import (
+    MAX_MATRIX_SIDE,
     DensityOperator,
     InvariantViolation,
     PureState,
@@ -43,6 +44,7 @@ from ccnr.states import (
     werner_stack,
     werner_state,
 )
+from ccnr.states import _psd_shift, _rng
 from ccnr.tolerances import HERMITICITY_TOL as HERM_TOL, PSD_TOL
 
 
@@ -126,7 +128,7 @@ def _rank_one_stack(n, k, seed):
         "qubit-stack", "qutrit-stack"])
 def test_accepting_a_state_runs_no_eigendecomposition(build, eigvalsh_calls):
     # The Cholesky certificate accepts rank-deficient states too: its shift
-    # just under tol_psd makes them positive definite.
+    # just under PSD_TOL makes them positive definite.
     build()
     assert eigvalsh_calls == []
 
@@ -144,7 +146,7 @@ def test_refusing_a_state_runs_one_eigendecomposition(eigvalsh_calls):
 
 
 def _state_at_the_psd_tolerance(n, offset, turned):
-    """A real ``n x n`` matrix with ``lambda_min = -tol_psd (1 + offset)``.
+    """A real ``n x n`` matrix with ``lambda_min = -PSD_TOL (1 + offset)``.
 
     It is diagonal unless ``turned``: then its spectrum is rotated by a
     seeded orthogonal matrix, so the Cholesky factor has entries off the
@@ -163,7 +165,7 @@ def _state_at_the_psd_tolerance(n, offset, turned):
                          ids=["4", "144", "turned-4", "turned-9", "turned-144"])
 @pytest.mark.parametrize("offset", [-1e-3, 1e-3], ids=["inside", "outside"])
 def test_states_at_the_psd_tolerance_keep_their_outcome(n, turned, offset, eigvalsh_calls):
-    # lambda_min = -tol_psd (1 + offset): accepted just inside, refused just
+    # lambda_min = -PSD_TOL (1 + offset): accepted just inside, refused just
     # outside, as by the smallest eigenvalue alone.  Every matrix here is
     # real-valued, so a real Cholesky certifies it.
     matrix = _state_at_the_psd_tolerance(n, offset, turned)
@@ -183,11 +185,20 @@ def test_states_at_the_psd_tolerance_keep_their_outcome(n, turned, offset, eigva
         assert eigvalsh_calls == [(n, n)]
 
 
-def test_a_zero_psd_tolerance_is_decided_by_the_eigenvalues(eigvalsh_calls):
-    # No positive shift is left to certify with, so eigvalsh decides.
-    rho = DensityOperator(np.diag([1.0, 0.0, 0.0, 0.0]), tol_psd=0.0)
-    assert eigvalsh_calls == [(4, 4)]
-    assert rho.matrix[0, 0] == 1.0
+def test_a_state_the_certificate_cannot_prove_is_accepted_by_the_eigenvalues(eigvalsh_calls):
+    # lambda_min = -PSD_TOL (1 - 1e-5) lies within the certificate's margin of -PSD_TOL, so
+    # the Cholesky fails and eigvalsh decides, once.
+    matrix = _state_at_the_psd_tolerance(144, -1e-5, turned=False)
+    np.testing.assert_array_equal(DensityOperator(matrix).matrix,
+                                  matrix / np.real(np.trace(matrix)))
+    assert eigvalsh_calls == [(144, 144)]
+
+
+def test_the_certificate_shift_is_positive_for_every_matrix_side():
+    # Every side certifies a rank-deficient state (see the test above it), and no branch
+    # handles a shift that is not positive.
+    shifts = _psd_shift(np.arange(1, MAX_MATRIX_SIDE + 1))
+    assert shifts.min() == shifts[-1] == _psd_shift(MAX_MATRIX_SIDE) > 0.995 * PSD_TOL
 
 
 @pytest.mark.parametrize("build, dtype", [
@@ -338,14 +349,17 @@ def test_bell_diagonal_state_names_the_shape_passed():
         bell_diagonal_state([[0.4, 0.3, 0.2, 0.1]])
 
 
+# The validation tolerances are constants: no call can pass one, whatever its value, and the
+# refusal is Python's, naming the keyword.
+def _refuses_the_tolerance(name: str, call) -> None:
+    with pytest.raises(TypeError, match=f"got an unexpected keyword argument '{name}'$"):
+        call()
+
+
 @pytest.mark.parametrize("keyword", ["tol_herm", "tol_psd"])
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
 def test_validate_stack_refuses_a_bad_tolerance(keyword, tol):
-    # A tolerance is a number in [0, inf): one message for each way out of it.
-    refusal = "must lie in [0, inf], got -1.0" if tol < 0 else "must be finite"
-    message = f"{keyword} {refusal}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        validate_stack(np.eye(4) / 4, **{keyword: tol})
+    _refuses_the_tolerance(keyword, lambda: validate_stack(np.eye(4) / 4, **{keyword: tol}))
 
 
 # ---------------------------------------------------------------------------
@@ -915,33 +929,40 @@ def test_a_state_repr_names_its_type_and_dims():
     assert repr(werner_state(2, 0.1)) == "DensityOperator(dim_a=2, dim_b=2)"
 
 
-# A twirl reads its expectation by the family's own domain; the guard only clips.
-def _coherent(pair: tuple[int, int], c: float, tol_psd: float) -> DensityOperator:
-    """``I/4 + c (|i><j| + |j><i|)`` for ``pair = (i, j)``, of smallest eigenvalue ``1/4 - |c|``.
+# A twirl reads its expectation by the family's own domain; the guard only clips.  At d = 16 a
+# family matrix whose parameter lies up to ~2e-8 past the domain end has its negative
+# eigenvalue above -PSD_TOL, so it is a state, and the twirl reads the parameter back.
+def _past_the_domain(family: str, value: float) -> DensityOperator:
+    """The d = 16 Werner (flip expectation) or isotropic (fidelity) state at ``value``, built
+    by the family's formula without the builder's domain test."""
+    d = 16
+    if family == "werner":
+        m = ((d - value) * np.eye(d * d) + (d * value - 1.0) * flip_operator(d)) / (d**3 - d)
+    else:
+        psi = max_entangled(d).amplitudes
+        proj = np.outer(psi, psi.conj())
+        m = (1.0 - value) / (d * d - 1.0) * (np.eye(d * d) - proj) + value * proj
+    return DensityOperator(m, d, d)
 
-    The pair ``(1, 2)`` gives flip expectation ``1/2 + 2c`` and ``(0, 3)`` fidelity ``1/4 + c``.
-    """
-    m = np.eye(4, dtype=complex) / 4
-    m[pair] = m[pair[::-1]] = c
-    return DensityOperator(m, 2, 2, tol_psd=tol_psd)
 
-
-@pytest.mark.parametrize("twirl, pair, c, message", [
-    (twirl_uu, (1, 2), 1.0, "flip expectation must lie in [-1, 1], got 2.5"),
-    (twirl_uu, (1, 2), -1.0, "flip expectation must lie in [-1, 1], got -1.5"),
-    (twirl_uubar, (0, 3), 1.0, "fidelity must lie in [0, 1], got 1.25"),
+@pytest.mark.parametrize("twirl, family, value, message", [
+    (twirl_uu, "werner", 1 + 2e-8, "flip expectation must lie in [-1, 1], got 1.0000000199999972"),
+    (twirl_uu, "werner", -(1 + 2e-8),
+     "flip expectation must lie in [-1, 1], got -1.0000000199999977"),
+    (twirl_uubar, "isotropic", 1 + 2e-8, "fidelity must lie in [0, 1], got 1.00000002"),
 ], ids=["flip-above", "flip-below", "fidelity-above"])
-def test_a_twirl_refuses_an_expectation_outside_the_family_domain_by_name(twirl, pair, c, message):
+def test_a_twirl_refuses_an_expectation_outside_the_family_domain_by_name(twirl, family, value,
+                                                                          message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        twirl(_coherent(pair, c, 1.0))
+        twirl(_past_the_domain(family, value))
 
 
 def test_a_twirl_clips_an_expectation_within_the_guard_onto_the_domain():
-    # A flip expectation and a fidelity of 1 + 4e-9, within CLIP_GUARD of 1, twirl as 1.
-    assert np.array_equal(twirl_uu(_coherent((1, 2), 0.25 + 2e-9, 1e-8)).matrix,
-                          werner_state(2, 1.0).matrix)
-    assert np.array_equal(twirl_uubar(_coherent((0, 3), 0.75 + 4e-9, 1.0)).matrix,
-                          isotropic_state(2, 1.0).matrix)
+    # A flip expectation and a fidelity of 1 + 5e-9, within CLIP_GUARD of 1, twirl as 1.
+    assert twirl_uu(_past_the_domain("werner", 1 + 5e-9)).matrix.tobytes() \
+        == werner_state(16, 1.0).matrix.tobytes()
+    assert twirl_uubar(_past_the_domain("isotropic", 1 + 5e-9)).matrix.tobytes() \
+        == isotropic_state(16, 1.0).matrix.tobytes()
 
 
 @pytest.mark.parametrize("name", ["twirl_uu", "twirl_uubar", "realign_trace"])
@@ -1022,8 +1043,7 @@ def test_an_integer_past_the_float_range_is_refused_as_a_value_error(call, name)
 
 @pytest.mark.parametrize("name", ["tol_herm", "tol_psd"])
 def test_a_tolerance_past_the_float_range_is_refused_by_name(name):
-    with pytest.raises(ValueError, match=f"^{name} must lie within the float range$"):
-        DensityOperator(np.eye(4) / 4, 2, 2, **{name: 10**400})
+    _refuses_the_tolerance(name, lambda: DensityOperator(np.eye(4) / 4, 2, 2, **{name: 10**400}))
 
 
 # Text and booleans, which numpy parses or reads as 0 and 1, are not numbers: each of these
@@ -1063,8 +1083,7 @@ def test_text_and_booleans_are_refused_where_numbers_are_converted(call):
 @pytest.mark.parametrize("name", ["tol_herm", "tol_psd"])
 @pytest.mark.parametrize("tol", [True, np.False_, "1e-9"], ids=["True", "np.False_", "text"])
 def test_a_tolerance_that_is_text_or_a_boolean_is_refused_by_name(name, tol):
-    with pytest.raises(ValueError, match=f"^{name} must not be text or booleans$"):
-        DensityOperator(np.eye(4) / 4, 2, 2, **{name: tol})
+    _refuses_the_tolerance(name, lambda: DensityOperator(np.eye(4) / 4, 2, 2, **{name: tol}))
 
 
 # A complex number where real ones are asked for: numpy would cast it to its real part with
@@ -1096,17 +1115,14 @@ def test_a_complex_number_is_refused_where_real_ones_are_converted(call, name):
 @pytest.mark.parametrize("name", ["tol_herm", "tol_psd"])
 @pytest.mark.parametrize("tol", [1e-9 + 0j, np.complex128(1e-9)], ids=["complex", "np.complex128"])
 def test_a_complex_tolerance_is_refused_by_name(name, tol):
-    with pytest.raises(ValueError, match=f"^{name} must not be complex$"):
-        DensityOperator(np.eye(4) / 4, 2, 2, **{name: tol})
+    _refuses_the_tolerance(name, lambda: DensityOperator(np.eye(4) / 4, 2, 2, **{name: tol}))
 
 
 @pytest.mark.parametrize("name", ["tol_herm", "tol_psd"])
 @pytest.mark.parametrize("tol", [[1e-9], np.array([1e-9, 1e-9]), np.array([1e-9]), [[]]],
                          ids=["list", "array", "array-of-one", "empty"])
 def test_a_tolerance_that_is_not_a_single_number_is_refused_by_name(name, tol):
-    message = rf"^{name} must be a single number, got {re.escape(repr(tol))}$"
-    with pytest.raises(ValueError, match=message):
-        DensityOperator(np.eye(4) / 4, 2, 2, **{name: tol})
+    _refuses_the_tolerance(name, lambda: DensityOperator(np.eye(4) / 4, 2, 2, **{name: tol}))
 
 
 # Anything that is not a number is refused as such, by the name of the numbers: numpy read
@@ -1141,8 +1157,7 @@ _TOLERANCE_TAKERS = {
 @pytest.mark.parametrize("tol, kind", [(None, "NoneType"), (object(), "object"), ({}, "dict")],
                          ids=["None", "object", "dict"])
 def test_a_tolerance_that_is_not_a_number_is_refused_by_name(take, name, tol, kind):
-    with pytest.raises(ValueError, match=f"^{name} must be of a numeric kind, got {kind}$"):
-        take(**{name: tol})
+    _refuses_the_tolerance(name, lambda: take(**{name: tol}))
 
 
 # A seed is an integer, by the rule of dims and ranks; numpy would take True as 1, and a
@@ -1160,6 +1175,19 @@ _SEEDED = {
 def test_a_seed_that_is_not_an_integer_is_refused_by_name(draw, seed):
     with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
         draw(seed)
+
+
+@pytest.mark.parametrize("draw", _SEEDED.values(), ids=_SEEDED.keys())
+@pytest.mark.parametrize("seed", [-1, np.int64(-1), np.array(-1)], ids=["int", "np.int64", "0-d"])
+def test_a_negative_seed_is_refused_by_name(draw, seed):
+    # numpy refused it in its own words, "expected non-negative integer".
+    with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+        draw(seed)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**70])
+def test_a_nonnegative_seed_seeds_the_generator_numpy_seeds(seed):
+    assert _rng(seed).bit_generator.state == np.random.default_rng(seed).bit_generator.state
 
 
 @pytest.mark.parametrize("draw", _SEEDED.values(), ids=_SEEDED.keys())
@@ -1182,10 +1210,6 @@ _SAME_NUMBERS = {
                    lambda: DensityOperator(np.diag([1.0, 0.0, 0.0, 0.0])).matrix),
     "int-amplitudes": (lambda: PureState([0, 1, 0, 0]).amplitudes,
                        lambda: PureState([0.0, 1.0, 0.0, 0.0]).amplitudes),
-    "int-tolerance": (lambda: DensityOperator(np.eye(4) / 4, tol_psd=0).matrix,
-                      lambda: DensityOperator(np.eye(4) / 4, tol_psd=0.0).matrix),
-    "0-d-array-tolerance": (lambda: DensityOperator(np.eye(4) / 4, tol_psd=np.array(0.0)).matrix,
-                            lambda: DensityOperator(np.eye(4) / 4, tol_psd=0.0).matrix),
     "0-d-array": (lambda: werner_state(3, np.array(0.5)).matrix,
                   lambda: werner_state(3, 0.5).matrix),
     "Fraction": (lambda: werner_state(3, Fraction(1, 2)).matrix,

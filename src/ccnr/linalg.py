@@ -65,6 +65,8 @@ def _numbers(value, dtype, name: str | None = None) -> np.ndarray:
 
 
 def _as_matrix(a, *, stack: bool = False, keep_real: bool = False) -> np.ndarray:
+    if keep_real and not isinstance(a, np.ndarray):  # numpy cannot type a ragged list
+        _numbers(a, complex, "matrix entries")
     real = keep_real and np.asarray(a).dtype == np.float64
     a = _numbers(a, float if real else complex, "matrix entries")
     if a.ndim != 2 and not (stack and a.ndim > 2):

@@ -62,7 +62,10 @@ class InvariantViolation(ValueError):
 
     def __init__(self, invariant: str, residual: float, message: str | None = None):
         self.invariant = invariant
-        self.residual = float(_numbers(residual, float))
+        residual = _numbers(residual, float)
+        if residual.ndim:
+            raise ValueError(f"residual must be a single number, got shape {residual.shape}")
+        self.residual = float(residual)
         default = f"invariant '{invariant}' violated: residual {self.residual:.6e}"
         super().__init__(message or default)
 
@@ -170,14 +173,26 @@ def _stack_fits(count: int, side: int) -> None:
         )
 
 
+def _sizable(values, name: str) -> np.ndarray:
+    """``values`` as an array whose size counts the matrices a ``*_stack`` builder makes.
+
+    An array passes as it is, so its size meets ``MAX_STACK_BYTES`` before
+    any pass over its values.  Any other value is admitted by ``_numbers``
+    first, which reads a list's entries by kind, so a ragged list is refused
+    by name; the conversion peaks at 17 bytes an entry, against 64 or more
+    of the matrices an entry sizes.
+    """
+    return values if isinstance(values, np.ndarray) else _numbers(values, float, name)
+
+
 def _parameters(values, lo: float, hi: float, name: str, side: int) -> np.ndarray:
     """Family parameters as a 1-d float array, each inside ``[lo, hi]``.
 
     A ``*_stack`` builder passes the ``side`` of the matrices it sizes from
-    them; their count, read from the shape, meets ``MAX_STACK_BYTES`` before
-    any pass over the values.
+    them; their count meets ``MAX_STACK_BYTES`` (see :func:`_sizable`).
     """
-    _stack_fits(np.size(values), side)
+    values = _sizable(values, name)
+    _stack_fits(values.size, side)
     values = _in_domain(values, lo, hi, name)
     if values.ndim != 1:
         raise ValueError(f"{name} values must form a 1-d sequence, got shape {values.shape}")
@@ -537,7 +552,8 @@ _BELL_VECTORS = np.array([psi.amplitudes for psi in bell_basis()])
 
 def bell_diagonal_stack(lams) -> np.ndarray:
     """Two-qubit matrices diagonal in the Bell basis, one per row of ``(k, 4)`` weights."""
-    _stack_fits(np.size(lams) // 4, 4)  # four weights a matrix, sized before any pass over them
+    lams = _sizable(lams, "weights")
+    _stack_fits(lams.size // 4, 4)  # four weights a matrix
     lams = bell_spectrum(lams)
     if lams.ndim != 2:
         raise ValueError(f"spectra must form a (k, 4) array, got shape {lams.shape}")

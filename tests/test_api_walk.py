@@ -5,10 +5,11 @@ its required positional arguments: every argument holds one value, except one
 that holds another, over all pairs of values.  Each keyword number that has a
 default (``seed`` and ``rank``) is then given each value, with valid required
 arguments.  A call must return, or raise ``ValueError`` or ``TypeError`` with
-a non-empty message from a frame of the package itself (the last entry of the
-traceback), by one of its own rules: a refusal raised in numpy's or Python's
-code, which names no argument of the package, counts as a fault, and so does
-a warning.  The walk runs in one child process under a 1 GiB address-space
+a non-empty message from a ``raise`` statement of the package itself (the
+last entry of the traceback), by one of its own rules: a refusal raised in
+numpy's or Python's code, which names no argument of the package, counts as a
+fault, even when a line of the package called that code, and so does a
+warning.  The walk runs in one child process under a 1 GiB address-space
 limit, so a call that tried a runaway allocation ends there in a
 ``MemoryError``, a fault, and not in this process.
 """
@@ -28,22 +29,25 @@ import numpy as np
 import ccnr
 PACKAGE = os.path.dirname(ccnr.__file__) + os.sep
 from ccnr import DensityOperator, GammaValue, max_entangled, werner_stack
+from ccnr.linalg import _numbers
 
 VALUES = [
-    None, "x", True, [1, 2], np.nan, np.inf, -np.inf, 0, -3, 10**6, 10**400, np.array(3),
-    np.complex128(0.5 + 1j),
+    None, "x", True, [1, 2], [[0.5], 0.5], np.nan, np.inf, -np.inf, 0, -3, 10**6, 10**400,
+    np.array(3), np.complex128(0.5 + 1j),
     np.tile(np.eye(4) / 4, (2, 1, 1)), GammaValue(1.0, "werner"), max_entangled(2),
     DensityOperator(np.eye(4) / 4, 2, 2), DensityOperator(werner_stack(2, [0.1, 0.5]), 2, 2),
 ]
 
 
 def _probe(value):
-    # The walk's self-test: an empty refusal, a refusal raised outside the package, and an
-    # AttributeError for most values.
+    # The walk's self-test: an empty refusal, a refusal raised outside the package, one
+    # raised by numpy on a line of the package, and an AttributeError for most values.
     if value is None:
         raise TypeError()
     if isinstance(value, str):
         return np.zeros(2).reshape(3)
+    if value is np.nan:
+        return _numbers(value, int)  # np.asarray(nan, int) refuses the cast
     return value.dim_a
 
 
@@ -61,11 +65,14 @@ def _call(name, pick, f, args, kwargs):
             warnings.simplefilter("error")
             f(*args, **kwargs)
     except (ValueError, TypeError) as exc:
-        raiser = traceback.extract_tb(exc.__traceback__)[-1].filename
+        raiser = traceback.extract_tb(exc.__traceback__)[-1]
         if not str(exc):
             faults.setdefault(name, []).append(f"{pick}: empty {type(exc).__name__}")
-        elif not raiser.startswith(PACKAGE):
-            faults.setdefault(name, []).append(f"{pick}: raised in {raiser}: {exc}")
+        elif not raiser.filename.startswith(PACKAGE):
+            faults.setdefault(name, []).append(f"{pick}: raised in {raiser.filename}: {exc}")
+        elif not raiser.line.startswith("raise"):
+            faults.setdefault(name, []).append(
+                f"{pick}: raised by {raiser.line!r} in {raiser.filename}: {exc}")
     except Exception as exc:
         faults.setdefault(name, []).append(f"{pick}: {type(exc).__name__}: {exc}")
 
@@ -115,10 +122,11 @@ def test_every_public_callable_returns_or_refuses_hostile_arguments_with_a_messa
         ("random_density", ["rank", "seed"]), ("random_pure", ["seed"]),
         ("random_unitary", ["seed"])] for keyword in names}
     assert set(walk["walked"]) == exported | {"_probe"} | keywords
-    assert all(walk["walked"][label] == 18 for label in keywords)
-    assert walk["walked"]["_probe"] == walk["values"] == 18
-    assert walk["walked"]["realign_matrix"] == 18 + 3 * 18 * 17
-    # The probe's faults show that the walk sees both kinds of fault.
+    assert all(walk["walked"][label] == 19 for label in keywords)
+    assert walk["walked"]["_probe"] == walk["values"] == 19
+    assert walk["walked"]["realign_matrix"] == 19 + 3 * 19 * 18
+    # The probe's faults show that the walk sees each kind of fault.
     assert "(0,): empty TypeError" in probe
     assert any("raised in" in fault and "cannot reshape" in fault for fault in probe)
+    assert any("raised by" in fault and "NaN to integer" in fault for fault in probe)
     assert any("AttributeError" in fault for fault in probe)

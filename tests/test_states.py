@@ -85,6 +85,22 @@ def test_an_invariant_violation_survives_a_copy(duplicate, message):
         error.invariant, error.residual, str(error))
 
 
+@pytest.mark.parametrize("residual, shape", [([1, 2], "(2,)"), (np.array([1e-3]), "(1,)"),
+                                             ([[]], "(1, 0)")], ids=["list", "array", "empty"])
+def test_an_invariant_residual_that_is_not_one_number_is_refused(residual, shape):
+    # numpy refused each with a TypeError, "only 0-dimensional arrays can be converted".
+    refusal = f"^residual must be a single number, got shape {re.escape(shape)}$"
+    with pytest.raises(ValueError, match=refusal):
+        InvariantViolation("x", residual)
+
+
+def test_an_invariant_residual_may_be_infinite():
+    # A Hermiticity residual of entries near the float limit overflows to inf.
+    error = InvariantViolation("hermiticity", np.inf)
+    assert error.residual == np.inf
+    assert str(error) == "invariant 'hermiticity' violated: residual inf"
+
+
 @pytest.fixture
 def eigvalsh_calls(monkeypatch):
     """The stacks passed to ``np.linalg.eigvalsh`` while a test runs."""
@@ -1137,6 +1153,24 @@ _NOT_NUMBERS = {
     "InvariantViolation-None": (lambda: InvariantViolation("x", None), "numbers", "NoneType"),
     "tau_werner_closed-ragged": (lambda: ccnr.tau_werner_closed(3, [[0.5], 0.5]),
                                  "flip expectation", "list"),
+    # A ragged list is read by kind before a builder sizes its stack from it, or numpy
+    # reads its dtype: numpy refused each of these with "setting an array element with a
+    # sequence".
+    "werner_state-ragged": (lambda: werner_state(3, [[0.5], 0.5]), "flip expectation", "list"),
+    "werner_stack-ragged": (lambda: werner_stack(3, [[0.5], 0.5]), "flip expectation", "list"),
+    "isotropic_state-ragged": (lambda: isotropic_state(3, [[0.5], 0.5]), "fidelity", "list"),
+    "isotropic_stack-ragged": (lambda: isotropic_stack(3, [[0.5], 0.5]), "fidelity", "list"),
+    "qubit_family-ragged": (lambda: qubit_family([[0.5], 0.5]), "mixing weight", "list"),
+    "qubit_family_stack-ragged": (lambda: qubit_family_stack([[0.5], 0.5]), "mixing weight",
+                                  "list"),
+    "qutrit_family-ragged": (lambda: qutrit_family([[3.0], 3.0]), "parameter", "list"),
+    "qutrit_family_stack-ragged": (lambda: qutrit_family_stack([[3.0], 3.0]), "parameter",
+                                   "list"),
+    "bell_diagonal_stack-ragged": (lambda: bell_diagonal_stack([[0.5, 0.5, 0, 0], 0.5]),
+                                   "weights", "list"),
+    "singular_values-ragged": (lambda: ccnr.singular_values([[0.5], 0.5]), "matrix entries",
+                               "list"),
+    "trace_norm-ragged": (lambda: ccnr.trace_norm([[0.5], 0.5]), "matrix entries", "list"),
 }
 
 

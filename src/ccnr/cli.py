@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import os
@@ -79,7 +80,7 @@ _NUMBER = "%.12g"
 # serial throughput): numpy holds the interpreter lock through eigvalsh and
 # svd.  A pure-Python loop ran x2.1 slower beside a thread calling eigvalsh
 # and x1.9 beside svd, but at its own speed beside matmul or sha256, which
-# release the lock.  Two workers gain at d <= 4 because one worker's numpy work
+# release the lock.  Two workers gain at d <= 5 because one worker's numpy work
 # that releases the lock overlaps the other's LAPACK and Python.  Every block holds
 # SWEEP_BLOCK_BYTES of states whatever the worker count: 1024 points at d = 2,
 # 202 at d = 3, 64 at d = 4, 26 at d = 5, 4 at d = 8 and one from d = 10.
@@ -95,12 +96,11 @@ SWEEP_BLOCK_BYTES = 2**18
 # worker gained nothing (isotropic d = 4: x1.46, 1.42 and 1.42 over one).
 SWEEP_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                     else os.cpu_count() or 1)
-# On a 2-CPU Xeon VM, two workers beat one at d <= 4 (blocks of 64 or more
-# states).  Below that, two workers ran at x1.43 the speed of one at Werner
-# d = 5, x0.85 at isotropic d = 6, x0.83 at Werner d = 8 and x0.99 at Werner
-# d = 12 (medians of 10 alternating runs).  No benchmark workload has d >= 5
-# to settle it, so the cut stays.
-SWEEP_MIN_SHARE = 32
+# On a 2-CPU Xeon VM, two workers beat one at d <= 5 (blocks of 26 or more
+# states: isotropic d = 5 ran x1.34 faster, in 10 of 10 alternating runs).
+# From d = 6 (blocks of 12 states or fewer) they ran x0.80-1.08 the speed of
+# one worker, faster in 1 to 7 of 10 runs, so the cut lies between 12 and 26.
+SWEEP_MIN_SHARE = 16
 # Grids with more points are refused before any point is generated.
 MAX_SWEEP_POINTS = 10**6
 
@@ -165,10 +165,11 @@ def _parse_dims(text: str) -> tuple[int, int]:
 
 
 def _parse_range(text: str) -> list[float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"range must look like 'start:stop:step', got {text!r}")
-    start, stop, step = _numbers([float(p) for p in parts], float, "range bounds and step").tolist()
+    try:
+        start, stop, step = map(float, text.split(":"))
+    except ValueError:  # a part that is no number, or not three parts
+        raise ValueError(f"range must look like 'start:stop:step', got {text!r}") from None
+    start, stop, step = _numbers([start, stop, step], float, "range bounds and step").tolist()
     if step <= 0:
         raise ValueError("range step must be positive")
     if stop < start:
@@ -207,6 +208,26 @@ def load_state_file(path, dims_override=None):
     :class:`InvariantViolation`, and a file longer than
     ``MAX_STATE_FILE_BYTES`` raises ``ValueError`` before it is parsed.
     """
+    # json.loads builds a two-element list per matrix entry, and every 700 of
+    # them would start a collection that walks the newest lists, every tenth
+    # one the older ones too (29 collections for a 144-row file).  Decoded JSON
+    # holds no reference cycles, so the pause leaves the collector nothing to
+    # free: every list dies with the decoder's frame, before it resumes.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        kind, dims, values = _decode_state_file(path, dims_override)
+    finally:
+        if enabled:
+            gc.enable()
+    if kind == "density":
+        return kind, DensityOperator(values, *dims)
+    return kind, PureState(values, *dims)
+
+
+def _decode_state_file(path, dims_override) -> tuple[str, tuple[int, int], np.ndarray]:
+    """The kind, the dims and the complex entries of a state file, before any
+    state invariant is checked (see :func:`load_state_file`)."""
     def integer(digits: str) -> float:  # a JSON integer, read as the float it spells
         if math.isinf(value := float(digits)):
             raise ValueError(f"{path}: an integer overflows a float")
@@ -249,10 +270,7 @@ def load_state_file(path, dims_override=None):
     ):
         raise ValueError(f"{path}: a {kind} matrix must be {form} of [re, im] number pairs")
     # In C order, each pair of float64 holds the bytes of one complex entry.
-    values = pairs.view(complex)[..., 0]
-    if kind == "density":
-        return kind, DensityOperator(values, *dims)
-    return kind, PureState(values, *dims)
+    return kind, dims, pairs.view(complex)[..., 0]
 
 
 def _json_layout(shape: tuple[int, ...], depth: int = 1) -> str:
@@ -380,7 +398,11 @@ def cmd_gen(args) -> int:
     else:
         if args.param is None:
             raise ValueError(f"family {args.family!r} needs --param")
-        values = [float(p) for p in args.param.split(",")]
+        try:
+            values = [float(p) for p in args.param.split(",")]
+        except ValueError:  # a part that is no number
+            raise ValueError(
+                f"family {args.family!r} needs numbers in --param, got {args.param!r}") from None
         arity = _families()[args.family].arity
         if len(values) != arity:
             wanted = "a single parameter" if arity == 1 else "four comma-separated weights"
@@ -442,7 +464,7 @@ def cmd_sweep(args) -> int:
         columns = (grid[part], report.tau.tolist(), taus[part], gammas,
                    report.ppt_floor.tolist(), report.reduction_floor.tolist(),
                    report.verdict.tolist())
-        return "".join([row % values for values in zip(*columns)])
+        return "".join(map(row.__mod__, zip(*columns)))
 
     blocks = _map_in_order(block, range(0, len(grid), size), workers)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -114,6 +114,9 @@ _REFUSALS = [
     ["schmidt", "schmidt_3x4.json", "--dims", "2,2"],
     ["gen", "random", "--dims", "2,2", "--seed", "-1", "--out", "refused.json"],
     ["check", "werner2_1.json", "--tol-psd", "1e-9"],
+    ["gen", "werner", "--d", "2", "--param", "abc", "--out", "refused.json"],
+    ["gen", "bell", "--param", "1,0,0,x", "--out", "refused.json"],
+    ["sweep", "werner", "--d", "2", "--range=a:1:0.1", "--out", "refused.csv"],
 ]
 
 

@@ -255,13 +255,13 @@ def test_sweep_validates_each_block_through_the_density_operator(tmp_path, monke
 
 
 # name -> (sweep arguments, matrix side, block sizes, workers where two are
-# available).  From d = 5 a block holds fewer than SWEEP_MIN_SHARE states, so
+# available).  From d = 6 a block holds fewer than SWEEP_MIN_SHARE states, so
 # two workers fall back to one.
 _BLOCKED_SWEEPS = {
     "d2": (["werner", "--d", "2", "--range=-1:1:0.001"], 4, [1024, 977], 2),
     "d3": (["werner", "--d", "3", "--range=-1:1:0.001"], 9, 9 * [202] + [183], 2),
     "d4": (["isotropic", "--d", "4", "--range=0:1:0.0005"], 16, 31 * [64] + [17], 2),
-    "d5": (["werner", "--d", "5", "--range=-1:1:0.05"], 25, [26, 15], 1),
+    "d5": (["werner", "--d", "5", "--range=-1:1:0.05"], 25, [26, 15], 2),
     "d8": (["werner", "--d", "8", "--range=-1:-0.9:0.01"], 64, [4, 4, 3], 1),
     "d12": (["werner", "--d", "12", "--range=-1:-0.9:0.05"], 144, 3 * [1], 1),
 }
@@ -295,7 +295,7 @@ def test_sweep_blocks_hold_as_many_states_as_fit_the_block_bytes(tmp_path, monke
 @pytest.mark.parametrize("name", _BLOCKED_SWEEPS)
 def test_two_sweep_workers_split_the_block_bytes(tmp_path, monkeypatch, name):
     # Two workers split the sweep into the blocks one worker runs, each of the
-    # full SWEEP_BLOCK_BYTES, and from d = 5 one worker runs them all.  Threads
+    # full SWEEP_BLOCK_BYTES, and from d = 6 one worker runs them all.  Threads
     # validate in no fixed order; the rows keep grid order (see the
     # point-by-point rebuild and the tests below).
     shapes, expected, ran_on = _validated_shapes(tmp_path, monkeypatch, name, 2)

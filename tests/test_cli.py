@@ -2,6 +2,7 @@
 
 import collections
 import contextlib
+import gc
 import io
 import json
 import math
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccnr.cli import CSV_HEADER, load_state_file, main, write_state_file
-from ccnr.states import max_entangled, qubit_family
+from ccnr.states import max_entangled, qubit_family, random_density
 from ccnr.states import bell_diagonal_state, isotropic_state, qutrit_family, werner_state
 
 
@@ -918,6 +919,47 @@ def test_reading_a_small_state_file_allocates_far_less_than_the_cap(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < MAX_STATE_FILE_BYTES // 16
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("entry", [0.0, True])  # a valid file, and one refused for its `true`
+def test_loading_a_state_file_leaves_the_collector_as_it_found_it(tmp_path, enabled, entry):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"kind": "density", "dims": [1, 1], "matrix": [[[1.0, entry]]]}),
+                    encoding="utf-8")
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if entry is True:
+            with pytest.raises(ValueError, match="number pairs"):
+                load_state_file(path)
+        else:
+            assert load_state_file(path)[1].matrix.tolist() == [[1.0]]
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_loading_a_144_row_state_file_runs_no_collection(tmp_path):
+    # Decoding builds 20,736 [re, im] lists; a collector left on during the
+    # decode ran 29 collections here (27 of generation 0, 2 of generation 1).
+    path = tmp_path / "random.json"
+    write_state_file(path, random_density(12, 12, seed=21))
+    generations = []
+
+    def count(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        kind, state = load_state_file(path)
+    finally:
+        gc.callbacks.remove(count)
+    assert kind == "density" and state.matrix.shape == (144, 144)
+    assert generations == []
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")

@@ -758,3 +758,21 @@ def test_the_tolerance_scans_see_each_form(tmp_path):
     assert _knob_tokens(source) == [1, 2, 3]
     assert _owners(ast.parse(source.read_text(encoding="utf-8")), _reads_the_psd_tolerance) \
         == ["f", "C"]
+
+
+def _pauses_the_collector(node: ast.AST) -> bool:
+    """A call of ``disable`` or ``freeze``, of ``gc`` or imported bare."""
+    return _calls_to("disable")(node) or _calls_to("freeze")(node)
+
+
+def test_the_cyclic_collector_is_paused_once_in_the_state_file_decoder():
+    # The decoded JSON of a state file holds no reference cycles.  Anywhere else,
+    # as in main, whose refusals leave traceback cycles, the collector stays on.
+    assert _in_sources(_pauses_the_collector) == [("cli.py", "load_state_file")]
+
+
+def test_the_collector_pause_scan_sees_each_form():
+    tree = ast.parse("def f():\n    gc.disable()\n    gc.freeze()\n"
+                     "def g():\n    disable()\n"
+                     "def h():\n    gc.enable()\n    return gc.isenabled()\n")
+    assert _owners(tree, _pauses_the_collector) == ["f", "f", "g"]

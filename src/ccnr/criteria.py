@@ -13,6 +13,12 @@ the stack from ``report_stack``, Python values from ``full_report``.  The
 criteria rely on the exactly Hermitian matrices ``DensityOperator`` stores:
 ``eigvalsh`` reads one triangle, and ``tau`` reads a real matrix that shares
 the realignment's singular values only for Hermitian input.
+
+The numeric criteria are one table, :func:`_criteria`: each row names a
+report field, its flag field, the measure and the violation rule, and a new
+criterion is one row.  ``tau`` violates when it passes 1 and either floor when
+it falls below 0, each by more than ``VIOLATION_GUARD``, a rule written once
+for each side.
 """
 
 from __future__ import annotations
@@ -125,6 +131,24 @@ def _above_one(values):
     return values > 1.0 + VIOLATION_GUARD
 
 
+def _below_zero(values):
+    """Whether each eigenvalue floor falls below 0, its bound on separable states, by more
+    than the guard: the one rule for the PPT and reduction floors."""
+    return values < -VIOLATION_GUARD
+
+
+def _criteria() -> tuple:
+    """The criteria as ``(value field, flag field, measure, violation rule)`` rows.
+
+    Built from this module's names at each call, so a measure replaced on the
+    module (a timing wrapper, a test double) is the one a report runs.  A new
+    criterion is one row, and its two fields of :class:`CriteriaReport`.
+    """
+    return (("tau", "tau_violated", ccnr_tau, _above_one),
+            ("ppt_floor", "ppt_violated", ppt_min_eigenvalue, _below_zero),
+            ("reduction_floor", "reduction_violated", reduction_min_eigenvalue, _below_zero))
+
+
 def report_stack(rhos: DensityOperator, gamma: GammaValue | None = None) -> CriteriaReport:
     """Evaluate every criterion on one state or a ``(k, n, n)`` stack and aggregate verdicts.
 
@@ -143,23 +167,16 @@ def report_stack(rhos: DensityOperator, gamma: GammaValue | None = None) -> Crit
     values, separable = np.atleast_1d(values, separable)
     if values.shape != (count,):
         raise ValueError(f"need one gamma per state, shape ({count},), got {values.shape}")
-    family = None if gamma is None else gamma.family
-    measured = (ccnr_tau(rhos), ppt_min_eigenvalue(rhos), reduction_min_eigenvalue(rhos))
-    tau, ppt_floor, reduction_floor = (np.reshape(value, count) for value in measured)
     # The verdict rule, elementwise; a state without a gamma has NaN in ``values``.
-    tau_violated = _above_one(tau)
-    ppt_violated = ppt_floor < -VIOLATION_GUARD
-    reduction_violated = reduction_floor < -VIOLATION_GUARD
-    entangled = tau_violated | ppt_violated | reduction_violated | _above_one(values)
-    verdict = np.where(
-        entangled,
-        "entangled_certified",
-        np.where(separable, "separable_certified", "undecided"),
-    )
-    return CriteriaReport(
-        tau, tau_violated, ppt_floor, ppt_violated, reduction_floor, reduction_violated,
-        None if gamma is None else values, family, verdict,
-    )
+    columns, entangled = {}, _above_one(values)
+    for value, flag, measure, rule in _criteria():
+        columns[value] = np.reshape(measure(rhos), count)
+        columns[flag] = rule(columns[value])
+        entangled |= columns[flag]
+    verdict = np.where(entangled, "entangled_certified",
+                       np.where(separable, "separable_certified", "undecided"))
+    return CriteriaReport(**columns, gamma_closed=None if gamma is None else values,
+                          gamma_family=None if gamma is None else gamma.family, verdict=verdict)
 
 
 def full_report(rho: DensityOperator, gamma: GammaValue | None = None) -> CriteriaReport:

@@ -78,8 +78,9 @@ def _as_matrix(a, *, stack: bool = False, keep_real: bool = False) -> np.ndarray
 
 # Entries near the float limit overflow here silently; the residual then fails its bound.
 @np.errstate(over="ignore", invalid="ignore")
-def _hermitian_part(h, tol: float):
-    """``(h + h^dag) / 2``, ``max|h - h^dag|`` and its bound ``tol (1 + max|h|)``, per matrix.
+def _hermitian_part(h):
+    """``(h + h^dag) / 2``, ``max|h - h^dag|`` and its bound ``HERMITICITY_TOL (1 + max|h|)``,
+    per matrix.
 
     A stack with ``h == h^dag`` in every entry has residual 0, returned with
     a bound of 0 and without scanning the moduli.
@@ -90,7 +91,7 @@ def _hermitian_part(h, tol: float):
     else:
         square = (-2, -1)
         residual = np.max(np.abs(h - adjoint), axis=square)
-        bound = tol * (1.0 + np.max(np.abs(h), axis=square))
+        bound = HERMITICITY_TOL * (1.0 + np.max(np.abs(h), axis=square))
     return (h + adjoint) / 2.0, residual, bound
 
 
@@ -116,7 +117,7 @@ def hermitian_eigensystem(h) -> tuple[np.ndarray, np.ndarray]:
     h = _as_matrix(h)
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"matrix must be square, got shape {h.shape}")
-    hermitian, residual, bound = _hermitian_part(h, HERMITICITY_TOL)
+    hermitian, residual, bound = _hermitian_part(h)
     if residual > bound:
         raise ValueError(
             f"matrix is not Hermitian: ||h - h^dag||_inf = {residual:.3e} "

@@ -16,6 +16,7 @@ import numpy as np
 
 from .linalg import _as_matrix, _hermitian_part, _numbers
 from .tolerances import CHOLESKY_MARGIN, CLIP_GUARD, NORM_TOL, PSD_TOL, TRACE_TOL, WEIGHT_SLACK
+# HERM_TOL is an old name of HERMITICITY_TOL, kept for importers; no rule here reads it.
 from .tolerances import HERMITICITY_TOL as HERM_TOL, SV_FLOOR as _SV_FLOOR
 
 __all__ = [
@@ -379,7 +380,7 @@ class DensityOperator(_Bipartite):
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
         dim_a, dim_b = _infer_dims(m.shape[-1], dim_a, dim_b)
 
-        m, herm_residual, bound = _hermitian_part(m, HERM_TOL)
+        m, herm_residual, bound = _hermitian_part(m)
         _check_invariant("hermiticity", herm_residual, herm_residual > bound)
 
         trace = np.real(np.trace(m, axis1=-2, axis2=-1))

@@ -21,6 +21,11 @@ two largest.
 The bound may not be slack either: at d = 8 it is at most ``1e5`` times the
 largest error measured on the Werner and isotropic grids, since a bound far
 above the error would leave a verdict undecided for no reason.
+
+Each oracle is an ``assert_*`` function of the family's parameters and ``d``,
+which reads the numbers through :func:`~ccnr.criteria.report_stack`, so
+``tests/test_mutations.py`` can run it on a measure replaced on
+``ccnr.criteria``.
 """
 
 import math
@@ -28,10 +33,10 @@ import math
 import numpy as np
 import pytest
 
-from ccnr.criteria import ppt_min_eigenvalue, reduction_min_eigenvalue, report_stack
+from ccnr.criteria import report_stack
 from ccnr.crossnorm import gamma_pure
 from ccnr.linalg import random_unitary
-from ccnr.realign import ccnr_tau, tau_isotropic_closed, tau_werner_closed
+from ccnr.realign import tau_isotropic_closed, tau_werner_closed
 from ccnr.states import DensityOperator, PureState, isotropic_stack, pure_from_schmidt, werner_stack
 
 DIMS = range(2, 13)
@@ -71,18 +76,37 @@ def _isotropic_reduction_floor(d: int, F):
     return 1.0 / d - np.maximum(F, (1.0 - F) / (d * d - 1.0))
 
 
-@pytest.mark.parametrize("d", DIMS)
-def test_werner_ppt_floor_matches_its_closed_form(d):
-    f = _werner_grid(d)
+def assert_werner_ppt_floor(f, d: int) -> None:
+    """The PPT floors of the Werner states of flip expectations ``f`` meet their closed form."""
     floor = report_stack(DensityOperator(werner_stack(d, f), d, d)).ppt_floor
     assert np.max(np.abs(floor - _werner_ppt_floor(d, f))) <= error_bound(d)
 
 
 @pytest.mark.parametrize("d", DIMS)
-def test_isotropic_reduction_floor_matches_its_closed_form(d):
-    F = _isotropic_grid(d)
+def test_werner_ppt_floor_matches_its_closed_form(d):
+    assert_werner_ppt_floor(_werner_grid(d), d)
+
+
+def assert_isotropic_reduction_floor(F, d: int) -> None:
+    """The reduction floors of the isotropic states of fidelities ``F`` meet their closed form."""
     floor = report_stack(DensityOperator(isotropic_stack(d, F), d, d)).reduction_floor
     assert np.max(np.abs(floor - _isotropic_reduction_floor(d, F))) <= error_bound(d)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_isotropic_reduction_floor_matches_its_closed_form(d):
+    assert_isotropic_reduction_floor(_isotropic_grid(d), d)
+
+
+def _pure_ppt_floor(p, d: int) -> float:
+    """The PPT floor of the pure state of Schmidt probabilities ``p``, as a report reads it."""
+    return report_stack(pure_from_schmidt(p, d, d).projector()).ppt_floor[0]
+
+
+def assert_pure_ppt_floor(p, d: int) -> None:
+    """The PPT floor of the pure state of Schmidt probabilities ``p`` meets its closed form."""
+    first, second = np.sort(p)[::-1][:2]
+    assert abs(_pure_ppt_floor(p, d) + math.sqrt(first * second)) <= error_bound(d)
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -91,32 +115,39 @@ def test_pure_state_ppt_floor_matches_its_closed_form(d):
     for _ in range(5):
         p = rng.random(d)
         p /= p.sum()
-        first, second = np.sort(p)[::-1][:2]
-        floor = ppt_min_eigenvalue(pure_from_schmidt(p, d, d).projector())
-        assert abs(floor + math.sqrt(first * second)) <= error_bound(d)
+        assert_pure_ppt_floor(p, d)
 
 
 @pytest.mark.parametrize("d", range(3, 13))
 def test_pure_state_ppt_floor_is_exact_on_a_short_schmidt_spectrum(d):
-    floor = ppt_min_eigenvalue(pure_from_schmidt([0.5, 0.3, 0.2], d, d).projector())
-    assert floor == -math.sqrt(0.5 * 0.3)
+    assert _pure_ppt_floor([0.5, 0.3, 0.2], d) == -math.sqrt(0.5 * 0.3)
+
+
+def assert_werner_tau(f, d: int) -> None:
+    """``tau`` of the Werner states of flip expectations ``f`` meets its closed form."""
+    tau = report_stack(DensityOperator(werner_stack(d, f), d, d)).tau
+    exact = tau_werner_closed(d, f)
+    assert np.all(np.abs(tau - exact) <= _tau_error_bound(d, exact))
 
 
 @pytest.mark.parametrize("d", DIMS)
 def test_werner_tau_matches_its_closed_form(d):
-    f = _werner_grid(d)
-    tau, exact = ccnr_tau(DensityOperator(werner_stack(d, f), d, d)), tau_werner_closed(d, f)
+    assert_werner_tau(_werner_grid(d), d)
+
+
+def assert_isotropic_tau(F, d: int) -> None:
+    """``tau`` of the isotropic states of fidelities ``F`` meets its closed form."""
+    tau = report_stack(DensityOperator(isotropic_stack(d, F), d, d)).tau
+    exact = tau_isotropic_closed(d, F)
     assert np.all(np.abs(tau - exact) <= _tau_error_bound(d, exact))
 
 
 @pytest.mark.parametrize("d", DIMS)
 def test_isotropic_tau_matches_its_closed_form(d):
-    F = _isotropic_grid(d)
-    tau, exact = ccnr_tau(DensityOperator(isotropic_stack(d, F), d, d)), tau_isotropic_closed(d, F)
-    assert np.all(np.abs(tau - exact) <= _tau_error_bound(d, exact))
+    assert_isotropic_tau(_isotropic_grid(d), d)
 
 
-def _assert_pure_tau(p, d, rotation_seed=None):
+def assert_pure_tau(p, d, rotation_seed=None):
     """``tau`` and ``gamma_pure`` of Schmidt probabilities ``p`` on ``C^d (x) C^d`` meet the bound.
 
     With a ``rotation_seed``, the state is first turned by Haar local
@@ -128,7 +159,7 @@ def _assert_pure_tau(p, d, rotation_seed=None):
         u_a, u_b = (random_unitary(d, seed=rotation_seed + k) for k in (0, 1))
         psi = PureState(u_a @ psi.coefficient_matrix() @ u_b.T, d, d)
     exact = math.fsum(np.sqrt(p)) ** 2
-    for value in (ccnr_tau(psi.projector()), gamma_pure(psi).value):
+    for value in (report_stack(psi.projector()).tau[0], gamma_pure(psi).value):
         assert abs(value - exact) <= _tau_error_bound(d, exact)
 
 
@@ -138,30 +169,30 @@ def test_pure_state_tau_and_gamma_match_the_schmidt_sum(d):
     for k in range(3):
         p = rng.random(d)
         p /= p.sum()
-        _assert_pure_tau(p, d, rotation_seed=None if k == 0 else 10 * d + k)
+        assert_pure_tau(p, d, rotation_seed=None if k == 0 else 10 * d + k)
 
 
 def test_a_pure_state_rotated_at_d24_keeps_tau_and_gamma():
     d = 24
     p = np.random.default_rng(24).random(d)
     p /= p.sum()
-    _assert_pure_tau(p, d, rotation_seed=2400)
+    assert_pure_tau(p, d, rotation_seed=2400)
 
 
 def test_a_werner_state_at_d32_keeps_tau_and_the_ppt_floor():
     d, f = 32, -0.5
-    rho = DensityOperator(werner_stack(d, [f])[0], d, d)
+    report = report_stack(DensityOperator(werner_stack(d, [f])[0], d, d))
     exact = tau_werner_closed(d, f)
-    assert abs(ccnr_tau(rho) - exact) <= _tau_error_bound(d, exact)
-    assert abs(ppt_min_eigenvalue(rho) - _werner_ppt_floor(d, f)) <= error_bound(d)
+    assert abs(report.tau[0] - exact) <= _tau_error_bound(d, exact)
+    assert abs(report.ppt_floor[0] - _werner_ppt_floor(d, f)) <= error_bound(d)
 
 
 def test_an_isotropic_state_at_d32_keeps_tau_and_the_reduction_floor():
     d, F = 32, 0.5
-    rho = DensityOperator(isotropic_stack(d, [F])[0], d, d)
+    report = report_stack(DensityOperator(isotropic_stack(d, [F])[0], d, d))
     exact = tau_isotropic_closed(d, F)
-    assert abs(ccnr_tau(rho) - exact) <= _tau_error_bound(d, exact)
-    assert abs(reduction_min_eigenvalue(rho) - _isotropic_reduction_floor(d, F)) <= error_bound(d)
+    assert abs(report.tau[0] - exact) <= _tau_error_bound(d, exact)
+    assert abs(report.reduction_floor[0] - _isotropic_reduction_floor(d, F)) <= error_bound(d)
 
 
 def test_the_bound_is_at_most_1e5_times_the_measured_error_at_d8():

@@ -24,7 +24,10 @@ state is at least ``tau`` of its twirl: ``tau_werner_closed(d, tr(rho F))``
 and ``tau_isotropic_closed(d, <Phi+|rho|Phi+>)``.
 
 The bound is :func:`test_floor_oracles.error_bound`, relative to
-``max(1, tau)`` for ``tau`` as that module scales it.
+``max(1, tau)`` for ``tau`` as that module scales it.  Each fact is an
+``assert_*`` function of the states and ``d``, which reads the numbers through
+:func:`~ccnr.criteria.report_stack`, so ``tests/test_mutations.py`` can run it
+on a measure replaced on ``ccnr.criteria``.
 """
 
 import numpy as np
@@ -46,28 +49,48 @@ def _haar_vectors(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
     return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
-@pytest.mark.parametrize("d", DIMS)
-def test_a_product_pure_state_has_tau_one_and_both_floors_zero(d):
+def product_pure_states(d: int, count: int = STATES) -> DensityOperator:
+    """``count`` seeded product pure states ``|a><a| (x) |b><b|`` on ``C^d (x) C^d``."""
     rng = np.random.default_rng(3000 + d)
-    a, b = _haar_vectors(rng, STATES, d), _haar_vectors(rng, STATES, d)
-    psi = (a[:, :, None] * b[:, None, :]).reshape(STATES, d * d)
-    report = report_stack(DensityOperator(psi[:, :, None] * psi[:, None, :].conj(), d, d))
+    a, b = _haar_vectors(rng, count, d), _haar_vectors(rng, count, d)
+    psi = (a[:, :, None] * b[:, None, :]).reshape(count, d * d)
+    return DensityOperator(psi[:, :, None] * psi[:, None, :].conj(), d, d)
+
+
+def assert_product_facts(rhos: DensityOperator, d: int) -> None:
+    """Product pure states have ``tau`` 1 and both floors 0, within the bound, two-sided."""
+    report = report_stack(rhos)
     assert np.max(np.abs(report.tau - 1.0)) <= error_bound(d)
     assert np.max(np.abs(report.ppt_floor)) <= error_bound(d)
     assert np.max(np.abs(report.reduction_floor)) <= error_bound(d)
 
 
 @pytest.mark.parametrize("d", DIMS)
-def test_local_unitaries_move_neither_tau_nor_a_floor(d):
-    rhos = [random_density(d, d, seed=3100 + STATES * d + k) for k in range(STATES)]
-    turns = [np.kron(random_unitary(d, seed=3200 + 2 * k), random_unitary(d, seed=3201 + 2 * k))
-             for k in range(STATES)]
-    before = report_stack(DensityOperator(np.stack([rho.matrix for rho in rhos]), d, d))
-    after = report_stack(DensityOperator(
-        np.stack([w @ rho.matrix @ w.conj().T for w, rho in zip(turns, rhos)]), d, d))
+def test_a_product_pure_state_has_tau_one_and_both_floors_zero(d):
+    assert_product_facts(product_pure_states(d), d)
+
+
+def assert_unmoved_by_local_unitaries(rhos: DensityOperator, turns, d: int) -> None:
+    """Turning state ``k`` by the local unitary ``turns[k]`` moves none of its three numbers."""
+    before = report_stack(rhos)
+    after = report_stack(DensityOperator(turns @ rhos.matrix @ np.conj(turns).swapaxes(-2, -1),
+                                         d, d))
     assert np.all(np.abs(after.tau - before.tau) <= _tau_error_bound(d, before.tau))
     assert np.max(np.abs(after.ppt_floor - before.ppt_floor)) <= error_bound(d)
     assert np.max(np.abs(after.reduction_floor - before.reduction_floor)) <= error_bound(d)
+
+
+def turned_states(d: int) -> tuple[DensityOperator, np.ndarray]:
+    """``STATES`` seeded random states and a seeded local unitary ``U (x) V`` for each."""
+    rhos = [random_density(d, d, seed=3100 + STATES * d + k).matrix for k in range(STATES)]
+    turns = [np.kron(random_unitary(d, seed=3200 + 2 * k), random_unitary(d, seed=3201 + 2 * k))
+             for k in range(STATES)]
+    return DensityOperator(np.stack(rhos), d, d), np.stack(turns)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_local_unitaries_move_neither_tau_nor_a_floor(d):
+    assert_unmoved_by_local_unitaries(*turned_states(d), d)
 
 
 MIXTURE_DIMS = (2, 3, 4, 6, 8, 12)
@@ -102,13 +125,19 @@ def _twirl_taus(rhos: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
             tau_isotropic_closed(d, np.clip(fidelity, 0.0, 1.0)))
 
 
-@pytest.mark.parametrize("d", MIXTURE_DIMS)
-def test_a_separable_mixture_is_undecided_below_the_bound_and_above_both_floors(d):
-    report = report_stack(_separable_mixtures(d))
+def assert_separable_facts(rhos: DensityOperator, d: int) -> None:
+    """Separable states read ``undecided``, with ``tau`` at most 1 and both floors at least 0,
+    within the bound."""
+    report = report_stack(rhos)
     assert np.all(report.verdict == "undecided")
     assert np.max(report.tau) <= 1.0 + error_bound(d)
     assert np.min(report.ppt_floor) >= -error_bound(d)
     assert np.min(report.reduction_floor) >= -error_bound(d)
+
+
+@pytest.mark.parametrize("d", MIXTURE_DIMS)
+def test_a_separable_mixture_is_undecided_below_the_bound_and_above_both_floors(d):
+    assert_separable_facts(_separable_mixtures(d), d)
 
 
 def _random_states(d: int) -> DensityOperator:
@@ -118,27 +147,25 @@ def _random_states(d: int) -> DensityOperator:
                                      for k, rank in enumerate(ranks)]), d, d)
 
 
+def assert_above_both_twirls(rhos: DensityOperator, d: int) -> None:
+    """``tau`` of each state is at least ``tau`` of its Werner and of its isotropic twirl."""
+    tau = report_stack(rhos).tau
+    for twirled in _twirl_taus(rhos):
+        assert np.all(tau >= twirled - _tau_error_bound(d, twirled))
+
+
 @pytest.mark.parametrize("states", [_separable_mixtures, _random_states],
                          ids=["separable", "random"])
 @pytest.mark.parametrize("d", MIXTURE_DIMS)
 def test_tau_is_at_least_tau_of_either_twirl(d, states):
-    rhos = states(d)
-    tau = report_stack(rhos).tau
-    for twirled in _twirl_taus(rhos):
-        assert np.all(tau >= twirled - _tau_error_bound(d, twirled))
+    assert_above_both_twirls(states(d), d)
 
 
 def test_at_d_24_a_product_state_and_a_rotated_random_state_keep_the_exact_facts():
     d = 24
     rng = np.random.default_rng(3524)
     psi = _product_vectors(rng, 1, d)[0]
-    rho = random_density(d, d, seed=3525).matrix
+    rho = random_density(d, d, seed=3525)
     turn = np.kron(random_unitary(d, seed=3526), random_unitary(d, seed=3527))
-    report = report_stack(DensityOperator(
-        np.stack([np.outer(psi, psi.conj()), rho, turn @ rho @ turn.conj().T]), d, d))
-    assert abs(report.tau[0] - 1.0) <= error_bound(d)
-    assert abs(report.ppt_floor[0]) <= error_bound(d)
-    assert abs(report.reduction_floor[0]) <= error_bound(d)
-    assert abs(report.tau[2] - report.tau[1]) <= _tau_error_bound(d, report.tau[1])
-    assert abs(report.ppt_floor[2] - report.ppt_floor[1]) <= error_bound(d)
-    assert abs(report.reduction_floor[2] - report.reduction_floor[1]) <= error_bound(d)
+    assert_product_facts(DensityOperator(np.outer(psi, psi.conj()), d, d), d)
+    assert_unmoved_by_local_unitaries(rho, turn, d)

@@ -9,7 +9,9 @@ have one place in the source; a second copy would drift from the first.
 
 import ast
 import builtins
+import dataclasses
 import importlib
+import json
 import sys
 import tokenize
 from pathlib import Path
@@ -19,8 +21,9 @@ import pytest
 
 import ccnr
 import ccnr.cli
+import ccnr.criteria as criteria
 from ccnr.cli import build_parser, main, write_state_file
-from ccnr.criteria import ppt_min_eigenvalue
+from ccnr.criteria import CriteriaReport, ppt_min_eigenvalue
 from ccnr.crossnorm import gamma_pure
 from ccnr.states import pure_from_schmidt, random_density, werner_state
 
@@ -70,6 +73,68 @@ def _files_assigning(name: str) -> list[str]:
 def test_the_violation_guard_is_defined_once_and_read_only_by_the_verdict_rule():
     assert _files_naming("VIOLATION_GUARD") == {"criteria.py", "tolerances.py"}
     assert _files_assigning("VIOLATION_GUARD") == ["tolerances.py"]
+
+
+def _guard_readings(tree: ast.Module) -> list[tuple[str, str]]:
+    """Each expression that reads ``VIOLATION_GUARD``, with the top-level function around it;
+    its assignment is no reading."""
+    return [(getattr(stmt, "name", "<module>"), ast.unparse(node))
+            for stmt in tree.body for node in ast.walk(stmt)
+            for child in ast.iter_child_nodes(node)
+            if isinstance(child, ast.Name) and child.id == "VIOLATION_GUARD"
+            and isinstance(child.ctx, ast.Load)]
+
+
+def test_each_violation_rule_is_written_once():
+    # tau and a closed gamma pass 1 by the guard in one rule, either floor passes 0 in another.
+    readings = [hit for path in SOURCES for hit in _guard_readings(_tree(path))]
+    assert readings == [("_above_one", "1.0 + VIOLATION_GUARD"), ("_below_zero", "-VIOLATION_GUARD")]
+
+
+def test_the_guard_scan_sees_each_form():
+    tree = ast.parse("VIOLATION_GUARD = 1e-9\ndef f(x):\n    return x > 1.0 + VIOLATION_GUARD\n"
+                     "def g(x):\n    return x < -VIOLATION_GUARD\n"
+                     "ok = abs(z) < VIOLATION_GUARD")
+    assert _guard_readings(tree) == [("f", "1.0 + VIOLATION_GUARD"), ("g", "-VIOLATION_GUARD"),
+                                     ("<module>", "abs(z) < VIOLATION_GUARD")]
+
+
+MEASURES = {"ccnr_tau", "ppt_min_eigenvalue", "reduction_min_eigenvalue"}
+
+
+def _names_a_measure(node: ast.AST) -> bool:
+    return (getattr(node, "id", None) in MEASURES and isinstance(node, ast.Name)
+            or isinstance(node, ast.Attribute) and node.attr in MEASURES)
+
+
+def test_the_report_reads_its_measures_from_the_criteria_table_alone():
+    # The table is built at each call, so a measure replaced on the module is the one run.
+    tree = _tree(Path(ccnr.__file__).parent / "criteria.py")
+    assert _owners(tree, _names_a_measure) == ["_criteria"] * 3
+
+
+def test_the_measure_scan_sees_each_form():
+    tree = ast.parse("def _criteria():\n    return ((ccnr_tau, rule),)\n"
+                     "def report_stack(r):\n"
+                     "    return ppt_min_eigenvalue(r), criteria.reduction_min_eigenvalue(r)")
+    assert _owners(tree, _names_a_measure) == ["_criteria", "report_stack", "report_stack"]
+
+
+REPORT_TAIL = ["gamma_closed", "gamma_family", "verdict"]
+
+
+def test_the_criteria_table_gives_the_report_its_fields_in_order():
+    table = [field for row in criteria._criteria() for field in row[:2]]
+    assert table + REPORT_TAIL == [field.name for field in dataclasses.fields(CriteriaReport)]
+
+
+def test_check_json_writes_the_report_fields_in_their_order(tmp_path, capsys):
+    path = tmp_path / "rho.json"
+    write_state_file(path, werner_state(2, 0.5))
+    assert main(["check", str(path), "--json"]) == 0
+    keys = list(json.loads(capsys.readouterr().out))
+    assert keys == [field.name for field in dataclasses.fields(CriteriaReport)]
+    assert keys[-3:] == REPORT_TAIL
 
 
 def _attributes_read(tree: ast.AST) -> set[str]:

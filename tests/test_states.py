@@ -45,7 +45,7 @@ from ccnr.states import (
     werner_state,
 )
 from ccnr.states import _psd_shift, _rng
-from ccnr.tolerances import HERMITICITY_TOL as HERM_TOL, PSD_TOL
+from ccnr.tolerances import PSD_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +245,11 @@ def test_one_matrix_off_hermitian_sends_the_stack_through_the_full_scan():
     # Exactly Hermitian stacks skip the residual scan; one inexact matrix
     # brings back the measured residual of every matrix, and the refusal.
     stack = werner_stack(3, [0.5, -1.0, 1.0])
-    _, measured, bound = _hermitian_part(stack, HERM_TOL)
+    _, measured, bound = _hermitian_part(stack)
     assert measured.tolist() == bound.tolist() == [0.0, 0.0, 0.0]
     stack[1, 0, 4] += 1e-3
     residual = np.max(np.abs(stack[1] - stack[1].conj().T))
-    _, measured, bound = _hermitian_part(stack, HERM_TOL)
+    _, measured, bound = _hermitian_part(stack)
     assert measured.tolist() == [0.0, residual, 0.0] and bound.all()
     with pytest.raises(InvariantViolation) as excinfo:
         DensityOperator(stack, 3, 3)

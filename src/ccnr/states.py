@@ -281,9 +281,12 @@ def _psd_shift(n):
 def _certify_psd(m: np.ndarray) -> bool:
     """Whether one Cholesky proves ``lambda_min > -PSD_TOL`` for every matrix of ``m``.
 
-    ``m`` is a Hermitian ``(..., n, n)`` stack of unit trace.  A stack whose
-    imaginary parts are all zero is a real symmetric one, and only its real
-    part is copied and factored, in real arithmetic.  The Cholesky factor
+    ``m`` is a Hermitian ``(..., n, n)`` stack of unit trace, writeable.  It
+    is not copied: its own diagonal is raised by the shift in place, factored,
+    and then assigned its saved values, so ``m`` keeps every bit whatever the
+    outcome.  A stack whose imaginary parts are all zero is a real symmetric
+    one, and only its real part, a view, is shifted and factored, in real
+    arithmetic.  The Cholesky factor
     ``R`` computed for ``A = m + shift I`` satisfies ``R^H R = A + E`` with
     ``|E| <= g |R^H| |R|``, where ``g = gamma_{n+1}`` in real arithmetic and
     ``g = gamma_{n+2}`` in complex arithmetic (Higham, *Accuracy and
@@ -310,12 +313,16 @@ def _certify_psd(m: np.ndarray) -> bool:
     measures ``lambda_min`` itself.
     """
     n = m.shape[-1]
-    shifted = (m if m.imag.any() else m.real).copy()
-    shifted.reshape(m.shape[:-2] + (n * n,))[..., :: n + 1] += _psd_shift(n)
+    part = m if m.imag.any() else m.real
+    diagonal = np.einsum("...ii->...i", part)  # a writeable view, one row per matrix
+    saved = diagonal.copy()
     try:
-        np.linalg.cholesky(shifted)
+        diagonal += _psd_shift(n)
+        np.linalg.cholesky(part)
     except np.linalg.LinAlgError:
         return False
+    finally:
+        diagonal[...] = saved
     return True
 
 
@@ -363,7 +370,10 @@ class DensityOperator(_Bipartite):
     certified by one Cholesky factorization of the stack shifted by just
     under ``PSD_TOL``, in real arithmetic for a real-valued stack; its
     success proves ``lambda_min > -PSD_TOL`` for every matrix (see
-    :func:`_certify_psd`), rank-deficient ones included.  Only when it fails
+    :func:`_certify_psd`), rank-deficient ones included.  The shift is made
+    on the constructor's own matrix, not a copy, and undone by assigning the
+    saved diagonal back, so the stored matrix is as described above, bit
+    for bit.  Only when it fails
     does ``eigvalsh`` measure each ``lambda_min``, which then decides
     acceptance and is the refused matrix's residual.  The criteria take one
     state or a stack and return one value per state.

@@ -44,7 +44,7 @@ from ccnr.states import (
     werner_stack,
     werner_state,
 )
-from ccnr.states import _psd_shift, _rng
+from ccnr.states import _certify_psd, _psd_shift, _rng
 from ccnr.tolerances import PSD_TOL
 
 
@@ -281,10 +281,14 @@ def test_signed_zero_imaginary_parts_keep_their_bits():
 
 
 @pytest.mark.parametrize("build, ratio", [
-    (lambda: werner_stack(8, np.linspace(-1.0, 1.0, 100)), 2.2),
-    (lambda: random_density(12, 12, seed=6).matrix.copy(), 3.05),
-], ids=["werner-stack-real", "random-n144-complex"])
+    (lambda: werner_stack(8, np.linspace(-1.0, 1.0, 100)), 2.1),
+    (lambda: np.stack([random_density(8, 8, seed=s).matrix for s in range(20)]), 2.25),
+    (lambda: random_density(12, 12, seed=6).matrix.copy(), 2.5),
+], ids=["werner-stack-real", "random-stack-complex", "random-n144-complex"])
 def test_validation_peaks_within_a_small_multiple_of_its_input(build, ratio):
+    # The symmetrised matrix and the Cholesky factor take about one input
+    # each; the certificate shifts the state's own diagonal, where a shifted
+    # copy would add a third input on a complex stack (3.0x).
     matrix = build()
     DensityOperator(matrix)  # warm: the first call imports and caches
     tracemalloc.start()
@@ -294,6 +298,47 @@ def test_validation_peaks_within_a_small_multiple_of_its_input(build, ratio):
     finally:
         tracemalloc.stop()
     assert peak <= ratio * matrix.nbytes
+
+
+def _normalized_hermitian_part(h):
+    """``(h + h^dag) / 2`` over its trace, computed apart from the package."""
+    h = np.asarray(h, dtype=complex)
+    m = (h + np.swapaxes(h.conj(), -2, -1)) / 2.0
+    return m / np.real(np.trace(m, axis1=-2, axis2=-1))[..., None, None]
+
+
+def _complex_state_with_signed_zeros():
+    # -0.0 imaginary parts on the diagonal: the shift turns them into 0.0
+    # (z + shift adds 0.0 to each imaginary part), so only assigning the
+    # saved diagonal back, not subtracting the shift, restores their bits.
+    m = random_density(3, 3, seed=4).matrix.copy()
+    np.einsum("ii->i", m).imag[...] = -0.0
+    return m
+
+
+CERTIFICATE_CASES = [
+    (_complex_state_with_signed_zeros, True),
+    (lambda: werner_stack(3, np.linspace(-1.0, 1.0, 7)).astype(complex), True),
+    (lambda: _normalized_hermitian_part(_state_at_the_psd_tolerance(144, -1e-5, turned=False)),
+     False),
+]
+CERTIFICATE_IDS = ["certified-complex", "certified-real-stack", "unproven"]
+
+
+@pytest.mark.parametrize("build, certified", CERTIFICATE_CASES, ids=CERTIFICATE_IDS)
+def test_the_psd_certificate_restores_the_matrix_it_shifts(build, certified):
+    m = build()  # Hermitian, of unit trace
+    before = m.copy()
+    assert _certify_psd(m) is certified
+    np.testing.assert_array_equal(m.view(np.int64), before.view(np.int64))
+
+
+@pytest.mark.parametrize("build", [build for build, _ in CERTIFICATE_CASES], ids=CERTIFICATE_IDS)
+def test_the_stored_matrix_is_the_normalized_hermitian_part_bit_for_bit(build):
+    h = build()
+    expected = _normalized_hermitian_part(h)
+    stored = DensityOperator(h).matrix
+    np.testing.assert_array_equal(stored.view(np.int64), expected.view(np.int64))
 
 
 def test_density_operator_symmetrizes_and_renormalizes():
